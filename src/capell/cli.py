@@ -250,15 +250,7 @@ def _robinson_instance(cfg: RunConfig) -> "_robinson.RobinsonInstance":
     if cfg.coeffs and cfg.extras.get("M"):
         P = ExactPoly.from_list(cfg.coeffs)
         M = Fraction(str(cfg.extras["M"]))
-        D = P * P - ExactPoly((M * M,))
-        from .core import isolate_real_roots
-        iso = isolate_real_roots(D, refine=1e-14)
-        bands = [(float(iso[2 * i][0]), float(iso[2 * i + 1][1]))
-                 for i in range(P.degree)]
-        pa = _pell.PellAbelDatum(
-            E=make_interval_union(bands), P=P, Q=ExactPoly((Fraction(1),)),
-            D=D, M=M, r=P.degree, r_j=tuple([1] * P.degree))
-        return _robinson.make_instance(pa)
+        return _robinson.make_instance(_pell.PellAbelDatum.from_exact(P, M))
     raise ValueError("robinson needs --preset or coeffs + M")
 
 
@@ -268,25 +260,27 @@ def _run_robinson(cfg: RunConfig) -> str:
     if cfg.n:
         P_prime, cert, table = _robinson.generate_at(inst, cfg.n)
     else:
-        P_prime, cert = _robinson.generate(inst, degree)
-        table = _robinson.generate_at(inst, cert["n"])[2]
+        P_prime, cert, table = _robinson.generate(inst, degree)
     if (cfg.format or "json") == "csv":
         mu = equilibrium_density(solve_R(inst.pa.E))
         lines = ["n,degree,kolmogorov_distance"]
+
+        def row(n, c_n, t_n):
+            m = _robinson.root_measure_from_certificate(inst, n, t_n, c_n)
+            d = _robinson.convergence_report([m], mu)[0]
+            lines.append(f"{n},{n * inst.pa.r},{d!r}")
+
         n = 2
-        while n <= cert["n"]:
+        while n < cert["n"]:
             try:
                 _, c_n, t_n = _robinson.generate_at(inst, n)
-                m = _robinson.root_measure_from_certificate(inst, n, t_n, c_n)
-                d = _robinson.convergence_report([m], mu)[0]
-                lines.append(f"{n},{n * inst.pa.r},{d!r}")
             except CertificationError:
                 pass
+            else:
+                row(n, c_n, t_n)
             n *= 2
-        if cert["n"] != n // 2:
-            m = _robinson.root_measure_from_certificate(inst, cert["n"], table, cert)
-            d = _robinson.convergence_report([m], mu)[0]
-            lines.append(f"{cert['n']},{cert['n'] * inst.pa.r},{d!r}")
+        if cert["n"] > 1:  # the table starts at n = 2
+            row(cert["n"], cert, table)
         return "\n".join(lines) + "\n"
     return _dump_json({
         "n": cert["n"],

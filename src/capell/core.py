@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -340,6 +341,29 @@ class ExactPoly:
             acc = acc * x + c
         return acc
 
+    @cached_property
+    def _integer_coeffs(self) -> tuple[int, ...]:
+        """Coefficients times the positive lcm of their denominators."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+
+    def sign_at(self, x: Number) -> int:
+        """Exact sign (-1, 0 or 1) of p(x) for rational x.
+
+        With x = a/b, b > 0, and integer coefficients c_k, the sign of p(x)
+        is that of sum c_k a^k b^(d-k): homogenised Horner in integers, with
+        no rational normalisation per step.
+        """
+        x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        cs = self._integer_coeffs
+        acc = cs[-1]
+        bk = 1
+        for c in reversed(cs[:-1]):
+            bk *= b
+            acc = acc * a + c * bk
+        return (acc > 0) - (acc < 0)
+
     def eval_float(self, x):
         return np.polynomial.polynomial.polyval(
             x, np.asarray([float(c) for c in self.coeffs])
@@ -536,7 +560,8 @@ def isolate_real_roots(
 ):
     """Disjoint isolating intervals for the real roots of p.
 
-    ExactPoly: certified Sturm bisection (p must be squarefree; checked via
+    ExactPoly: certified Sturm bisection until each segment holds one root,
+    then bisection by the exact sign of p (p must be squarefree; checked via
     gcd with the derivative).  Returns [(Fraction lo, Fraction hi), ...] with
     each interval containing exactly one root, refined below ``refine`` times
     the window scale.  RealPoly: float sign-change bisection on a dense grid;
@@ -562,6 +587,7 @@ def _isolate_exact(p: ExactPoly, window, refine):
     if not p.is_squarefree():
         raise NonSquarefreeError("polynomial has a repeated root")
     chain = p.sturm_chain()
+    dp = chain[1]
     bands = _window_bands(p, window, _root_bound(p))
     scale = float(max(abs(a) for ab in bands for a in ab) or 1)
     out: list[tuple[Fraction, Fraction]] = []
@@ -570,7 +596,7 @@ def _isolate_exact(p: ExactPoly, window, refine):
         # right endpoint is flagged excluded in that segment's count
         segs = [(lo, hi, False)]
         # include a root sitting exactly on the left window edge
-        if p(lo) == 0:
+        if p.sign_at(lo) == 0:
             out.append((lo, lo))
         while segs:
             a, b, rex = segs.pop()
@@ -579,19 +605,23 @@ def _isolate_exact(p: ExactPoly, window, refine):
                 continue
             mid = (a + b) / 2
             if k == 1:
-                # shrink until narrow enough
+                # (a, b) holds one simple root and no other, so it lies in
+                # (a, mid) iff p(mid) differs in sign from p just right of a;
+                # when p(a) = 0 (a root emitted at a) that sign is p'(a)'s
+                s_a = p.sign_at(a) or dp.sign_at(a)
                 while float(b - a) > refine * scale:
                     mid = (a + b) / 2
-                    if p(mid) == 0:
+                    s_mid = p.sign_at(mid)
+                    if s_mid == 0:
                         a = b = mid
                         break
-                    if p.count_roots(a, mid, chain) == 1:
+                    if s_mid != s_a:
                         b = mid
                     else:
                         a = mid
                 out.append((a, b))
                 continue
-            at_mid = p(mid) == 0
+            at_mid = p.sign_at(mid) == 0
             if at_mid:
                 out.append((mid, mid))
             segs.append((a, mid, at_mid))

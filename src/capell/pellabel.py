@@ -24,6 +24,7 @@ from .core import (
     CertificationError,
     ExactPoly,
     IntervalUnion,
+    NonSquarefreeError,
     RealPoly,
     isolate_real_roots,
     make_interval_union,
@@ -59,6 +60,36 @@ class PellAbelDatum:
             raise ValueError("per-band root counts must sum to the degree")
         if not self.M > 0:
             raise ValueError("M must be positive")
+
+    @classmethod
+    def from_exact(cls, P: ExactPoly, M) -> "PellAbelDatum":
+        """The exact datum (P, Q = 1, M) on E = {P^2 <= M^2}.
+
+        E has r = deg P bands, one root of P each, exactly when D = P^2 - M^2
+        has 2r simple real roots; any other (P, M), and a P that is not monic,
+        raises ValueError.
+        """
+        M = Fraction(M)
+        if P.degree < 1 or not P.is_monic:
+            raise ValueError("P must be monic of degree >= 1")
+        if not M > 0:
+            raise ValueError("M must be positive")
+        r = P.degree
+        D = P * P - ExactPoly((M * M,))
+        try:
+            iso = isolate_real_roots(D, refine=1e-14)
+        except NonSquarefreeError:
+            raise ValueError(
+                f"P^2 - M^2 has a repeated root: bands of {{|P| <= {M}}} touch"
+            ) from None
+        if len(iso) != 2 * r:
+            raise ValueError(
+                f"P^2 - M^2 has {len(iso)} real roots, need 2 deg P = {2 * r}: "
+                f"{{|P| <= {M}}} is not a union of {r} bands"
+            )
+        bands = [(float(iso[2 * i][0]), float(iso[2 * i + 1][1])) for i in range(r)]
+        return cls(E=make_interval_union(bands), P=P, Q=ExactPoly((Fraction(1),)),
+                   D=D, M=M, r=r, r_j=tuple([1] * r))
 
 
 def rotation_numbers(datum: AbelDatum) -> list[float]:

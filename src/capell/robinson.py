@@ -16,7 +16,7 @@ evaluated in exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,7 +28,6 @@ from .core import (
     ExactPoly,
     IntervalUnion,
     isolate_real_roots,
-    make_interval_union,
 )
 from .abel import BandDensity
 from .pellabel import PellAbelDatum
@@ -56,13 +55,17 @@ class RobinsonInstance:
     lam = M/2 > 1; A bounds sup over E of 1 + |x| + ... + |x|^(r-1) from
     above (rational, certified from outer root bounds of P^2 - M^2); ell is
     the smallest integer with lam^ell (lam - 1) >= A/2, the number of top
-    basis elements the correction must not touch.
+    basis elements the correction must not touch.  ``ladder`` holds the
+    compositions P_0, P_1, ... built so far; every use of the instance
+    extends and shares it.
     """
 
     pa: PellAbelDatum
     lam: Fraction
     A: Fraction
     ell: int
+    ladder: list[ExactPoly] = field(default_factory=list, init=False, repr=False,
+                                    compare=False)
 
 
 def make_instance(pa: PellAbelDatum) -> RobinsonInstance:
@@ -88,33 +91,16 @@ def make_instance(pa: PellAbelDatum) -> RobinsonInstance:
     return RobinsonInstance(pa=pa, lam=lam, A=A, ell=ell)
 
 
-def _preset(p_coeffs, M: Fraction) -> RobinsonInstance:
-    P = ExactPoly.from_list(p_coeffs)
-    D = P * P - ExactPoly((M * M,))
-    iso = isolate_real_roots(D, refine=1e-14)
-    bands = [(float(iso[2 * i][0]), float(iso[2 * i + 1][1])) for i in range(P.degree)]
-    pa = PellAbelDatum(
-        E=make_interval_union(bands),
-        P=P,
-        Q=ExactPoly((Fraction(1),)),
-        D=D,
-        M=M,
-        r=P.degree,
-        r_j=tuple([1] * P.degree),
-    )
-    return make_instance(pa)
-
-
 def preset_x2m6() -> RobinsonInstance:
     """P = X^2 - 6, M = 4: integer lam = 2, so compositions need no
     correction; bands +-[sqrt2, sqrt10], capacity sqrt2."""
-    return _preset([-6, 0, 1], Fraction(4))
+    return make_instance(PellAbelDatum.from_exact(ExactPoly.from_list([-6, 0, 1]), 4))
 
 
 def preset_x2m5() -> RobinsonInstance:
     """P = X^2 - 5, M = 3: lam = 3/2 exercises the correction machinery;
     bands +-[sqrt2, sqrt8], capacity sqrt(3/2)."""
-    return _preset([-5, 0, 1], Fraction(3))
+    return make_instance(PellAbelDatum.from_exact(ExactPoly.from_list([-5, 0, 1]), 3))
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +123,16 @@ def chebyshev_Tn(n: int) -> ExactPoly:
 
 
 def _ladder(inst: RobinsonInstance, n: int) -> list[ExactPoly]:
-    """[P_0..P_n] with P_k = lam^k C_k(P/lam): P_0 = 2, P_1 = P,
-    P_{k+1} = P P_k - lam^2 P_{k-1}."""
+    """The instance's ladder, extended to hold P_0..P_n (maybe more), with
+    P_k = lam^k C_k(P/lam): P_0 = 2, P_1 = P, P_{k+1} = P P_k - lam^2 P_{k-1}."""
     P = inst.pa.P
+    out = inst.ladder
+    if not out:
+        out.extend((ExactPoly((Fraction(2),)), P))
     lam2 = ExactPoly((inst.lam * inst.lam,))
-    out = [ExactPoly((Fraction(2),)), P]
-    for _ in range(n - 1):
+    while len(out) <= n:
         out.append(P * out[-1] - lam2 * out[-2])
-    return out[: n + 1]
+    return out
 
 
 def compose_Pn(inst: RobinsonInstance, n: int) -> ExactPoly:
@@ -170,7 +158,7 @@ def _sweep(inst: RobinsonInstance, n: int, Pn: ExactPoly):
     """Top-down removal of fractional parts in the basis {x^j P_k},
     0 <= j < r, 0 <= k < n - ell.  Returns (c table, corrected coeffs)."""
     r, ell = inst.pa.r, inst.ell
-    ladder = _ladder(inst, n - ell - 1) if n - ell - 1 >= 0 else []
+    ladder = _ladder(inst, n)
     w = list(Pn.coeffs)
     table: dict[tuple[int, int], Fraction] = {}
     half = Fraction(1, 2)
@@ -238,7 +226,7 @@ def _eval_structured(inst: RobinsonInstance, n: int,
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     Pf = inst.pa.P.to_real()
-    lam2 = float(inst.lam) ** 2
+    lam2 = np.full_like(x, float(inst.lam) ** 2)  # array * array skips a scalar cast
     px = Pf(x)
     by_k: dict[int, list[tuple[int, float]]] = {}
     for (j, k), c in table.items():
@@ -344,7 +332,7 @@ def _certificate(inst: RobinsonInstance, n: int,
         for i, x in enumerate(dedup):
             direction = 1 if i == 0 else (-1 if i == len(dedup) - 1 else 0)
             xi_list.append(_rationalize_into_E(inst, x, direction, spacing))
-        signs = [1 if P_prime(xi) > 0 else (-1 if P_prime(xi) < 0 else 0) for xi in xi_list]
+        signs = [P_prime.sign_at(xi) for xi in xi_list]
         for a, b in zip(signs[:-1], signs[1:]):
             if a * b != -1:
                 raise CertificationError(
@@ -398,17 +386,22 @@ def generate_at(inst: RobinsonInstance, n: int):
 
 def generate(inst: RobinsonInstance, degree_target: int, max_degree: int = 256):
     """Smallest admissible multiplier n with n*r >= degree_target; returns
-    (P'_n monic integer, certificate)."""
+    (P'_n monic integer, certificate, c-table) as ``generate_at(inst, n)``
+    does.  A target above ``max_degree`` raises ValueError before any work."""
     M = Fraction(inst.pa.M)
     if not M > 2:
         raise ValueError("need M > 2")
     r = inst.pa.r
     n = max(1, -(-degree_target // r))
+    if n * r > max_degree:
+        raise ValueError(
+            f"target degree {degree_target} needs degree {n * r} > the cap "
+            f"max_degree = {max_degree}"
+        )
     tried = []
     while n * r <= max_degree:
         try:
-            P_prime, cert, _ = generate_at(inst, n)
-            return P_prime, cert
+            return generate_at(inst, n)
         except CertificationError:
             tried.append(n)
             n += 1
@@ -428,21 +421,28 @@ def generate(inst: RobinsonInstance, degree_target: int, max_degree: int = 256):
 def root_measure_from_certificate(inst: RobinsonInstance, n: int,
                                   table: dict, cert: dict) -> DiscreteMeasure:
     """Roots of P'_n by bisection inside the certified isolating intervals,
-    evaluated through the stable recurrence; equal weights 1/(n r)."""
-    roots = []
-    for (a_s, b_s) in cert["isolating_intervals"]:
-        a, b = float(Fraction(a_s)), float(Fraction(b_s))
-        fa = float(_eval_structured(inst, n, table, np.array([a]))[0])
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = float(_eval_structured(inst, n, table, np.array([m]))[0])
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-            if b - a < 1e-14 * max(1.0, abs(m)):
-                break
-        roots.append(0.5 * (a + b))
+    evaluated through the stable recurrence; equal weights 1/(n r).
+
+    All intervals bisect together, one recurrence evaluation per step on the
+    vector of live midpoints.  Each interval takes at most 200 steps and
+    stops on its own once b - a < 1e-14 max(1, |m|), m its last midpoint;
+    its root is the midpoint of its final interval.
+    """
+    a = np.array([float(Fraction(s)) for s, _ in cert["isolating_intervals"]])
+    b = np.array([float(Fraction(s)) for _, s in cert["isolating_intervals"]])
+    fa = _eval_structured(inst, n, table, a)
+    live = np.arange(len(a))
+    for _ in range(200):
+        if not len(live):
+            break
+        m = 0.5 * (a[live] + b[live])
+        fm = _eval_structured(inst, n, table, m)
+        left = fa[live] * fm <= 0
+        b[live[left]] = m[left]
+        right = live[~left]
+        a[right], fa[right] = m[~left], fm[~left]
+        live = live[b[live] - a[live] >= 1e-14 * np.maximum(1.0, np.abs(m))]
+    roots = 0.5 * (a + b)
     w = 1.0 / len(roots)
     return DiscreteMeasure(tuple((complex(x), w) for x in roots))
 

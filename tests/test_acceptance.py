@@ -17,7 +17,7 @@ from capell.abel import (
     solve_R,
 )
 from capell.capacity import capacity, fekete_diameter, pullback_density
-from capell.core import ExactPoly, RealPoly, isolate_real_roots, make_interval_union
+from capell.core import ExactPoly, RealPoly, make_interval_union
 from capell.pellabel import (
     PellAbelDatum,
     certify_structure,
@@ -164,17 +164,10 @@ def test_08_correction_machinery_bounds():
     P_ex, _, _ = rationalize(pa, Fraction(5, 2))
     exact = P_ex.coeffs == (Fraction(-5), Fraction(0), Fraction(1))
     # the certified exact polynomial with its own Pell constant M = 3
-    M = Fraction(3)
-    D_ex = P_ex * P_ex - ExactPoly((M * M,))
-    iso = isolate_real_roots(D_ex, refine=1e-14)
-    bands = [(float(iso[2 * i][0]), float(iso[2 * i + 1][1])) for i in range(2)]
-    datum = PellAbelDatum(E=make_interval_union(bands), P=P_ex,
-                          Q=ExactPoly((Fraction(1),)), D=D_ex, M=M, r=2, r_j=(1, 1))
-    inst = make_instance(datum)
-    _, cert = generate(inst, 3)
+    inst = make_instance(PellAbelDatum.from_exact(P_ex, 3))
+    _, cert, table = generate(inst, 3)
     n = cert["n"]
     C, P_prime = correction_Cn(inst, n)
-    _, _, table = generate_at(inst, n)
     nonzero = any(c != 0 for c in C.coeffs)
     bounded = all(abs(c) <= Fraction(1, 2) for c in table.values())
     sup_ok = cert["correction_sup"] < cert["amplitude"]

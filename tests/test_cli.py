@@ -141,6 +141,24 @@ def test_robinson_problem_file(capsys, tmp_path):
     assert rep["n"] == 8 and rep["lam"] == "2"
 
 
+@pytest.mark.parametrize("coeffs,M,message", [
+    # P^2 - 9 = (x^2 + 2)(x^2 + 8) has no real roots, so {|P| <= 3} is empty
+    (["5", "0", "1"], 3, "2 deg P = 4"),
+    # the compositions of a non-monic P are not monic
+    (["-6", "0", "2"], 5, "monic"),
+])
+def test_robinson_rejects_bad_pell_polynomial(capsys, tmp_path, coeffs, M, message):
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({"coeffs": coeffs, "M": M}))
+    assert main(["robinson", "--problem", str(prob)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_robinson_rejects_degree_above_cap(capsys):
+    assert main(["robinson", "--preset", "x2m6", "--degree", "2000"]) == 2
+    assert "max_degree = 256" in capsys.readouterr().err
+
+
 # -- weil --------------------------------------------------------------------------
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from capell.core import (
     CertificationError,
@@ -152,6 +154,52 @@ def test_isolate_float_path():
     mids = sorted(0.5 * (a + b) for a, b in iso)
     assert len(iso) == 2
     assert abs(mids[1] - math.sqrt(2)) < 1e-6
+
+
+small_ints = st.integers(min_value=-20, max_value=20)
+rationals = st.fractions(min_value=-8, max_value=8, max_denominator=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=8), rationals,
+       st.booleans())
+def test_sign_at_matches_exact_evaluation(coeffs, x, root_at_x):
+    p = ExactPoly(tuple(coeffs))
+    if root_at_x:
+        p = p * (X - P(x))
+    v = p(x)
+    assert p.sign_at(x) == (v > 0) - (v < 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_ints, min_size=1, max_size=5),
+       st.integers(min_value=-6, max_value=2), st.integers(min_value=1, max_value=8),
+       st.booleans(), st.booleans(), st.sampled_from([1e-3, 1e-6, 1e-12]))
+def test_isolation_intervals_hold_one_root(coeffs, lo, width, edge_root, mid_root,
+                                           refine):
+    # roots on the left window edge and at the first bisection midpoint are
+    # the two cases where refinement starts from a zero of p
+    lo, hi = Fraction(lo), Fraction(lo + width)
+    p = P(*coeffs) if coeffs[-1] else P(*coeffs, 1)
+    if edge_root:
+        p = p * (X - P(lo))
+    if mid_root:
+        p = p * (X - P((lo + hi) / 2))
+    assume(p.degree >= 1 and p.is_squarefree())
+    iso = isolate_real_roots(p, window=(lo, hi), refine=refine)
+    assert len(iso) == p.count_roots(lo, hi) + (p(lo) == 0)
+    assert all(b0 <= a1 for (_, b0), (a1, _) in zip(iso, iso[1:]))
+    points = {a for a, b in iso if a == b}
+    scale = float(max(abs(lo), abs(hi)) or 1)
+    for a, b in iso:
+        assert lo <= a <= b <= hi
+        if a == b:
+            assert p(a) == 0
+            continue
+        # roots in [a, b] that are not emitted as a point of their own
+        k = p.count_roots(a, b) + (p(a) == 0) - (a in points) - (b in points)
+        assert k == 1
+        assert float(b - a) <= refine * scale
 
 
 # -- interval unions -----------------------------------------------------------

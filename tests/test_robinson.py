@@ -19,6 +19,7 @@ from capell.robinson import (
     preset_x2m5,
     preset_x2m6,
     root_measure_from_certificate,
+    _eval_structured,
 )
 
 PAIR = make_interval_union([(-math.sqrt(8), -math.sqrt(2)), (math.sqrt(2), math.sqrt(8))])
@@ -162,6 +163,34 @@ def test_root_measure_weights(i6):
     assert np.allclose(ws, 1.0 / 8.0)
 
 
+def _scalar_bisection_roots(inst, n, table, cert):
+    """Reference: one interval at a time, one evaluation per step."""
+    roots = []
+    for a_s, b_s in cert["isolating_intervals"]:
+        a, b = float(Fraction(a_s)), float(Fraction(b_s))
+        fa = float(_eval_structured(inst, n, table, np.array([a]))[0])
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            fm = float(_eval_structured(inst, n, table, np.array([m]))[0])
+            if fa * fm <= 0:
+                b = m
+            else:
+                a, fa = m, fm
+            if b - a < 1e-14 * max(1.0, abs(m)):
+                break
+        roots.append(0.5 * (a + b))
+    return roots
+
+
+@pytest.mark.parametrize("preset,n", [("i6", 16), ("i5", 32)])
+def test_root_measure_matches_scalar_bisection(request, preset, n):
+    inst = request.getfixturevalue(preset)
+    _, cert, table = generate_at(inst, n)
+    m = root_measure_from_certificate(inst, n, table, cert)
+    assert [z.real for z, _ in m.atoms] == _scalar_bisection_roots(inst, n, table, cert)
+    assert all(z.imag == 0.0 for z, _ in m.atoms)
+
+
 # -- fractional lam: the correction machinery ---------------------------------------
 
 
@@ -201,7 +230,7 @@ def test_correction_rejects_inadmissible(i5):
 
 
 def test_generate_finds_smallest_admissible(i5):
-    P_prime, cert = generate(i5, 3)
+    P_prime, cert, table = generate(i5, 3)
     assert cert["n"] == 32
     assert cert["degree"] == 64
     assert all(c.denominator == 1 for c in P_prime.coeffs)
@@ -213,6 +242,6 @@ def test_generate_respects_degree_cap(i5):
 
 
 def test_generate_integer_lam_immediate(i6):
-    P_prime, cert = generate(i6, 7)
+    P_prime, cert, table = generate(i6, 7)
     assert cert["n"] == 4 and cert["degree"] == 8
     assert P_prime == compose_Pn(i6, 4)
