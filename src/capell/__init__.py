@@ -1,123 +1,10 @@
 """capell: logarithmic capacity, band equilibrium measures, and integer
-polynomials equidistributing on real interval unions."""
+polynomials equidistributing on real interval unions.
 
-from .core import (
-    CertificationError,
-    DiscreteMeasure,
-    ExactPoly,
-    IntervalUnion,
-    QuadratureError,
-    RealPoly,
-    isolate_real_roots,
-    make_interval_union,
-    root_measure,
-)
-from .capacity import (
-    CapacityReport,
-    capacity,
-    capacity_closed_form,
-    capacity_preimage,
-    capacity_scale,
-    chebyshev_constant,
-    energy,
-    fekete_diameter,
-    fekete_points,
-    pseudo_energy_discrete,
-    pullback_density,
-)
-from .abel import (
-    AbelDatum,
-    BandDensity,
-    abel_capacity,
-    equilibrium_density,
-    equilibrium_potential,
-    gap_integral,
-    resultant_positivity,
-    solve_R,
-)
-from .pellabel import (
-    PellAbelDatum,
-    certify_structure,
-    construct_pa_polynomial,
-    detect_pell_abel,
-    rationalize,
-    rotation_numbers,
-)
-from .robinson import (
-    RobinsonInstance,
-    chebyshev_Tn,
-    compose_Pn,
-    certify_integrality,
-    convergence_report,
-    correction_Cn,
-    generate,
-    generate_at,
-    make_instance,
-    preset_x2m5,
-    preset_x2m6,
-    root_measure_from_certificate,
-)
-from .weil import (
-    CircleSet,
-    circle_capacity,
-    pushforward_check,
-    support_capacity_bound,
-    weil_lift,
-)
+The package exposes its modules only; import names from them, e.g.
+``from capell.abel import solve_R``.
+"""
+
+from . import abel, capacity, core, pellabel, robinson, weil
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AbelDatum",
-    "BandDensity",
-    "CapacityReport",
-    "CertificationError",
-    "CircleSet",
-    "DiscreteMeasure",
-    "ExactPoly",
-    "IntervalUnion",
-    "PellAbelDatum",
-    "QuadratureError",
-    "RealPoly",
-    "RobinsonInstance",
-    "abel_capacity",
-    "capacity",
-    "capacity_closed_form",
-    "capacity_preimage",
-    "capacity_scale",
-    "certify_integrality",
-    "certify_structure",
-    "chebyshev_Tn",
-    "chebyshev_constant",
-    "circle_capacity",
-    "compose_Pn",
-    "construct_pa_polynomial",
-    "convergence_report",
-    "correction_Cn",
-    "detect_pell_abel",
-    "energy",
-    "equilibrium_density",
-    "equilibrium_potential",
-    "fekete_diameter",
-    "fekete_points",
-    "gap_integral",
-    "generate",
-    "generate_at",
-    "isolate_real_roots",
-    "make_instance",
-    "make_interval_union",
-    "preset_x2m5",
-    "preset_x2m6",
-    "pseudo_energy_discrete",
-    "pullback_density",
-    "pushforward_check",
-    "rationalize",
-    "resultant_positivity",
-    "root_measure",
-    "root_measure_from_certificate",
-    "rotation_numbers",
-    "solve_R",
-    "support_capacity_bound",
-    "weil_lift",
-    "__version__",
-]

@@ -29,7 +29,6 @@ from .core import IntervalUnion, QuadratureError
 
 __all__ = [
     "cheb_nodes",
-    "singular_integral",
     "gauss_legendre",
     "adaptive_double",
     "log_abs_sum",
@@ -52,13 +51,6 @@ def cheb_nodes(n: int) -> np.ndarray:
     """cos((2k-1)pi/(2n)), k = 1..n, in (-1, 1)."""
     k = np.arange(1, n + 1)
     return np.cos((2 * k - 1) * np.pi / (2 * n))
-
-
-def singular_integral(f: Callable[[np.ndarray], np.ndarray], u: float, v: float, n: int) -> float:
-    """int_u^v f(x)/sqrt((x-u)(v-x)) dx for smooth f."""
-    m, rho = 0.5 * (u + v), 0.5 * (v - u)
-    x = m + rho * cheb_nodes(n)
-    return float(np.pi / n * np.sum(f(x)))
 
 
 def adaptive_double(
@@ -108,12 +100,6 @@ class EndpointSystem:
         self.n_bands = E.n_bands
         self.g = E.g
 
-    def band(self, j: int) -> tuple[float, float]:
-        return self.E.bands[j]
-
-    def gap(self, j: int) -> tuple[float, float]:
-        return (self.E.bands[j][1], self.E.bands[j + 1][0])
-
     def _skip(self, i: int, j: int) -> np.ndarray:
         keep = np.ones(len(self.ends), dtype=bool)
         keep[i] = keep[j] = False
@@ -123,16 +109,21 @@ class EndpointSystem:
         """log of |D(x)| / ((x-a_j)(b_j-x)) on band j."""
         return log_abs_sum(x, self._skip(2 * j, 2 * j + 1))
 
+    def band_profile(self, j: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """|R(x)| / sqrt(|D(x)| / ((x-a_j)(b_j-x))) on band j for the monic R
+        with roots z: pi times the angle profile q_j of |R| / (pi sqrt|D|)."""
+        return np.exp(log_abs_sum(x, z) - 0.5 * self.log_cofactor_band(j, x))
+
     def log_cofactor_gap(self, j: int, x: np.ndarray) -> np.ndarray:
         """log of D(x) / ((x-b_j)(a_{j+1}-x)) on gap j."""
         return log_abs_sum(x, self._skip(2 * j + 1, 2 * j + 2))
 
     def band_nodes(self, j: int, n: int) -> np.ndarray:
-        u, v = self.band(j)
+        u, v = self.E.bands[j]
         return 0.5 * (u + v) + 0.5 * (v - u) * cheb_nodes(n)
 
     def gap_nodes(self, j: int, n: int) -> np.ndarray:
-        u, v = self.gap(j)
+        u, v = self.E.bands[j][1], self.E.bands[j + 1][0]
         return 0.5 * (u + v) + 0.5 * (v - u) * cheb_nodes(n)
 
 

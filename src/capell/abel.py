@@ -22,19 +22,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .core import (
     ExactPoly,
-    Fraction,
     IntervalUnion,
     QuadratureError,
     RealPoly,
     make_interval_union,
 )
-from ._quad import EndpointSystem, ThetaDensity, adaptive_double, cheb_nodes, gauss_legendre
+from ._quad import EndpointSystem, ThetaDensity, adaptive_double, gauss_legendre, log_abs_sum
 
 __all__ = [
     "AbelDatum",
@@ -140,7 +138,7 @@ class _GapSolver:
         return z
 
     def newton(self, z, X, logbw, tol=1e-13, iters=40):
-        gaps = [self.es.gap(i) for i in range(self.g)]
+        gaps = self.es.E.gaps
         cond = 0.0
         for it in range(iters):
             F, W, J = self.residuals(z, X, logbw, want_jac=True)
@@ -165,12 +163,7 @@ class _GapSolver:
         eta = np.empty(nb)
         for j in range(nb):
             x = self.es.band_nodes(j, n)
-            lr = (
-                np.log(np.abs(x[:, None] - z[None, :])).sum(axis=1)
-                if len(z)
-                else np.zeros_like(x)
-            )
-            eta[j] = h * float(np.sum(np.exp(lr - 0.5 * self.es.log_cofactor_band(j, x))))
+            eta[j] = h * float(np.sum(self.es.band_profile(j, x, z)))
         return eta
 
 
@@ -182,8 +175,7 @@ def _v_right(E: IntervalUnion, z: np.ndarray, tol: float = 5e-11) -> float:
 
     def rd_log(x: np.ndarray) -> np.ndarray:
         # log of R(x)/sqrt(D(x)) for x > b_g (all factors positive)
-        lr = np.log(x[:, None] - z[None, :]).sum(axis=1) if len(z) else 0.0
-        return lr - 0.5 * np.log(x[:, None] - ends[None, :]).sum(axis=1)
+        return log_abs_sum(x, z) - 0.5 * log_abs_sum(x, ends)
 
     S = math.sqrt(x0 - b_g)
     others = ends[:-1]
@@ -192,9 +184,8 @@ def _v_right(E: IntervalUnion, z: np.ndarray, tol: float = 5e-11) -> float:
         t, w = gauss_legendre(n)
         s = 0.5 * S * (t + 1.0)
         x = b_g + s * s
-        lr = np.log(x[:, None] - z[None, :]).sum(axis=1) if len(z) else 0.0
-        lc = np.log(x[:, None] - others[None, :]).sum(axis=1) if len(others) else 0.0
-        return 0.5 * S * float(np.sum(w * 2.0 * np.exp(lr - 0.5 * lc)))
+        lf = log_abs_sum(x, z) - 0.5 * log_abs_sum(x, others)
+        return 0.5 * S * float(np.sum(w * 2.0 * np.exp(lf)))
 
     def I2(n: int) -> float:
         t, w = gauss_legendre(n)
@@ -217,7 +208,7 @@ def solve_R(E: IntervalUnion) -> AbelDatum:
         z = np.empty(0)
         resid = 0.0
     else:
-        z = np.array([0.5 * (u + v) for u, v in (solver.es.gap(i) for i in range(g))])
+        z = np.array([0.5 * (u + v) for u, v in E.gaps])
         n = 64
         while True:
             X, logbw = solver.setup(n)
@@ -282,9 +273,9 @@ def gap_integral(R: RealPoly, D: RealPoly, gap_index: int) -> float:
 def abel_capacity(datum: AbelDatum) -> float:
     """cap(E) = e^{v(E)}, with the same limit recomputed from the left as a
     consistency check."""
-    z = np.asarray(datum.gap_roots)
-    v_right = _v_right(datum.E, z)
-    v_left = _v_right(datum.E.reflected(), np.sort(-z))
+    # solve_R stores _v_right of its own roots as vE
+    v_right = datum.vE
+    v_left = _v_right(datum.E.reflected(), np.sort(-np.asarray(datum.gap_roots)))
     if abs(v_right - v_left) > 1e-7:
         raise QuadratureError(
             f"two-sided capacity limits disagree: {v_right} vs {v_left}"
@@ -311,17 +302,7 @@ class BandDensity:
         def make(j: int):
             u, v = E.bands[j]
             m, rho = 0.5 * (u + v), 0.5 * (v - u)
-
-            def q(theta: np.ndarray) -> np.ndarray:
-                x = m + rho * np.cos(theta)
-                lr = (
-                    np.log(np.abs(x[:, None] - z[None, :])).sum(axis=1)
-                    if len(z)
-                    else 0.0
-                )
-                return np.exp(lr - 0.5 * es.log_cofactor_band(j, x)) / np.pi
-
-            return q
+            return lambda theta: es.band_profile(j, m + rho * np.cos(theta), z) / np.pi
 
         self._theta = ThetaDensity(E, [make(j) for j in range(E.n_bands)], nsamples)
         if np.max(np.abs(self._theta.band_masses - np.asarray(datum.omega))) > 1e-8:
@@ -341,21 +322,6 @@ class BandDensity:
     def total_mass(self) -> float:
         return self._theta.total_mass
 
-    @property
-    def cumulative(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per band: (x grid ascending, total mass up to x)."""
-        out = []
-        nn = self._theta.n
-        edges = np.linspace(0.0, np.pi, nn + 1)
-        left = np.concatenate(([0.0], np.cumsum(self._theta.band_masses)))
-        for j, (u, v) in enumerate(self.E.bands):
-            m, rho = 0.5 * (u + v), 0.5 * (v - u)
-            x = m + rho * np.cos(edges[::-1])
-            cum = self._theta._cum[j]
-            mass = left[j] + (self._theta.band_masses[j] - cum[::-1])
-            out.append((x, mass))
-        return out
-
     def density(self, x) -> np.ndarray:
         """|R(x)| / (pi sqrt|D(x)|) for x strictly inside the bands."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -366,13 +332,7 @@ class BandDensity:
             if not np.any(sel):
                 continue
             xx = xs[sel]
-            lr = (
-                np.log(np.abs(xx[:, None] - self._z[None, :])).sum(axis=1)
-                if len(self._z)
-                else 0.0
-            )
-            ld = np.log(np.abs(xx[:, None] - ends[None, :])).sum(axis=1)
-            out[sel] = np.exp(lr - 0.5 * ld) / np.pi
+            out[sel] = np.exp(log_abs_sum(xx, self._z) - 0.5 * log_abs_sum(xx, ends)) / np.pi
         return out if np.ndim(x) else float(out[0])
 
     def cdf(self, x):

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    DiscreteMeasure,
     IntervalUnion,
     QuadratureError,
     RealPoly,
@@ -36,11 +34,9 @@ __all__ = [
     "fekete_points",
     "fekete_diameter",
     "chebyshev_constant",
-    "capacity_scale",
     "capacity_preimage",
     "pullback_density",
     "energy",
-    "pseudo_energy_discrete",
     "capacity",
 ]
 
@@ -176,10 +172,14 @@ def _polish_coordinates(E: IntervalUnion, x: np.ndarray, sweeps: int = 80) -> np
     return x
 
 
+def _check_fekete_count(n: int) -> None:
+    if not 2 <= n <= 12:
+        raise ValueError(f"point count must be between 2 and 12, got {n}")
+
+
 def fekete_points(E: IntervalUnion, n: int, seed: int = 0, restarts: int = 20) -> np.ndarray:
     """n points of E maximizing the product of pairwise distances."""
-    if not 2 <= n <= 12:
-        raise ValueError("point count must be between 2 and 12")
+    _check_fekete_count(n)
     rng = np.random.default_rng(seed)
     lengths = np.array(E.lengths)
     weights = lengths / lengths.sum()
@@ -373,11 +373,6 @@ def chebyshev_constant(
 # ---------------------------------------------------------------------------
 
 
-def capacity_scale(cap: float, lam: float) -> float:
-    """cap of the dilated set: |lam| * cap."""
-    return abs(lam) * cap
-
-
 def capacity_preimage(capK: float, d: int) -> float:
     """cap of the preimage under a monic degree-d polynomial: cap^(1/d)."""
     if capK < 0 or d < 1:
@@ -441,12 +436,6 @@ def energy(mu) -> float:
     return mu.energy()
 
 
-def pseudo_energy_discrete(mu: DiscreteMeasure) -> float:
-    """Off-diagonal pair energy of an atomic measure (the true energy is
-    -infinity; this drops the diagonal)."""
-    return mu.log_pair_energy()
-
-
 # ---------------------------------------------------------------------------
 # report dispatcher
 # ---------------------------------------------------------------------------
@@ -474,7 +463,8 @@ def capacity(E: IntervalUnion, method: str = "abel_integral", n: int | None = No
         return CapacityReport(capacity_closed_form(shape), "closed_form",
                               {"shape": list(shape)})
     if method == "fekete":
-        n_max = n or 8
+        n_max = 8 if n is None else n
+        _check_fekete_count(n_max)  # before the smaller counts run
         ns = list(range(2, n_max + 1))
         ds = [fekete_diameter(E, k, seed=seed) for k in ns]
         return CapacityReport(ds[-1], "fekete", {"n": ns, "d_n": ds})
@@ -482,7 +472,7 @@ def capacity(E: IntervalUnion, method: str = "abel_integral", n: int | None = No
         # For a compact subset of the real line the minimax norm satisfies
         # t_n >= 2 cap^n, with equality on intervals, so dividing out the 2
         # removes the persistent 2^(1/n) bias of the raw root.
-        deg = n or 32
+        deg = 32 if n is None else n
         t_n, _ = chebyshev_constant(E, deg)
         return CapacityReport((t_n / 2.0) ** (1.0 / deg), "chebyshev",
                               {"n": deg, "t_n": t_n,

@@ -59,7 +59,6 @@ class RunConfig:
     degree: int | None = None
     density: str | None = None
     seed: int | None = None
-    tol: float | None = None
     max_denominator: int | None = None
     format: str | None = None
     output: str | None = None
@@ -121,6 +120,11 @@ def dump_problem(problem: dict) -> str:
     return json.dumps(_jsonify(problem), sort_keys=True, indent=2) + "\n"
 
 
+def _default(value, default):
+    """``value`` unless it was not given; an explicit 0 is kept."""
+    return default if value is None else value
+
+
 def _parse_bands(raw) -> IntervalUnion:
     if isinstance(raw, str):
         raw = json.loads(raw)
@@ -145,13 +149,15 @@ def _run_cap(cfg: RunConfig) -> str:
     method = cfg.method or "abel_integral"
     if method == "abel":
         method = "abel_integral"
-    report = _capacity_fn(E, method=method, n=cfg.n, seed=cfg.seed or 0)
+    report = _capacity_fn(E, method=method, n=cfg.n, seed=_default(cfg.seed, 0))
     return _dump_json(report.to_dict())
 
 
 def _run_eqm(cfg: RunConfig) -> str:
     E = _parse_bands(cfg.bands)
-    samples = cfg.samples or 200
+    samples = _default(cfg.samples, 200)
+    if samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {samples}")
     datum = solve_R(E)
     mu = BandDensity(datum)
     header = {
@@ -175,12 +181,12 @@ def _run_eqm(cfg: RunConfig) -> str:
 
 def _run_fekete(cfg: RunConfig) -> str:
     E = _parse_bands(cfg.bands)
-    n = cfg.n or 8
-    pts = fekete_points(E, n, seed=cfg.seed or 0)
+    n, seed = _default(cfg.n, 8), _default(cfg.seed, 0)
+    pts = fekete_points(E, n, seed=seed)
     return _dump_json({
         "n": n,
         "points": [float(x) for x in pts],
-        "diameter": fekete_diameter(E, n, seed=cfg.seed or 0),
+        "diameter": fekete_diameter(E, n, seed=seed),
         "method": "fekete",
     })
 
@@ -198,21 +204,17 @@ def _run_energy(cfg: RunConfig) -> str:
     return _dump_json({"energy": value, "density": kind, "bands": E})
 
 
-def _pell_datum(cfg: RunConfig):
-    E = _parse_bands(cfg.bands)
-    return solve_R(E)
-
-
 def _run_pell(cfg: RunConfig) -> str:
     action = cfg.action or "detect"
-    datum = _pell_datum(cfg)
+    max_den = _default(cfg.max_denominator, 64)
+    datum = solve_R(_parse_bands(cfg.bands))
     if action == "detect":
-        hit = _pell.detect_pell_abel(datum, max_denominator=cfg.max_denominator or 64)
+        hit = _pell.detect_pell_abel(datum, max_denominator=max_den)
         r, r_j = hit if hit else (None, None)
         return _dump_json({"omega": list(datum.omega), "r": r, "r_j": r_j})
     r = cfg.r
     if r is None:
-        hit = _pell.detect_pell_abel(datum, max_denominator=cfg.max_denominator or 64)
+        hit = _pell.detect_pell_abel(datum, max_denominator=max_den)
         if hit is None:
             raise CertificationError("no rational rotation numbers detected; pass r")
         r = hit[0]
@@ -256,31 +258,29 @@ def _robinson_instance(cfg: RunConfig) -> "_robinson.RobinsonInstance":
 
 def _run_robinson(cfg: RunConfig) -> str:
     inst = _robinson_instance(cfg)
-    degree = cfg.degree or 16
-    if cfg.n:
+    if cfg.n is not None:
         P_prime, cert, table = _robinson.generate_at(inst, cfg.n)
     else:
-        P_prime, cert, table = _robinson.generate(inst, degree)
+        P_prime, cert, table = _robinson.generate(inst, _default(cfg.degree, 16))
     if (cfg.format or "json") == "csv":
         mu = equilibrium_density(solve_R(inst.pa.E))
         lines = ["n,degree,kolmogorov_distance"]
 
-        def row(n, c_n, t_n):
-            m = _robinson.root_measure_from_certificate(inst, n, t_n, c_n)
+        def row(n, cert_n, table_n):
+            m = _robinson.root_measure_from_certificate(inst, n, table_n, cert_n)
             d = _robinson.convergence_report([m], mu)[0]
             lines.append(f"{n},{n * inst.pa.r},{d!r}")
 
         n = 2
         while n < cert["n"]:
             try:
-                _, c_n, t_n = _robinson.generate_at(inst, n)
+                _, cert_n, table_n = _robinson.generate_at(inst, n)
             except CertificationError:
                 pass
             else:
-                row(n, c_n, t_n)
+                row(n, cert_n, table_n)
             n *= 2
-        if cert["n"] > 1:  # the table starts at n = 2
-            row(cert["n"], cert, table)
+        row(cert["n"], cert, table)
         return "\n".join(lines) + "\n"
     return _dump_json({
         "n": cert["n"],

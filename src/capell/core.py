@@ -31,9 +31,6 @@ __all__ = [
     "ExactPoly",
     "isolate_real_roots",
     "DiscreteMeasure",
-    "root_measure",
-    "fraction_to_str",
-    "fraction_from_str",
 ]
 
 Number = Union[int, float, Fraction]
@@ -103,13 +100,6 @@ class IntervalUnion:
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return any(a - tol <= x <= b + tol for a, b in self.bands)
-
-    def band_index(self, x: float, tol: float = 0.0) -> int:
-        """Index of the band containing x, or -1."""
-        for j, (a, b) in enumerate(self.bands):
-            if a - tol <= x <= b + tol:
-                return j
-        return -1
 
     def translated(self, c: float) -> "IntervalUnion":
         return IntervalUnion(tuple((a + c, b + c) for a, b in self.bands))
@@ -193,10 +183,6 @@ class RealPoly:
         c = np.atleast_1d(np.poly(np.asarray(roots, dtype=float)))[::-1]
         return cls(tuple(c))
 
-    @classmethod
-    def x(cls) -> "RealPoly":
-        return cls((0.0, 1.0))
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -257,18 +243,6 @@ class RealPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "RealPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = RealPoly((1.0,))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def divmod(self, other: "RealPoly") -> tuple["RealPoly", "RealPoly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -283,10 +257,6 @@ class RealPoly:
             for i in range(dd + 1):
                 num[k + i] -= q[k] * den[i]
         return RealPoly(tuple(q)), RealPoly(tuple(num[:dd] or [0.0]))
-
-    def to_exact(self) -> "ExactPoly":
-        return ExactPoly(tuple(Fraction(c) for c in self.coeffs))
-
 
 # ---------------------------------------------------------------------------
 # exact polynomials
@@ -363,11 +333,6 @@ class ExactPoly:
             bk *= b
             acc = acc * a + c * bk
         return (acc > 0) - (acc < 0)
-
-    def eval_float(self, x):
-        return np.polynomial.polynomial.polyval(
-            x, np.asarray([float(c) for c in self.coeffs])
-        )
 
     def deriv(self) -> "ExactPoly":
         if self.degree <= 0:
@@ -553,26 +518,7 @@ def _root_bound(p: ExactPoly) -> Fraction:
     return 1 + m / lead
 
 
-def isolate_real_roots(
-    p: "ExactPoly | RealPoly",
-    window: IntervalUnion | tuple | None = None,
-    refine: float = 1e-12,
-):
-    """Disjoint isolating intervals for the real roots of p.
-
-    ExactPoly: certified Sturm bisection until each segment holds one root,
-    then bisection by the exact sign of p (p must be squarefree; checked via
-    gcd with the derivative).  Returns [(Fraction lo, Fraction hi), ...] with
-    each interval containing exactly one root, refined below ``refine`` times
-    the window scale.  RealPoly: float sign-change bisection on a dense grid;
-    no certificate, so tangential roots may be missed.
-    """
-    if isinstance(p, ExactPoly):
-        return _isolate_exact(p, window, refine)
-    return _isolate_float(p, window, refine)
-
-
-def _window_bands(p, window, bound) -> list[tuple[Fraction, Fraction]]:
+def _window_bands(window, bound) -> list[tuple[Fraction, Fraction]]:
     if window is None:
         return [(-bound, bound)]
     if isinstance(window, IntervalUnion):
@@ -581,14 +527,28 @@ def _window_bands(p, window, bound) -> list[tuple[Fraction, Fraction]]:
     return [(Fraction(a), Fraction(b))]
 
 
-def _isolate_exact(p: ExactPoly, window, refine):
+def isolate_real_roots(
+    p: ExactPoly,
+    window: IntervalUnion | tuple | None = None,
+    refine: float = 1e-12,
+):
+    """Disjoint isolating intervals for the real roots of p.
+
+    Certified Sturm bisection until each segment holds one root, then
+    bisection by the exact sign of p (p must be squarefree; checked via gcd
+    with the derivative).  Returns [(Fraction lo, Fraction hi), ...] with
+    each interval containing exactly one root, refined below ``refine`` times
+    the window scale.
+    """
+    if not isinstance(p, ExactPoly):
+        raise TypeError(f"isolate_real_roots needs an ExactPoly, got {type(p).__name__}")
     if p.degree < 1:
         return []
     if not p.is_squarefree():
         raise NonSquarefreeError("polynomial has a repeated root")
     chain = p.sturm_chain()
     dp = chain[1]
-    bands = _window_bands(p, window, _root_bound(p))
+    bands = _window_bands(window, _root_bound(p))
     scale = float(max(abs(a) for ab in bands for a in ab) or 1)
     out: list[tuple[Fraction, Fraction]] = []
     for lo, hi in bands:
@@ -630,53 +590,6 @@ def _isolate_exact(p: ExactPoly, window, refine):
     return out
 
 
-def _isolate_float(p: RealPoly, window, refine):
-    if p.degree < 1:
-        return []
-    if window is None:
-        pex = p.to_exact()
-        bound = float(_root_bound(pex))
-        bands = [(-bound, bound)]
-    elif isinstance(window, IntervalUnion):
-        bands = [tuple(map(float, b)) for b in window.bands]
-    else:
-        bands = [tuple(map(float, window))]
-    scale = max(abs(v) for ab in bands for v in ab) or 1.0
-    out = []
-    for a, b in bands:
-        m = max(128, 16 * p.degree)
-        xs = np.linspace(a, b, m + 1)
-        vals = p(xs)
-        for i in range(m):
-            va, vb = vals[i], vals[i + 1]
-            if va == 0.0:
-                out.append((xs[i], xs[i]))
-                continue
-            if va * vb < 0:
-                lo_, hi_ = xs[i], xs[i + 1]
-                flo = va
-                while hi_ - lo_ > refine * scale:
-                    mid = 0.5 * (lo_ + hi_)
-                    fm = float(p(mid))
-                    if fm == 0.0:
-                        lo_ = hi_ = mid
-                        break
-                    if flo * fm < 0:
-                        hi_ = mid
-                    else:
-                        lo_, flo = mid, fm
-                out.append((lo_, hi_))
-        if vals[-1] == 0.0:
-            out.append((b, b))
-    # dedupe (shared grid endpoints)
-    dedup = []
-    for lo_, hi_ in sorted(out):
-        if dedup and lo_ <= dedup[-1][1] + refine * scale and abs(lo_ - dedup[-1][0]) < 4 * refine * scale:
-            continue
-        dedup.append((lo_, hi_))
-    return dedup
-
-
 # ---------------------------------------------------------------------------
 # discrete measures
 # ---------------------------------------------------------------------------
@@ -684,25 +597,13 @@ def _isolate_float(p: RealPoly, window, refine):
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finitely many weighted atoms; locations may repeat until normalized."""
+    """Finitely many weighted atoms in the complex plane."""
 
     atoms: tuple[tuple[complex, float], ...]
 
     @property
     def total_mass(self) -> float:
         return float(sum(w for _, w in self.atoms))
-
-    def normalized(self, merge_tol: float = 0.0) -> "DiscreteMeasure":
-        """Merge coincident (or within merge_tol) locations, summing weights."""
-        merged: list[list] = []
-        for z, w in sorted(self.atoms, key=lambda t: (t[0].real, t[0].imag)):
-            if merged and abs(z - merged[-1][0]) <= merge_tol:
-                tot = merged[-1][1] + w
-                merged[-1][0] = (merged[-1][0] * merged[-1][1] + z * w) / tot
-                merged[-1][1] = tot
-            else:
-                merged.append([z, w])
-        return DiscreteMeasure(tuple((z, w) for z, w in merged))
 
     def real_atoms(self, tol: float = 1e-9):
         """(locations, weights) of atoms on the real axis, sorted."""
@@ -712,50 +613,3 @@ class DiscreteMeasure:
             np.array([p for p, _ in pts]),
             np.array([w for _, w in pts]),
         )
-
-    def log_pair_energy(self) -> float:
-        """Sum over ordered pairs i != j of w_i w_j log|x_i - x_j|."""
-        total = 0.0
-        for i, (zi, wi) in enumerate(self.atoms):
-            for j, (zj, wj) in enumerate(self.atoms):
-                if i == j:
-                    continue
-                d = abs(zi - zj)
-                if d == 0.0:
-                    raise ValueError("coincident atoms make the kernel -inf")
-                total += wi * wj * math.log(d)
-        return total
-
-
-def root_measure(p: "ExactPoly | RealPoly") -> DiscreteMeasure:
-    """Probability measure with an atom of mass 1/deg at every root of p.
-
-    Roots come from the eigenvalues of the companion matrix; repeated roots
-    are merged into heavier atoms.
-    """
-    coeffs = (
-        [float(c) for c in p.coeffs] if isinstance(p, ExactPoly) else list(p.coeffs)
-    )
-    d = len(coeffs) - 1
-    if d < 1:
-        raise ValueError("root measure needs degree >= 1")
-    roots = np.roots(coeffs[::-1])
-    scale = 1.0 + max(abs(roots)) if len(roots) else 1.0
-    atoms = tuple((complex(z), 1.0 / d) for z in roots)
-    return DiscreteMeasure(atoms).normalized(merge_tol=1e-8 * scale)
-
-
-# ---------------------------------------------------------------------------
-# JSON leaf conversions
-# ---------------------------------------------------------------------------
-
-
-def fraction_to_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def fraction_from_str(s: "str | int | float") -> Fraction:
-    if isinstance(s, str):
-        return Fraction(s)
-    return Fraction(s)

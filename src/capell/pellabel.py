@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -29,12 +28,11 @@ from .core import (
     isolate_real_roots,
     make_interval_union,
 )
-from ._quad import gauss_legendre
-from .abel import AbelDatum, solve_R
+from ._quad import EndpointSystem, gauss_legendre
+from .abel import AbelDatum
 
 __all__ = [
     "PellAbelDatum",
-    "rotation_numbers",
     "detect_pell_abel",
     "construct_pa_polynomial",
     "certify_structure",
@@ -92,12 +90,6 @@ class PellAbelDatum:
                    D=D, M=M, r=r, r_j=tuple([1] * r))
 
 
-def rotation_numbers(datum: AbelDatum) -> list[float]:
-    """The band mass vector (omega_0..omega_g); Pell solvability is their
-    simultaneous rationality."""
-    return list(datum.omega)
-
-
 def detect_pell_abel(datum: AbelDatum, max_denominator: int = 64, tol: float = 1e-9):
     """Smallest r <= max_denominator with every r*omega_j a positive integer
     (within tol), or None."""
@@ -141,26 +133,16 @@ def _poly_sqrt(S: RealPoly) -> tuple[RealPoly, float]:
 def _band_phases(datum: AbelDatum, j: int, thetas: np.ndarray) -> np.ndarray:
     """psi(t) = pi * integral_0^t of the band-j angle profile of the
     equilibrium density (so psi(pi) = pi * omega_j)."""
-    E = datum.E
-    u, v = E.bands[j]
+    u, v = datum.E.bands[j]
     m, rho = 0.5 * (u + v), 0.5 * (v - u)
+    es = EndpointSystem(datum.E)
     z = np.asarray(datum.gap_roots)
-    ends = np.array([e for band in E.bands for e in band])
-    keep = np.ones(len(ends), dtype=bool)
-    keep[2 * j : 2 * j + 2] = False
-    others = ends[keep]
-
-    def qprof(t: np.ndarray) -> np.ndarray:
-        x = m + rho * np.cos(t)
-        lr = np.log(np.abs(x[:, None] - z[None, :])).sum(axis=1) if len(z) else 0.0
-        lc = np.log(np.abs(x[:, None] - others[None, :])).sum(axis=1)
-        return np.exp(lr - 0.5 * lc)
 
     tg, wg = gauss_legendre(128)
     out = np.empty_like(thetas)
     for i, t in enumerate(thetas):
         s = 0.5 * t * (tg + 1.0)
-        out[i] = 0.5 * t * float(np.sum(wg * qprof(s)))
+        out[i] = 0.5 * t * float(np.sum(wg * es.band_profile(j, m + rho * np.cos(s), z)))
     return out
 
 

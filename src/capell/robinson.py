@@ -37,7 +37,6 @@ __all__ = [
     "make_instance",
     "preset_x2m6",
     "preset_x2m5",
-    "chebyshev_Tn",
     "compose_Pn",
     "certify_integrality",
     "correction_Cn",
@@ -108,20 +107,6 @@ def preset_x2m5() -> RobinsonInstance:
 # ---------------------------------------------------------------------------
 
 
-def chebyshev_Tn(n: int) -> ExactPoly:
-    """Monic integer C_n with C_n(t + 1/t) = t^n + t^(-n); C_0 = 2, C_1 = X."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    a = ExactPoly((Fraction(2),))
-    if n == 0:
-        return a
-    b = ExactPoly.x()
-    x = ExactPoly.x()
-    for _ in range(n - 1):
-        a, b = b, x * b - a
-    return b
-
-
 def _ladder(inst: RobinsonInstance, n: int) -> list[ExactPoly]:
     """The instance's ladder, extended to hold P_0..P_n (maybe more), with
     P_k = lam^k C_k(P/lam): P_0 = 2, P_1 = P, P_{k+1} = P P_k - lam^2 P_{k-1}."""
@@ -175,6 +160,22 @@ def _sweep(inst: RobinsonInstance, n: int, Pn: ExactPoly):
     return table, w
 
 
+def _correct(inst: RobinsonInstance, n: int, Pn: ExactPoly):
+    """(c table, P'_n) from the sweep of P_n; raises CertificationError
+    unless n > ell, the top block of P_n is integral and the sweep leaves
+    integer coefficients."""
+    if n <= inst.ell or not certify_integrality(inst, n, Pn):
+        raise CertificationError(
+            f"multiplier {n} is not admissible for this instance (need n > ell = "
+            f"{inst.ell} and the top {inst.ell * inst.pa.r} coefficients integral)"
+        )
+    table, w = _sweep(inst, n, Pn)
+    bad = [d for d, c in enumerate(w) if c.denominator != 1]
+    if bad:
+        raise CertificationError(f"fractional coefficients remain at degrees {bad}")
+    return table, ExactPoly(tuple(w))
+
+
 def correction_Cn(inst: RobinsonInstance, n: int) -> tuple[ExactPoly, ExactPoly]:
     """The bounded correction C_n and the integer polynomial P_n - C_n.
 
@@ -182,19 +183,8 @@ def correction_Cn(inst: RobinsonInstance, n: int) -> tuple[ExactPoly, ExactPoly]
     is below A lam^(n-ell) / (lam - 1) <= 2 lam^n; the sup is re-measured
     numerically and must come out strictly smaller than 2 lam^n.
     """
-    if n <= inst.ell:
-        raise CertificationError(f"need n > ell = {inst.ell}")
     Pn = compose_Pn(inst, n)
-    if not certify_integrality(inst, n, Pn):
-        raise CertificationError(
-            f"top {inst.ell * inst.pa.r} coefficients of the degree-{Pn.degree} "
-            "composition are not integral; pick a different multiplier"
-        )
-    table, w = _sweep(inst, n, Pn)
-    bad = [d for d, c in enumerate(w) if c.denominator != 1]
-    if bad:
-        raise CertificationError(f"fractional coefficients remain at degrees {bad}")
-    P_prime = ExactPoly(tuple(w))
+    table, P_prime = _correct(inst, n, Pn)
     C_n = Pn - P_prime
 
     sup_C = _sup_on_bands(inst, table, n)
@@ -367,19 +357,10 @@ def generate_at(inst: RobinsonInstance, n: int):
     """(P'_n, certificate, c-table) for a given multiplier n; raises
     CertificationError when n is inadmissible."""
     Pn = compose_Pn(inst, n)
-    if all(c.denominator == 1 for c in Pn.coeffs):
-        table: dict = {}
-        P_prime = Pn
+    if Pn.is_integer:
+        table, P_prime = {}, Pn
     else:
-        if n <= inst.ell or not certify_integrality(inst, n, Pn):
-            raise CertificationError(
-                f"multiplier {n} is not admissible for this instance"
-            )
-        table, w = _sweep(inst, n, Pn)
-        bad = [d for d, c in enumerate(w) if c.denominator != 1]
-        if bad:
-            raise CertificationError(f"fractional coefficients remain at degrees {bad}")
-        P_prime = ExactPoly(tuple(w))
+        table, P_prime = _correct(inst, n, Pn)
     cert = _certificate(inst, n, table, P_prime)
     return P_prime, cert, table
 
@@ -391,6 +372,8 @@ def generate(inst: RobinsonInstance, degree_target: int, max_degree: int = 256):
     M = Fraction(inst.pa.M)
     if not M > 2:
         raise ValueError("need M > 2")
+    if degree_target < 1:
+        raise ValueError(f"target degree must be >= 1, got {degree_target}")
     r = inst.pa.r
     n = max(1, -(-degree_target // r))
     if n * r > max_degree:

@@ -7,15 +7,13 @@ from capell.capacity import (
     capacity,
     capacity_closed_form,
     capacity_preimage,
-    capacity_scale,
     chebyshev_constant,
     energy,
     fekete_diameter,
     fekete_points,
-    pseudo_energy_discrete,
     pullback_density,
 )
-from capell.core import DiscreteMeasure, RealPoly, make_interval_union
+from capell.core import RealPoly, make_interval_union
 from capell._quad import ThetaDensity, uniform_density
 
 I22 = make_interval_union([(-2, 2)])
@@ -52,7 +50,6 @@ def test_closed_form_rejects_junk():
 
 
 def test_capacity_scaling_laws():
-    assert capacity_scale(1.0, -3.0) == 3.0
     assert capacity_preimage(1.0, 2) == 1.0
     # preimage of a capacity-c set under monic degree d has capacity c^(1/d)
     assert capacity_preimage(0.25, 2) == pytest.approx(0.5)
@@ -177,8 +174,3 @@ def test_energy_requires_probability():
     half = ThetaDensity(I22, [lambda th: np.full_like(th, 0.5 / math.pi)])
     with pytest.raises(ValueError):
         energy(half)
-
-
-def test_pseudo_energy_discrete():
-    m = DiscreteMeasure(((-1 + 0j, 0.5), (1 + 0j, 0.5)))
-    assert pseudo_energy_discrete(m) == pytest.approx(0.5 * math.log(2))

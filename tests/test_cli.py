@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -134,6 +135,18 @@ def test_robinson_csv_convergence(capsys):
         assert float(d_s) == pytest.approx(1.0 / (4 * int(n_s)), rel=1e-6)
 
 
+def test_robinson_csv_final_row_at_n_1(capsys):
+    # degree 2 on the two-band preset is n = 1: the final row is the table
+    rc = main(["robinson", "--preset", "x2m6", "--degree", "2", "--format", "csv"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[0] == "n,degree,kolmogorov_distance"
+    assert len(lines) == 2
+    n_s, deg_s, d_s = lines[1].split(",")
+    assert (n_s, deg_s) == ("1", "2")
+    assert float(d_s) == pytest.approx(0.25, rel=1e-6)
+
+
 def test_robinson_problem_file(capsys, tmp_path):
     prob = tmp_path / "prob.json"
     prob.write_text(json.dumps({"coeffs": ["-6", "0", "1"], "M": 4, "degree": 16}))
@@ -157,6 +170,32 @@ def test_robinson_rejects_bad_pell_polynomial(capsys, tmp_path, coeffs, M, messa
 def test_robinson_rejects_degree_above_cap(capsys):
     assert main(["robinson", "--preset", "x2m6", "--degree", "2000"]) == 2
     assert "max_degree = 256" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["cap", "--bands", "[[-2,2]]", "--method", "chebyshev", "--n", "0"],
+                 id="cap-chebyshev-n"),
+    pytest.param(["cap", "--bands", "[[-2,2]]", "--method", "fekete", "--n", "0"],
+                 id="cap-fekete-n"),
+    pytest.param(["eqm", "--bands", "[[-2,2]]", "--samples", "0"], id="eqm-samples"),
+    pytest.param(["fekete", "--bands", "[[-2,2]]", "--n", "0"], id="fekete-n"),
+    pytest.param(["pell", "detect", "--bands", "[[-2,2]]", "--max-denominator", "0"],
+                 id="pell-max-denominator"),
+    pytest.param(["robinson", "--preset", "x2m6", "--n", "0"], id="robinson-n"),
+    pytest.param(["robinson", "--preset", "x2m6", "--degree", "0"], id="robinson-degree"),
+])
+def test_explicit_zero_is_not_a_default(capsys, argv):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["1", "13"])
+def test_cap_fekete_count_checked_before_work(capsys, n):
+    t0 = time.perf_counter()
+    rc = main(["cap", "--bands", "[[-2,2]]", "--method", "fekete", "--n", n])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    assert "between 2 and 12" in capsys.readouterr().err
 
 
 # -- weil --------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from capell.pellabel import (
     construct_pa_polynomial,
     detect_pell_abel,
     rationalize,
-    rotation_numbers,
 )
 
 I22 = make_interval_union([(-2, 2)])
@@ -24,7 +23,7 @@ PAIR = make_interval_union([(-math.sqrt(8), -math.sqrt(2)), (math.sqrt(2), math.
 
 def test_detect_single_interval():
     d = solve_R(I22)
-    assert rotation_numbers(d) == [pytest.approx(1.0)]
+    assert list(d.omega) == [pytest.approx(1.0)]
     assert detect_pell_abel(d) == (1, [1])
 
 

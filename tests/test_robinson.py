@@ -6,10 +6,9 @@ import pytest
 
 from capell.abel import BandDensity, solve_R
 from capell.core import CertificationError, ExactPoly, make_interval_union
-from capell.pellabel import construct_pa_polynomial, rationalize
+from capell.pellabel import PellAbelDatum, construct_pa_polynomial, rationalize
 from capell.robinson import (
     certify_integrality,
-    chebyshev_Tn,
     compose_Pn,
     convergence_report,
     correction_Cn,
@@ -38,24 +37,32 @@ def i5():
 # -- normalized Chebyshev ----------------------------------------------------------
 
 
-def test_chebyshev_Tn_closed_forms():
+@pytest.fixture(scope="module")
+def ix():
+    # P = X, M = 4 on E = [-4, 4]: lam = 2 and P_n(x) = 2^n C_n(x / 2), the
+    # monic-pair Chebyshev polynomials scaled to E
+    return make_instance(PellAbelDatum.from_exact(ExactPoly.from_list([0, 1]), 4))
+
+
+def test_chebyshev_Tn_closed_forms(ix):
     X = ExactPoly.x()
-    assert chebyshev_Tn(0).coeffs == (Fraction(2),)
-    assert chebyshev_Tn(1) == X
-    assert chebyshev_Tn(2) == X * X - ExactPoly((Fraction(2),))
-    assert chebyshev_Tn(3).coeffs == (Fraction(0), Fraction(-3), Fraction(0), Fraction(1))
+    assert compose_Pn(ix, 1) == X
+    assert compose_Pn(ix, 2) == X * X - 8
+    assert compose_Pn(ix, 3).coeffs == (Fraction(0), Fraction(-12), Fraction(0), Fraction(1))
 
 
-def test_chebyshev_Tn_functional_identity():
-    # C_n(t + 1/t) = t^n + t^(-n), exact over the rationals
+def test_chebyshev_Tn_functional_identity(ix):
+    # C_n(t + 1/t) = t^n + t^(-n), so P_n(2(t + 1/t)) = 2^n (t^n + t^(-n)),
+    # exact over the rationals
     t = Fraction(2)
-    for n in range(9):
-        assert chebyshev_Tn(n)(t + 1 / t) == t**n + t**-n
+    for n in range(1, 9):
+        assert compose_Pn(ix, n)(2 * (t + 1 / t)) == 2**n * (t**n + t**-n)
 
 
-def test_chebyshev_Tn_rejects_negative():
-    with pytest.raises(ValueError):
-        chebyshev_Tn(-1)
+def test_chebyshev_Tn_rejects_negative(ix):
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            compose_Pn(ix, n)
 
 
 # -- instances ---------------------------------------------------------------------
