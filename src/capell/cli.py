@@ -266,19 +266,19 @@ def _run_robinson(cfg: RunConfig) -> str:
         mu = equilibrium_density(solve_R(inst.pa.E))
         lines = ["n,degree,kolmogorov_distance"]
 
-        def row(n, cert_n, table_n):
-            m = _robinson.root_measure_from_certificate(inst, n, table_n, cert_n)
+        def row(n, c_n, t_n):
+            m = _robinson.root_measure_from_certificate(inst, n, t_n, c_n)
             d = _robinson.convergence_report([m], mu)[0]
             lines.append(f"{n},{n * inst.pa.r},{d!r}")
 
         n = 2
         while n < cert["n"]:
             try:
-                _, cert_n, table_n = _robinson.generate_at(inst, n)
+                _, c_n, t_n = _robinson.generate_at(inst, n)
             except CertificationError:
                 pass
             else:
-                row(n, cert_n, table_n)
+                row(n, c_n, t_n)
             n *= 2
         row(cert["n"], cert, table)
         return "\n".join(lines) + "\n"
