@@ -105,14 +105,17 @@ def load_problem(path: str) -> dict:
         raise ValueError(f"unknown problem keys: {sorted(unknown)}")
     out: dict = {}
     for k, v in raw.items():
-        if k == "bands":
-            out[k] = [[float(u), float(v_)] for (u, v_) in v]
-        elif k in ("M", "M_prime"):
-            out[k] = str(Fraction(str(v)))
-        elif k == "coeffs":
-            out[k] = [str(Fraction(str(c))) for c in v]
-        else:
-            out[k] = v
+        try:
+            if k == "bands":
+                out[k] = [[float(u), float(v_)] for (u, v_) in v]
+            elif k in ("M", "M_prime"):
+                out[k] = str(Fraction(str(v)))
+            elif k == "coeffs":
+                out[k] = [str(Fraction(str(c))) for c in v]
+            else:
+                out[k] = v
+        except TypeError:
+            raise ValueError(f"problem key {k!r} has the wrong shape: {v!r}") from None
     return out
 
 
@@ -126,9 +129,24 @@ def _default(value, default):
 
 
 def _parse_bands(raw) -> IntervalUnion:
+    if raw is None:
+        raise ValueError("needs --bands")
     if isinstance(raw, str):
         raw = json.loads(raw)
-    return make_interval_union([(float(u), float(v)) for (u, v) in raw])
+    try:
+        pairs = [(float(u), float(v)) for (u, v) in raw]
+    except (TypeError, ValueError):
+        raise ValueError(f"--bands must be a JSON list of [a, b] pairs, got {raw!r}") from None
+    return make_interval_union(pairs)
+
+
+def _parse_coeffs(raw) -> ExactPoly:
+    if isinstance(raw, list) and raw:
+        try:
+            return ExactPoly.from_list(raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"coeffs must be a nonempty JSON list of rationals, lowest first, got {raw!r}")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -250,7 +268,7 @@ def _robinson_instance(cfg: RunConfig) -> "_robinson.RobinsonInstance":
     if cfg.preset:
         raise ValueError(f"unknown preset {cfg.preset!r}")
     if cfg.coeffs and cfg.extras.get("M"):
-        P = ExactPoly.from_list(cfg.coeffs)
+        P = _parse_coeffs(cfg.coeffs)
         M = Fraction(str(cfg.extras["M"]))
         return _robinson.make_instance(_pell.PellAbelDatum.from_exact(P, M))
     raise ValueError("robinson needs --preset or coeffs + M")
@@ -298,9 +316,11 @@ def _run_weil(cfg: RunConfig) -> str:
     if cfg.q is None:
         raise ValueError("weil needs --q")
     if action == "lift":
-        if not cfg.coeffs:
+        if cfg.coeffs is None:
             raise ValueError("weil lift needs --coeffs")
-        P_I = ExactPoly.from_list(cfg.coeffs)
+        P_I = _parse_coeffs(cfg.coeffs)
+        # weil_lift raises unless every root of the lift has modulus sqrt(q)
+        # exactly; the float root moduli are a diagnostic only
         lifted = _weil.weil_lift(P_I, cfg.q)
         roots = np.roots([float(c) for c in lifted.coeffs[::-1]])
         err = float(np.max(np.abs(np.abs(roots) - math.sqrt(cfg.q))))
@@ -309,7 +329,7 @@ def _run_weil(cfg: RunConfig) -> str:
             "input": P_I,
             "lifted": lifted,
             "max_modulus_error": err,
-            "moduli_ok": bool(err <= 1e-10 * math.sqrt(cfg.q)),
+            "moduli_ok": True,
             "pushforward_ok": _weil.pushforward_check(lifted, P_I, cfg.q),
         })
     if action == "bound":

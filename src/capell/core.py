@@ -405,27 +405,14 @@ class ExactPoly:
                     num[k + i] -= q[k] * den[i]
         return ExactPoly(tuple(q)), ExactPoly(tuple(num[:dd] or [Fraction(0)]))
 
-    def gcd(self, other: "ExactPoly") -> "ExactPoly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero:
-            _, r = a.divmod(b)
-            a, b = b, r
-        if a.is_zero:
-            return a
-        return ExactPoly(tuple(c / a.lead for c in a.coeffs))
-
-    def is_squarefree(self) -> bool:
-        if self.degree <= 1:
-            return True
-        return self.gcd(self.deriv()).degree == 0
-
     def to_real(self) -> RealPoly:
         return RealPoly(tuple(float(c) for c in self.coeffs))
 
     # -- Sturm machinery ----------------------------------------------------
 
     def sturm_chain(self) -> list["ExactPoly"]:
+        """p, p', then negated remainders; the last entry is gcd(p, p') up to
+        a constant, so p is squarefree iff that entry is a constant."""
         chain = [self, self.deriv()]
         while not chain[-1].is_zero and chain[-1].degree > 0:
             _, r = chain[-2].divmod(chain[-1])
@@ -535,18 +522,18 @@ def isolate_real_roots(
     """Disjoint isolating intervals for the real roots of p.
 
     Certified Sturm bisection until each segment holds one root, then
-    bisection by the exact sign of p (p must be squarefree; checked via gcd
-    with the derivative).  Returns [(Fraction lo, Fraction hi), ...] with
-    each interval containing exactly one root, refined below ``refine`` times
-    the window scale.
+    bisection by the exact sign of p.  p must be squarefree: its Sturm chain
+    ends in gcd(p, p'), and a non-constant end raises NonSquarefreeError.
+    Returns [(Fraction lo, Fraction hi), ...] with each interval containing
+    exactly one root, refined below ``refine`` times the window scale.
     """
     if not isinstance(p, ExactPoly):
         raise TypeError(f"isolate_real_roots needs an ExactPoly, got {type(p).__name__}")
     if p.degree < 1:
         return []
-    if not p.is_squarefree():
-        raise NonSquarefreeError("polynomial has a repeated root")
     chain = p.sturm_chain()
+    if chain[-1].degree > 0:
+        raise NonSquarefreeError("polynomial has a repeated root")
     dp = chain[1]
     bands = _window_bands(window, _root_bound(p))
     scale = float(max(abs(a) for ab in bands for a in ab) or 1)

@@ -153,6 +153,8 @@ def construct_pa_polynomial(datum: AbelDatum, r: int) -> PellAbelDatum:
     continuity from the rightmost band; Q is recovered by dividing P^2 - M^2
     by D and taking a polynomial square root.
     """
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     E = datum.E
     omega = np.asarray(datum.omega)
     r_j = np.round(r * omega).astype(int)
@@ -306,66 +308,32 @@ def rationalize(pa: PellAbelDatum, M_prime: Fraction | int | str):
 
     For 0 < M' < M, any close enough rational perturbation keeps the level
     set {|P'| <= M'} a union of r bands, one simple P'-root each, inside E.
-    Coefficients are rounded to denominator 2^k with k doubled until the
-    exact certification (root counts and interleaving by Sturm sequences)
-    passes.  Returns (P', E', datum')."""
+    Coefficients are rounded to denominator 2^k with k doubled until
+    ``PellAbelDatum.from_exact(P', M')`` certifies the r bands and each band
+    lies strictly inside a band of E.  Returns (P', E', datum')."""
     M_prime = Fraction(M_prime)
     M = pa.M if isinstance(pa.M, Fraction) else Fraction(pa.M)
     if not 0 < M_prime < M:
         raise ValueError("need 0 < M' < M")
     P = _as_real(pa.P)
-    r = pa.r
-    scale = max(abs(e) for e in pa.E.endpoints)
-
     k = 8
     last_err = "no attempt"
     while k <= 64:
         den = 1 << k
         cs = [Fraction(round(c * den), den) for c in P.coeffs[:-1]] + [Fraction(1)]
-        P_ex = ExactPoly(tuple(cs))
-        try:
-            E_bands, roots_ok = _certify_sublevel(P_ex, M_prime, r, pa.E, scale)
-        except CertificationError as e:
-            last_err = str(e)
-            k *= 2
-            continue
-        if roots_ok:
-            D_ex = P_ex * P_ex - ExactPoly((M_prime * M_prime,))
-            E_prime = make_interval_union(E_bands)
-            pa_prime = PellAbelDatum(
-                E=E_prime, P=P_ex, Q=ExactPoly((Fraction(1),)), D=D_ex,
-                M=M_prime, r=r, r_j=tuple([1] * r),
-            )
-            return P_ex, E_prime, pa_prime
         k *= 2
+        try:
+            pa_prime = PellAbelDatum.from_exact(ExactPoly(tuple(cs)), M_prime)
+        except ValueError as e:
+            last_err = str(e)
+            continue
+        # strict containment in the interior of E
+        outside = [(u, v) for (u, v) in pa_prime.E.bands
+                   if not any(bu < u and v < bv for (bu, bv) in pa.E.bands)]
+        if outside:
+            last_err = f"band {outside[0]} is not interior to E"
+            continue
+        return pa_prime.P, pa_prime.E, pa_prime
     raise CertificationError(
         f"no dyadic rounding up to 2^64 certifies the sublevel structure ({last_err})"
     )
-
-
-def _certify_sublevel(P_ex: ExactPoly, M_prime: Fraction, r: int,
-                      E: IntervalUnion, scale: float):
-    """Exact check that {|P'| <= M'} is r bands, one P'-root each, inside E."""
-    D_ex = P_ex * P_ex - ExactPoly((M_prime * M_prime,))
-    if not D_ex.is_squarefree():
-        raise CertificationError("P'^2 - M'^2 has a repeated root")
-    iso = isolate_real_roots(D_ex, refine=1e-14)
-    if len(iso) != 2 * r:
-        raise CertificationError(
-            f"P'^2 - M'^2 has {len(iso)} real roots, need {2 * r}"
-        )
-    # isolating intervals are disjoint and sorted; pair them into bands
-    chain = P_ex.sturm_chain()
-    bands = []
-    for i in range(r):
-        lo = iso[2 * i][0]
-        hi = iso[2 * i + 1][1]
-        n_in = P_ex.count_roots(lo, hi, chain)
-        if n_in != 1:
-            raise CertificationError(f"band {i} holds {n_in} roots of P'")
-        bands.append((float(lo), float(hi)))
-    # strict containment in the interior of E
-    for (u, v) in bands:
-        if not any(bu < u and v < bv for (bu, bv) in E.bands):
-            raise CertificationError(f"band ({u}, {v}) is not interior to E")
-    return bands, True

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-from .core import ExactPoly, IntervalUnion, isolate_real_roots
+from .core import ExactPoly, IntervalUnion
 from .abel import abel_capacity, solve_R
 
 __all__ = [
@@ -74,18 +72,20 @@ def _even_odd_parts(p: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
 def _all_roots_real_in_window(p: ExactPoly, q: int) -> None:
     """Raise unless p is squarefree with every root real and of square <= 4q.
 
-    Realness: isolate_real_roots must certify as many intervals as the
-    degree.  The window bound is decided on the squares: the roots of
+    One Sturm chain decides the first two: its last entry is gcd(p, p'), and
+    its count over the whole line is the number of distinct real roots.  The
+    window bound is decided on the squares: the roots of
     G(u) = (-1)^d (Pe(u)^2 - u Po(u)^2) are exactly the squared roots of p,
     and a Sturm count of G above 4q is exact even when a root sits on the
     boundary.
     """
-    if not p.is_squarefree():
+    chain = p.sturm_chain()
+    if chain[-1].degree > 0:
         raise ValueError("repeated roots; the lift needs a squarefree input")
     d = p.degree
-    iso = isolate_real_roots(p, refine=1e-6)
-    if len(iso) != d:
-        raise ValueError(f"only {len(iso)} of {d} roots are real")
+    real = p.count_roots(chain=chain)
+    if real != d:
+        raise ValueError(f"only {real} of {d} roots are real")
     Pe, Po = _even_odd_parts(p)
     u = ExactPoly.x()
     G = Pe * Pe - u * Po * Po
@@ -103,41 +103,33 @@ def weil_lift(P_I: ExactPoly, q: int) -> ExactPoly:
 
     Requires P_I monic with integer coefficients, squarefree, all roots real
     with square at most 4q; then every root of the output has modulus
-    exactly sqrt(q).
+    exactly sqrt(q).  The composition is Horner's rule in t = (X^2 + q)/X,
+    kept polynomial by H_k = H_(k-1) (X^2 + q) + a_(d-k) X^k, in integers.
     """
     if int(q) != q or q < 1:
         raise ValueError("q must be a positive integer")
     if not (P_I.is_integer and P_I.is_monic and P_I.degree >= 1):
         raise ValueError("need a monic integer polynomial of positive degree")
     _all_roots_real_in_window(P_I, q)
+    a = [int(c) for c in P_I.coeffs]
     d = P_I.degree
-    shifted = ExactPoly.from_list([q, 0, 1])  # X^2 + q
-    out = ExactPoly((Fraction(0),))
-    power = ExactPoly((Fraction(1),))  # (X^2 + q)^i
-    xpow = [ExactPoly((Fraction(1),))]
-    for _ in range(d):
-        xpow.append(xpow[-1] * ExactPoly.x())
-    for i, a in enumerate(P_I.coeffs):
-        if a != 0:
-            out = out + ExactPoly(tuple(a * c for c in power.coeffs)) * xpow[d - i]
-        if i < d:
-            power = power * shifted
-    assert out.degree == 2 * d and out.is_monic and out.is_integer
-    return out
+    h = [a[d]]
+    for k in range(1, d + 1):
+        nxt = [q * c for c in h] + [0, 0]
+        for i, c in enumerate(h):
+            nxt[i + 2] += c
+        nxt[k] += a[d - k]
+        h = nxt
+    return ExactPoly(tuple(h))
 
 
-def pushforward_check(P_C: ExactPoly, P_I: ExactPoly, q: int, tol: float = 1e-10) -> bool:
-    """True iff {z + q/z : z root of P_C} matches the roots of P_I, each
-    taken twice (floating comparison on top of the exact lift)."""
-    zc = np.roots(np.array([float(c) for c in P_C.coeffs[::-1]]))
-    x = zc + q / zc
-    target = np.repeat(np.sort(np.roots(np.array([float(c) for c in P_I.coeffs[::-1]])).real), 2)
-    if len(x) != len(target):
-        return False
-    got = np.sort(x.real)
-    scale = max(1.0, float(np.max(np.abs(target))))
-    return bool(np.max(np.abs(np.imag(x))) <= tol * scale
-                and np.max(np.abs(got - target)) <= tol * scale)
+def pushforward_check(P_C: ExactPoly, P_I: ExactPoly, q: int) -> bool:
+    """True iff P_C(X) = X^d P_I(X + q/X), decided exactly: then the roots
+    z of P_C map by z + q/z onto the roots of P_I, each taken twice.  Both
+    sides have degree 2d, so agreement at x = 1..2d+1 is equality."""
+    d = P_I.degree
+    return P_C.degree == 2 * d and all(
+        P_C(x) == x**d * P_I(Fraction(x * x + q, x)) for x in range(1, 2 * d + 2))
 
 
 def support_capacity_bound(cs: CircleSet) -> tuple[float, float, bool]:

@@ -189,6 +189,31 @@ def test_explicit_zero_is_not_a_default(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param([cmd], id=f"{cmd}-no-bands")
+    for cmd in ("cap", "eqm", "energy", "fekete", "pell")
+] + [
+    pytest.param(["weil", "bound", "--q", "3"], id="weil-bound-no-bands"),
+    pytest.param(["cap", "--bands", "5"], id="cap-bands-scalar"),
+    pytest.param(["eqm", "--bands", "[1, 2]"], id="eqm-bands-flat"),
+    pytest.param(["weil", "bound", "--q", "3", "--bands", "5"], id="weil-bound-bands-scalar"),
+    pytest.param(["weil", "lift", "--q", "3", "--coeffs", "5"], id="weil-lift-coeffs-scalar"),
+    pytest.param(["weil", "lift", "--q", "3", "--coeffs", "[[1]]"], id="weil-lift-coeffs-nested"),
+    pytest.param(["pell", "construct", "--bands", "[[-2,2]]", "--r", "0"], id="pell-r-0"),
+    pytest.param(["pell", "construct", "--bands", "[[-2,2]]", "--r", "-1"], id="pell-r-neg"),
+])
+def test_malformed_input_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_problem_file_exits_2(capsys, tmp_path):
+    prob = tmp_path / "bad.json"
+    prob.write_text(json.dumps({"bands": 5, "coeffs": 7}))
+    assert main(["cap", "--problem", str(prob)]) == 2
+    assert "wrong shape" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n", ["1", "13"])
 def test_cap_fekete_count_checked_before_work(capsys, n):
     t0 = time.perf_counter()
@@ -207,6 +232,18 @@ def test_weil_lift(capsys):
     assert rep["moduli_ok"] is True
     assert rep["pushforward_ok"] is True
     assert rep["max_modulus_error"] <= 1e-10 * math.sqrt(2)
+
+
+def test_weil_lift_moduli_are_exact(capsys):
+    # the degree-16 Robinson output of P = X^2 - 3X - 4, M = 4: its lift has
+    # float root moduli off by ~5e-8, but every modulus is sqrt(7) exactly
+    coeffs = ["512", "24576", "185344", "451584", "296256", "-262656", "-288480",
+              "97056", "105825", "-36600", "-16964", "9144", "38", "-840", "220",
+              "-24", "1"]
+    rep = run_json(capsys, ["weil", "lift", "--q", "7", "--coeffs", json.dumps(coeffs)])
+    assert len(rep["lifted"]) == 33 and rep["lifted"][-1] == "1"
+    assert rep["moduli_ok"] is True
+    assert rep["pushforward_ok"] is True
 
 
 def test_weil_bound(capsys):

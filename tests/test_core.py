@@ -11,6 +11,7 @@ from capell.core import (
     DiscreteMeasure,
     ExactPoly,
     IntervalUnion,
+    NonSquarefreeError,
     RealPoly,
     isolate_real_roots,
     make_interval_union,
@@ -64,13 +65,6 @@ def test_from_list_rational_strings():
     assert f.coeffs == (Fraction(3, 2), Fraction(-1), Fraction(2))
     assert not f.is_integer
     assert P(1, 0, 1).is_integer
-
-
-def test_gcd():
-    a = (X - 1) * (X + 1) * (X + 2)
-    b = (X + 1) * (X + 3)
-    g = a.gcd(b)
-    assert g.degree == 1 and g(Fraction(-1)) == 0
 
 
 def test_deriv():
@@ -145,6 +139,11 @@ def test_isolate_root_on_window_edges():
 def test_isolate_rejects_repeated_roots():
     with pytest.raises(CertificationError):
         isolate_real_roots((X - 1) * (X - 1))
+    # the Sturm chain ends in gcd(p, p') = X^2 - 2, which has no rational root
+    p = (X**2 - 2) ** 2 * (X - 1)
+    assert p.sturm_chain()[-1].degree == 2
+    with pytest.raises(NonSquarefreeError):
+        isolate_real_roots(p)
 
 
 def test_isolate_float_path():
@@ -182,7 +181,7 @@ def test_isolation_intervals_hold_one_root(coeffs, lo, width, edge_root, mid_roo
         p = p * (X - P(lo))
     if mid_root:
         p = p * (X - P((lo + hi) / 2))
-    assume(p.degree >= 1 and p.is_squarefree())
+    assume(p.degree >= 1 and p.sturm_chain()[-1].degree == 0)
     iso = isolate_real_roots(p, window=(lo, hi), refine=refine)
     assert len(iso) == p.count_roots(lo, hi) + (p(lo) == 0)
     assert all(b0 <= a1 for (_, b0), (a1, _) in zip(iso, iso[1:]))

@@ -77,6 +77,13 @@ def test_construct_rejects_non_integral_degree():
         construct_pa_polynomial(d, 3)
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_construct_rejects_nonpositive_degree(r):
+    # bad input (ValueError), not a failed certificate at denominator r
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        construct_pa_polynomial(solve_R(I22), r)
+
+
 def test_datum_validation():
     pa = construct_pa_polynomial(solve_R(PAIR), 2)
     with pytest.raises(ValueError):

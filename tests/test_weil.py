@@ -1,13 +1,19 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capell.abel import BandDensity, solve_R
-from capell.core import ExactPoly, make_interval_union
+from capell.core import ExactPoly, NonSquarefreeError, isolate_real_roots, make_interval_union
+from capell.robinson import generate, preset_x2m6
 from capell.weil import (
     CircleSet,
+    _all_roots_real_in_window,
+    _even_odd_parts,
     circle_capacity,
     pushforward_check,
     support_capacity_bound,
@@ -89,6 +95,8 @@ def test_lift_rejections():
         weil_lift(ExactPoly.from_list([-9, 0, 1]), 2)      # 3 > 2 sqrt 2
     with pytest.raises(ValueError):
         weil_lift(ExactPoly.from_list([1, -2, 1]), 3)      # (X-1)^2 repeated
+    with pytest.raises(ValueError, match="repeated"):
+        weil_lift((X**2 - 2) ** 2 * (X - 1), 3)            # gcd X^2 - 2, no rational root
     with pytest.raises(ValueError):
         weil_lift(ExactPoly.from_list([1, 0, 1]), 3)       # no real roots
     with pytest.raises(ValueError):
@@ -97,6 +105,58 @@ def test_lift_rejections():
         weil_lift(ExactPoly((Fraction(-1, 2), Fraction(1))), 3)
     with pytest.raises(ValueError):
         weil_lift(X, 0)
+
+
+def _accepted_by_isolation(p, q):
+    """The precondition decided by root isolation: d isolating intervals,
+    and no squared root above 4q by the Sturm count of G."""
+    try:
+        if len(isolate_real_roots(p, refine=1e-6)) != p.degree:
+            return False
+    except NonSquarefreeError:
+        return False
+    Pe, Po = _even_odd_parts(p)
+    G = (Pe * Pe - X * Po * Po) * (-1) ** p.degree
+    bound = Fraction(4 * q)
+    return G.count_roots(bound, bound + 1 + max(abs(c) for c in G.coeffs)) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=-7, max_value=7), min_size=1, max_size=6),
+       st.sampled_from([None, X**2 + 1, X**2 - 2]), st.booleans(),
+       st.integers(min_value=1, max_value=9))
+def test_chain_decision_matches_isolation(roots, factor, shift, q):
+    p = poly_from_int_roots(roots)
+    if factor is not None:
+        p = p * factor
+    if shift:
+        p = p + 1
+    try:
+        _all_roots_real_in_window(p, q)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _accepted_by_isolation(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.data())
+def test_lift_equals_product_of_quadratics(q, data):
+    window = [a for a in range(-6, 7) if a * a <= 4 * q]
+    roots = data.draw(st.lists(st.sampled_from(window), min_size=1, unique=True))
+    want = ExactPoly((Fraction(1),))
+    for a in roots:
+        want = want * ExactPoly.from_list([q, -a, 1])
+    assert weil_lift(poly_from_int_roots(roots), q) == want
+
+
+def test_lift_degree_128_gate():
+    P_I, _, _ = generate(preset_x2m6(), 128)   # roots in [-sqrt 10, sqrt 10]
+    t0 = time.perf_counter()
+    out = weil_lift(P_I, 3)
+    assert time.perf_counter() - t0 < 10.0
+    assert out.degree == 256 and out.is_monic and out.is_integer
+    assert pushforward_check(out, P_I, 3)
 
 
 def test_pushforward_spot_check():
