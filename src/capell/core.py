@@ -4,11 +4,12 @@ Everything downstream builds on four small value types:
 
 * ``IntervalUnion``   -- a finite union of disjoint closed real intervals,
 * ``RealPoly``        -- a dense float polynomial, coefficients low degree first,
-* ``ExactPoly``       -- the same shape over ``fractions.Fraction``,
+* ``ExactPoly``       -- the same shape over the rationals, held as integer
+                         numerators over one denominator,
 * ``DiscreteMeasure`` -- finitely many weighted atoms in the complex plane.
 
 The exact layer carries every certificate (Sturm isolation, resultants,
-integrality); the float layer carries the numerics.
+integrality) and runs on Python ints; the float layer carries the numerics.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -119,10 +119,10 @@ class IntervalUnion:
 def make_interval_union(pairs: Iterable[Sequence[Number]]) -> IntervalUnion:
     """Normalize raw (a, b) pairs into a sorted disjoint ``IntervalUnion``.
 
-    Overlapping or touching intervals are merged.  When every endpoint is an
-    int or Fraction the merge decision is exact; with float endpoints two
-    bands merge when the gap between them is below 1e-12 of the overall
-    diameter.
+    Endpoints must be finite.  Overlapping or touching intervals are merged.
+    When every endpoint is an int or Fraction the merge decision is exact;
+    with float endpoints two bands merge when the gap between them is below
+    1e-12 of the overall diameter.
     """
     raw = [tuple(p) for p in pairs]
     if not raw:
@@ -138,6 +138,8 @@ def make_interval_union(pairs: Iterable[Sequence[Number]]) -> IntervalUnion:
     for a, b in raw:
         if not (a < b):
             raise ValueError(f"degenerate or reversed interval [{a}, {b}]")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"interval [{a}, {b}] has an infinite endpoint")
     raw.sort(key=lambda p: (p[0], p[1]))
     if exact:
         tol: Number = 0
@@ -263,124 +265,233 @@ class RealPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Integer coefficient lists a * b, one row of the shorter at a time."""
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(a)
+    out = [0] * (m + len(b) - 1)
+    for i, c in enumerate(b):
+        if c == 1:
+            out[i:i + m] = [o + x for o, x in zip(out[i:i + m], a)]
+        elif c:
+            out[i:i + m] = [o + c * x for o, x in zip(out[i:i + m], a)]
+    return out
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, e) with lc(b)^e a = q b + r and deg r < deg b, in integers.
+
+    b has no trailing zero.  e counts the elimination steps that were not
+    skipped for an already-zero top coefficient, so e <= deg a - deg b + 1.
+    """
+    m = len(b) - 1
+    lc = b[-1]
+    r = list(a)
+    q = [0] * max(len(a) - m, 1)
+    e = 0
+    for k in range(len(a) - 1 - m, -1, -1):
+        t = r.pop()
+        if not t:
+            continue
+        e += 1
+        if lc != 1:
+            r = [lc * c for c in r]
+            q = [lc * c for c in q]
+        q[k] += t
+        for i in range(m):
+            r[k + i] -= t * b[i]
+    return q, r[:m] or [0], e
+
+
+def _horner(num: Sequence[int], a: int, b: int) -> int:
+    """sum num[k] a^k b^(d-k), d = len(num) - 1: b^d p(a/b) for p with
+    integer coefficients num, by homogenised Horner."""
+    acc = num[-1]
+    if not b & (b - 1):  # b = 2^s (s = 0 for an integer): b^j is a shift
+        s = b.bit_length() - 1
+        sj = 0
+        for c in num[-2::-1]:
+            sj += s
+            acc = acc * a + (c << sj)
+        return acc
+    bk = 1
+    for c in num[-2::-1]:
+        bk *= b
+        acc = acc * a + c * bk
+    return acc
+
+
 class ExactPoly:
-    """Dense polynomial over Fraction; ``coeffs[k]`` multiplies x**k."""
+    """Dense polynomial over the rationals: coefficient k of x**k is
+    ``num[k] / den``, with integer numerators over one positive denominator.
 
-    coeffs: tuple[Fraction, ...]
+    The pair is kept reduced (no common factor of ``den`` and all of ``num``,
+    no trailing zero but the zero polynomial's ``(0,)``), so equal
+    polynomials are equal pairs and ``den == 1`` exactly when every
+    coefficient is an integer.  Arithmetic runs on Python ints with one
+    reduction per result.  The constructor takes rationals (ints,
+    ``Fraction``s, or anything ``Fraction`` accepts), low degree first;
+    ``coeffs`` gives them back as ``Fraction``s.
+    """
 
-    def __post_init__(self):
-        c = _trim([Fraction(v) for v in self.coeffs], Fraction(0))
-        object.__setattr__(self, "coeffs", c)
+    __slots__ = ("num", "den", "_coeffs")
+
+    def __init__(self, coeffs: Iterable[Number | str]):
+        fr = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in coeffs]
+        den = math.lcm(*(v.denominator for v in fr))
+        self._set([v.numerator * (den // v.denominator) for v in fr], den)
+
+    def _set(self, num: list[int], den: int) -> None:
+        n = len(num)
+        while n > 1 and not num[n - 1]:
+            n -= 1
+        if n < len(num):
+            num = num[:n]
+        if not num or num == [0]:
+            num, den = [0], 1
+        elif den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        self.num: tuple[int, ...] = tuple(num)
+        self.den: int = den
+        self._coeffs = None
+
+    @classmethod
+    def _from_ints(cls, num: list[int], den: int = 1) -> "ExactPoly":
+        """num / den for integer numerators and den > 0; trims and reduces."""
+        p = cls.__new__(cls)
+        p._set(num, den)
+        return p
 
     @classmethod
     def from_list(cls, values: Sequence[Number | str]) -> "ExactPoly":
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(values)
 
     @classmethod
     def x(cls) -> "ExactPoly":
-        return cls((Fraction(0), Fraction(1)))
+        return cls._from_ints([0, 1])
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            d = self.den
+            self._coeffs = tuple(Fraction(c, d) for c in self.num)
+        return self._coeffs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExactPoly):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"ExactPoly({[str(c) for c in self.coeffs]})"
 
     # -- structure ----------------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return -1 if self.is_zero else len(self.coeffs) - 1
+        return -1 if self.is_zero else len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0
+        return len(self.num) == 1 and self.num[0] == 0
 
     @property
     def lead(self) -> Fraction:
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     @property
     def is_monic(self) -> bool:
-        return self.lead == 1
+        return self.num[-1] == self.den
 
     @property
     def is_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     # -- evaluation ---------------------------------------------------------
 
-    def __call__(self, x: Number) -> Fraction:
+    def __call__(self, x: Number):
+        """p(x): exact for an int or Fraction x (homogenised Horner in
+        integers, one Fraction at the end); Horner over ``coeffs`` for any
+        other x, such as a float or a numpy array."""
+        if isinstance(x, (int, Fraction)):
+            a, b = x.numerator, x.denominator
+            return Fraction(_horner(self.num, a, b), self.den * b ** (len(self.num) - 1))
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
-    @cached_property
-    def _integer_coeffs(self) -> tuple[int, ...]:
-        """Coefficients times the positive lcm of their denominators."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
-
     def sign_at(self, x: Number) -> int:
         """Exact sign (-1, 0 or 1) of p(x) for rational x.
 
-        With x = a/b, b > 0, and integer coefficients c_k, the sign of p(x)
-        is that of sum c_k a^k b^(d-k): homogenised Horner in integers, with
-        no rational normalisation per step.
+        With x = a/b, b > 0, the sign of p(x) is that of
+        sum num_k a^k b^(d-k): homogenised Horner in integers, with no
+        rational normalisation per step.
         """
-        x = Fraction(x)
-        a, b = x.numerator, x.denominator
-        cs = self._integer_coeffs
-        acc = cs[-1]
-        bk = 1
-        for c in reversed(cs[:-1]):
-            bk *= b
-            acc = acc * a + c * bk
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        acc = _horner(self.num, x.numerator, x.denominator)
         return (acc > 0) - (acc < 0)
 
     def deriv(self) -> "ExactPoly":
-        if self.degree <= 0:
-            return ExactPoly((Fraction(0),))
-        return ExactPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
+        num = self.num
+        return ExactPoly._from_ints([k * num[k] for k in range(1, len(num))], self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other) -> "ExactPoly":
+    def _plus(self, other, sign: int) -> "ExactPoly":
         if not isinstance(other, ExactPoly):
-            other = ExactPoly((Fraction(other),))
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for k, c in enumerate(other.coeffs):
-            a[k] += c
-        return ExactPoly(tuple(a))
+            other = ExactPoly((other,))
+        a, b, den = self.num, other.num, self.den
+        if other.den != den:
+            g = math.gcd(den, other.den)
+            fa, fb = other.den // g, den // g
+            den *= fa
+            a = [c * fa for c in a]
+            b = [c * fb for c in b]
+        if sign < 0:
+            b = [-c for c in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return ExactPoly._from_ints(out, den)
+
+    def __add__(self, other) -> "ExactPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "ExactPoly":
-        return ExactPoly(tuple(-c for c in self.coeffs))
-
     def __sub__(self, other) -> "ExactPoly":
-        if not isinstance(other, ExactPoly):
-            other = ExactPoly((Fraction(other),))
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "ExactPoly":
+        return ExactPoly._from_ints([-c for c in self.num], self.den)
 
     def __rsub__(self, other) -> "ExactPoly":
-        return (-self) + other
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other) -> "ExactPoly":
         if isinstance(other, ExactPoly):
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        if b:
-                            out[i + j] += a * b
-            return ExactPoly(tuple(out))
-        q = Fraction(other)
-        return ExactPoly(tuple(q * c for c in self.coeffs))
+            return ExactPoly._from_ints(_convolve(self.num, other.num), self.den * other.den)
+        if not isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+        a = other.numerator
+        return ExactPoly._from_ints([a * c for c in self.num], self.den * other.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "ExactPoly":
         if k < 0:
             raise ValueError("negative power")
-        out = ExactPoly((Fraction(1),))
+        out = ExactPoly._from_ints([1])
         base = self
         while k:
             if k & 1:
@@ -390,35 +501,47 @@ class ExactPoly:
         return out
 
     def divmod(self, other: "ExactPoly") -> tuple["ExactPoly", "ExactPoly"]:
+        """(q, r) with self = q other + r and deg r < deg other, exactly."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        num = list(self.coeffs)
-        den = other.coeffs
-        dn, dd = len(num) - 1, len(den) - 1
-        if dn < dd:
-            return ExactPoly((Fraction(0),)), self
-        q = [Fraction(0)] * (dn - dd + 1)
-        for k in range(dn - dd, -1, -1):
-            q[k] = num[k + dd] / den[-1]
-            if q[k]:
-                for i in range(dd + 1):
-                    num[k + i] -= q[k] * den[i]
-        return ExactPoly(tuple(q)), ExactPoly(tuple(num[:dd] or [Fraction(0)]))
+        q, r, e = _pseudo_divmod(self.num, other.num)
+        # lc^e self.num = q other.num + r, and self = self.num / self.den
+        s = other.num[-1] ** e * self.den
+        if s < 0:
+            s, q, r = -s, [-c for c in q], [-c for c in r]
+        return (ExactPoly._from_ints([c * other.den for c in q], s),
+                ExactPoly._from_ints(r, s))
 
     def to_real(self) -> RealPoly:
-        return RealPoly(tuple(float(c) for c in self.coeffs))
+        d = self.den
+        return RealPoly(tuple(c / d for c in self.num))
 
     # -- Sturm machinery ----------------------------------------------------
 
     def sturm_chain(self) -> list["ExactPoly"]:
-        """p, p', then negated remainders; the last entry is gcd(p, p') up to
-        a constant, so p is squarefree iff that entry is a constant."""
-        chain = [self, self.deriv()]
-        while not chain[-1].is_zero and chain[-1].degree > 0:
-            _, r = chain[-2].divmod(chain[-1])
-            if r.is_zero:
+        """p, then positive multiples of p' and of the negated remainders.
+
+        Each remainder is an integer pseudo-remainder with its content
+        removed (the primitive PRS of Brown and Traub, J. ACM 18, 1971),
+        made a positive multiple of the rational remainder, so every sign,
+        and so every Sturm count, is that of the classical chain.  The last
+        entry is gcd(p, p') up to a constant, so p is squarefree iff that
+        entry is a constant.
+        """
+        chain = [self]
+        a = self.num
+        b = [k * a[k] for k in range(1, len(a))]
+        while b and any(b):
+            g = math.gcd(*b)
+            b = [c // g for c in b]
+            while not b[-1]:
+                b.pop()
+            chain.append(ExactPoly._from_ints(b))
+            if len(b) == 1:
                 break
-            chain.append(-r)
+            _, r, e = _pseudo_divmod(a, b)
+            # lc(b)^e a = q b + r: negate r, and undo a negative lc(b)^e
+            a, b = b, ([-c for c in r] if b[-1] > 0 or e % 2 == 0 else r)
         return [p for p in chain if not p.is_zero]
 
     def count_roots(
@@ -437,61 +560,55 @@ class ExactPoly:
 
         def variations(point, side) -> int:
             # side -1/+1 selects the sign at -/+ infinity when point is None
-            signs = []
+            count = 0
+            prev = 0
             for p in chain:
                 if point is None:
-                    s = 1 if p.lead > 0 else -1
+                    s = 1 if p.num[-1] > 0 else -1
                     if side < 0 and p.degree % 2 == 1:
                         s = -s
                 else:
-                    v = p(point)
-                    s = 0 if v == 0 else (1 if v > 0 else -1)
-                signs.append(s)
-            count = 0
-            prev = 0
-            for s in signs:
-                if s == 0:
-                    continue
-                if prev and s != prev:
-                    count += 1
-                prev = s
+                    s = p.sign_at(point)
+                if s:
+                    if prev and s != prev:
+                        count += 1
+                    prev = s
             return count
 
         return variations(lo, -1) - variations(hi, +1)
 
     def resultant(self, other: "ExactPoly") -> Fraction:
-        """Resultant via fraction-free Gaussian elimination on the Sylvester matrix."""
+        """Resultant by Bareiss fraction-free elimination of the integer
+        Sylvester matrix of the numerators, divided by den^deg at the end."""
         m, n = self.degree, other.degree
         if m < 0 or n < 0:
             raise ValueError("resultant of the zero polynomial is undefined")
         if m == 0:
-            return self.coeffs[0] ** n
+            return self.lead ** n
         if n == 0:
-            return other.coeffs[0] ** m
+            return other.lead ** m
         size = m + n
-        rows: list[list[Fraction]] = []
-        a = list(reversed(self.coeffs))
-        b = list(reversed(other.coeffs))
-        for i in range(n):
-            rows.append([Fraction(0)] * i + a + [Fraction(0)] * (size - m - 1 - i))
-        for i in range(m):
-            rows.append([Fraction(0)] * i + b + [Fraction(0)] * (size - n - 1 - i))
-        det = Fraction(1)
+        a = list(reversed(self.num))
+        b = list(reversed(other.num))
+        rows = [[0] * i + a + [0] * (size - m - 1 - i) for i in range(n)]
+        rows += [[0] * i + b + [0] * (size - n - 1 - i) for i in range(m)]
+        sign, prev = 1, 1
         for col in range(size):
-            piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
+            piv = next((r for r in range(col, size) if rows[r][col]), None)
             if piv is None:
                 return Fraction(0)
             if piv != col:
                 rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            det *= rows[col][col]
-            inv = 1 / rows[col][col]
+                sign = -sign
+            top = rows[col]
+            p = top[col]
             for r in range(col + 1, size):
-                f = rows[r][col] * inv
-                if f:
-                    for c in range(col, size):
-                        rows[r][c] -= f * rows[col][c]
-        return det
+                row = rows[r]
+                f = row[col]
+                row[col + 1:] = [(p * x - f * y) // prev
+                                 for x, y in zip(row[col + 1:], top[col + 1:])]
+            prev = p
+        return Fraction(sign * prev, self.den ** n * other.den ** m)
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +617,9 @@ class ExactPoly:
 
 
 def _root_bound(p: ExactPoly) -> Fraction:
-    lead = abs(p.lead)
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return 1 + m / lead
+    """1 + max |c_k| / |lead| over the lower coefficients (Cauchy)."""
+    m = max((abs(c) for c in p.num[:-1]), default=0)
+    return 1 + Fraction(m, abs(p.num[-1]))
 
 
 def _window_bands(window, bound) -> list[tuple[Fraction, Fraction]]:
@@ -512,6 +629,47 @@ def _window_bands(window, bound) -> list[tuple[Fraction, Fraction]]:
         return [(Fraction(a), Fraction(b)) for a, b in window.bands]
     a, b = window
     return [(Fraction(a), Fraction(b))]
+
+
+def _tolerance(bands, refine: float) -> float:
+    """Width below which isolation stops refining: ``refine`` times the
+    largest |endpoint| of the window's bands."""
+    return refine * float(max(abs(a) for ab in bands for a in ab) or 1)
+
+
+def _bisect(p: ExactPoly, dp: ExactPoly, a: Fraction, b: Fraction,
+            tol: float) -> tuple[Fraction, Fraction]:
+    """Halve (a, b], which holds one simple root of p and no other, by the
+    exact sign of p at the midpoint until b - a <= tol.
+
+    The root lies in (a, mid) iff p(mid) differs in sign from p just right
+    of a; when p(a) = 0 (a root emitted at a) that sign is p'(a)'s, and
+    ``dp`` is p' or a positive multiple.  A midpoint root ends the search.
+    """
+    s_a = p.sign_at(a) or dp.sign_at(a)
+    while float(b - a) > tol:
+        mid = (a + b) / 2
+        s_mid = p.sign_at(mid)
+        if s_mid == 0:
+            return mid, mid
+        if s_mid != s_a:
+            b = mid
+        else:
+            a = mid
+    return a, b
+
+
+def _refined(p: ExactPoly, iso, refine: float, window=None):
+    """The intervals ``isolate_real_roots(p, window, refine)`` returns,
+    from the result ``iso`` of the same call at a coarser ``refine``.
+
+    Each interval is where that call's bisection stopped, so bisecting on
+    with the same signs reaches the finer intervals of one run to
+    ``refine``.
+    """
+    dp = p.deriv()
+    tol = _tolerance(_window_bands(window, _root_bound(p)), refine)
+    return [(a, b) if a == b else _bisect(p, dp, a, b, tol) for a, b in iso]
 
 
 def isolate_real_roots(
@@ -536,43 +694,30 @@ def isolate_real_roots(
         raise NonSquarefreeError("polynomial has a repeated root")
     dp = chain[1]
     bands = _window_bands(window, _root_bound(p))
-    scale = float(max(abs(a) for ab in bands for a in ab) or 1)
+    tol = _tolerance(bands, refine)
     out: list[tuple[Fraction, Fraction]] = []
     for lo, hi in bands:
-        # the Sturm count is over (a, b], so a root emitted at a segment's
-        # right endpoint is flagged excluded in that segment's count
-        segs = [(lo, hi, False)]
+        # (a, b, k): the Sturm count is over (a, b], and k leaves out a root
+        # at b already emitted as a point of its own
+        segs = [(lo, hi, p.count_roots(lo, hi, chain))]
         # include a root sitting exactly on the left window edge
         if p.sign_at(lo) == 0:
             out.append((lo, lo))
         while segs:
-            a, b, rex = segs.pop()
-            k = p.count_roots(a, b, chain) - (1 if rex else 0)
+            a, b, k = segs.pop()
             if k <= 0:
                 continue
-            mid = (a + b) / 2
             if k == 1:
-                # (a, b) holds one simple root and no other, so it lies in
-                # (a, mid) iff p(mid) differs in sign from p just right of a;
-                # when p(a) = 0 (a root emitted at a) that sign is p'(a)'s
-                s_a = p.sign_at(a) or dp.sign_at(a)
-                while float(b - a) > refine * scale:
-                    mid = (a + b) / 2
-                    s_mid = p.sign_at(mid)
-                    if s_mid == 0:
-                        a = b = mid
-                        break
-                    if s_mid != s_a:
-                        b = mid
-                    else:
-                        a = mid
-                out.append((a, b))
+                out.append(_bisect(p, dp, a, b, tol))
                 continue
+            mid = (a + b) / 2
             at_mid = p.sign_at(mid) == 0
             if at_mid:
                 out.append((mid, mid))
-            segs.append((a, mid, at_mid))
-            segs.append((mid, b, rex))
+            # one count per split: the right half holds what the left does not
+            k_left = p.count_roots(a, mid, chain) - at_mid
+            segs.append((a, mid, k_left))
+            segs.append((mid, b, k - at_mid - k_left))
     out.sort(key=lambda ab: ab[0])
     return out
 

@@ -14,7 +14,7 @@ inside E — the step that turns analytic data into exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +25,7 @@ from .core import (
     IntervalUnion,
     NonSquarefreeError,
     RealPoly,
+    _refined,
     isolate_real_roots,
     make_interval_union,
 )
@@ -50,6 +51,10 @@ class PellAbelDatum:
     r: int
     r_j: tuple[int, ...]
     abel: AbelDatum | None = None
+    # certified bound on |x| over E: the outer endpoints of from_exact's
+    # isolation of D at refine 1e-9 (None for a datum built otherwise)
+    x_bound: Fraction | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         if self.r < 1 or any(k < 1 for k in self.r_j):
@@ -65,7 +70,8 @@ class PellAbelDatum:
 
         E has r = deg P bands, one root of P each, exactly when D = P^2 - M^2
         has 2r simple real roots; any other (P, M), and a P that is not monic,
-        raises ValueError.
+        raises ValueError.  One isolation of D stops at refine 1e-9, where
+        ``x_bound`` is read, and bisects on to 1e-14 for the bands of E.
         """
         M = Fraction(M)
         if P.degree < 1 or not P.is_monic:
@@ -75,19 +81,22 @@ class PellAbelDatum:
         r = P.degree
         D = P * P - ExactPoly((M * M,))
         try:
-            iso = isolate_real_roots(D, refine=1e-14)
+            outer = isolate_real_roots(D, refine=1e-9)
         except NonSquarefreeError:
             raise ValueError(
                 f"P^2 - M^2 has a repeated root: bands of {{|P| <= {M}}} touch"
             ) from None
-        if len(iso) != 2 * r:
+        if len(outer) != 2 * r:
             raise ValueError(
-                f"P^2 - M^2 has {len(iso)} real roots, need 2 deg P = {2 * r}: "
+                f"P^2 - M^2 has {len(outer)} real roots, need 2 deg P = {2 * r}: "
                 f"{{|P| <= {M}}} is not a union of {r} bands"
             )
+        iso = _refined(D, outer, 1e-14)
         bands = [(float(iso[2 * i][0]), float(iso[2 * i + 1][1])) for i in range(r)]
-        return cls(E=make_interval_union(bands), P=P, Q=ExactPoly((Fraction(1),)),
-                   D=D, M=M, r=r, r_j=tuple([1] * r))
+        datum = cls(E=make_interval_union(bands), P=P, Q=ExactPoly((1,)),
+                    D=D, M=M, r=r, r_j=tuple([1] * r))
+        object.__setattr__(datum, "x_bound", max(abs(outer[0][0]), abs(outer[-1][1])))
+        return datum
 
 
 def detect_pell_abel(datum: AbelDatum, max_denominator: int = 64, tol: float = 1e-9):

@@ -27,7 +27,6 @@ from .core import (
     DiscreteMeasure,
     ExactPoly,
     IntervalUnion,
-    isolate_real_roots,
 )
 from .abel import BandDensity
 from .pellabel import PellAbelDatum
@@ -68,20 +67,15 @@ class RobinsonInstance:
 
 
 def make_instance(pa: PellAbelDatum) -> RobinsonInstance:
-    P, Q, M = pa.P, pa.Q, pa.M
-    if not isinstance(P, ExactPoly) or not isinstance(Q, ExactPoly):
-        raise ValueError("need an exact-coefficient Pell datum")
-    if Q.degree != 0 or Q.coeffs[0] != 1:
-        raise ValueError("need Q = 1")
-    M = Fraction(M)
+    if pa.x_bound is None:
+        raise ValueError("need an exact Pell datum (P, Q = 1, M) from PellAbelDatum.from_exact")
+    M = Fraction(pa.M)
     if not M > 2:
         raise ValueError("need M > 2 (capacity > 1)")
     lam = M / 2
 
     # certified |x| bound on E = {P^2 <= M^2} from the outer isolation bounds
-    D_ex = P * P - ExactPoly((M * M,))
-    iso = isolate_real_roots(D_ex, refine=1e-9)
-    B = max(abs(iso[0][0]), abs(iso[-1][1]))
+    B = pa.x_bound
     A = sum((B**k for k in range(pa.r)), Fraction(0))
 
     ell = 0
@@ -113,10 +107,10 @@ def _ladder(inst: RobinsonInstance, n: int) -> list[ExactPoly]:
     P = inst.pa.P
     out = inst.ladder
     if not out:
-        out.extend((ExactPoly((Fraction(2),)), P))
-    lam2 = ExactPoly((inst.lam * inst.lam,))
+        out.extend((ExactPoly((2,)), P))
+    lam2 = inst.lam * inst.lam
     while len(out) <= n:
-        out.append(P * out[-1] - lam2 * out[-2])
+        out.append(P * out[-1] - out[-2] * lam2)
     return out
 
 
@@ -133,31 +127,43 @@ def certify_integrality(inst: RobinsonInstance, n: int, Pn: ExactPoly | None = N
     integers (the correction basis can then reach everything lower)."""
     if Pn is None:
         Pn = compose_Pn(inst, n)
-    r, ell = inst.pa.r, inst.ell
+    r, ell, den = inst.pa.r, inst.ell, Pn.den
     deg = Pn.degree
     lo = max(0, deg - ell * r)
-    return all(c.denominator == 1 for c in Pn.coeffs[lo:deg])
+    return all(c % den == 0 for c in Pn.num[lo:deg])
 
 
 def _sweep(inst: RobinsonInstance, n: int, Pn: ExactPoly):
     """Top-down removal of fractional parts in the basis {x^j P_k},
-    0 <= j < r, 0 <= k < n - ell.  Returns (c table, corrected coeffs)."""
+    0 <= j < r, 0 <= k < n - ell.  Returns (c table, corrected P_n).
+
+    The coefficients are integers W over one denominator L; a step raises
+    L only by the factor its basis element's denominator needs.
+    """
     r, ell = inst.pa.r, inst.ell
     ladder = _ladder(inst, n)
-    w = list(Pn.coeffs)
+    W, L = list(Pn.num), Pn.den
     table: dict[tuple[int, int], Fraction] = {}
-    half = Fraction(1, 2)
     for d in range(r * (n - ell) - 1, -1, -1):
-        c = w[d] - math.floor(w[d] + half)
-        if c == 0:
+        # c = W[d]/L - floor(W[d]/L + 1/2) = m/L
+        m = W[d] - L * ((2 * W[d] + L) // (2 * L))
+        if m == 0:
             continue
         k, j = divmod(d, r)
         if k == 0:
-            c = c / 2  # P_0 = 2, the one non-monic basis element
-        table[(j, k)] = c
-        for idx, pc in enumerate(ladder[k].coeffs):
-            w[idx + j] -= c * pc
-    return table, w
+            table[(j, 0)] = Fraction(m, 2 * L)  # P_0 = 2, the one non-monic basis element
+            W[j] -= m
+            continue
+        table[(j, k)] = Fraction(m, L)
+        Pk = ladder[k]
+        g = math.gcd(m, Pk.den)
+        s = Pk.den // g
+        if s != 1:
+            W = [s * w for w in W]
+            L *= s
+        m //= g
+        W[j:j + len(Pk.num)] = [w - m * pc for w, pc in zip(W[j:j + len(Pk.num)], Pk.num)]
+    return table, ExactPoly._from_ints(W, L)
 
 
 def _correct(inst: RobinsonInstance, n: int, Pn: ExactPoly):
@@ -169,11 +175,11 @@ def _correct(inst: RobinsonInstance, n: int, Pn: ExactPoly):
             f"multiplier {n} is not admissible for this instance (need n > ell = "
             f"{inst.ell} and the top {inst.ell * inst.pa.r} coefficients integral)"
         )
-    table, w = _sweep(inst, n, Pn)
-    bad = [d for d, c in enumerate(w) if c.denominator != 1]
+    table, P_prime = _sweep(inst, n, Pn)
+    bad = [d for d, c in enumerate(P_prime.num) if c % P_prime.den]
     if bad:
         raise CertificationError(f"fractional coefficients remain at degrees {bad}")
-    return table, ExactPoly(tuple(w))
+    return table, P_prime
 
 
 def correction_Cn(inst: RobinsonInstance, n: int) -> tuple[ExactPoly, ExactPoly]:
@@ -259,13 +265,12 @@ def _rationalize_into_E(inst: RobinsonInstance, x: float, direction: int,
     stays of the order of the rounding error — far below the distance to
     the nearest zero of the composition — and never disturbs the sign.
     """
-    P = inst.pa.P
-    M2 = Fraction(inst.pa.M) ** 2
+    D = inst.pa.D  # P^2 - M^2
     den = 1 << 24
     if direction == 0:
         for _ in range(6):
             xi = Fraction(round(x * den), den)
-            if P(xi) ** 2 <= M2:
+            if D.sign_at(xi) <= 0:
                 return xi
             den <<= 8
     else:
@@ -273,7 +278,7 @@ def _rationalize_into_E(inst: RobinsonInstance, x: float, direction: int,
         j = 0
         while j <= 0.25 * spacing * den:
             xi = Fraction(base + direction * j, den)
-            if P(xi) ** 2 <= M2:
+            if D.sign_at(xi) <= 0:
                 return xi
             j = 1 if j == 0 else 2 * j
     raise CertificationError(f"no certified rational point near {x}")
@@ -292,19 +297,21 @@ def _certificate(inst: RobinsonInstance, n: int,
     E, M, r = pa.E, float(pa.M), pa.r
     Pf = pa.P.to_real()
     scale = max(abs(e) for e in E.endpoints)
+    # extrema of P_n: the levels P(x) = M cos(k pi / n), solved once for
+    # all bands
+    level_roots = []
+    for k in range(n * max(pa.r_j) + 1):
+        shifted = list(Pf.coeffs)
+        shifted[0] -= M * math.cos(math.pi * k / n)
+        level_roots.append(np.roots(np.array(shifted[::-1])))
     bands_out = []
     intervals: list[tuple[Fraction, Fraction]] = []
     total = 0
     for j, (u, v) in enumerate(E.bands):
         nj = n * pa.r_j[j]
         spacing = (v - u) / max(nj, 1)
-        # extrema of P_n in the band: P(x) = M cos(k pi / n) levels
         pts: list[float] = []
-        for k in range(nj + 1):
-            level = M * math.cos(math.pi * k / n)
-            shifted = list(Pf.coeffs)
-            shifted[0] -= level
-            rts = np.roots(np.array(shifted[::-1]))
+        for rts in level_roots[:nj + 1]:
             for z in rts:
                 if abs(z.imag) < 1e-8 * scale and u - 1e-9 * scale <= z.real <= v + 1e-9 * scale:
                     pts.append(float(z.real))
@@ -365,7 +372,7 @@ def generate_at(inst: RobinsonInstance, n: int):
     return P_prime, cert, table
 
 
-def generate(inst: RobinsonInstance, degree_target: int, max_degree: int = 256):
+def generate(inst: RobinsonInstance, degree_target: int, max_degree: int = 512):
     """Smallest admissible multiplier n with n*r >= degree_target; returns
     (P'_n monic integer, certificate, c-table) as ``generate_at(inst, n)``
     does.  A target above ``max_degree`` raises ValueError before any work."""

@@ -76,8 +76,8 @@ def _all_roots_real_in_window(p: ExactPoly, q: int) -> None:
     its count over the whole line is the number of distinct real roots.  The
     window bound is decided on the squares: the roots of
     G(u) = (-1)^d (Pe(u)^2 - u Po(u)^2) are exactly the squared roots of p,
-    and a Sturm count of G above 4q is exact even when a root sits on the
-    boundary.
+    and a Sturm count of G over (4q, +infinity) is exact even when a root
+    sits on the boundary.
     """
     chain = p.sturm_chain()
     if chain[-1].degree > 0:
@@ -91,9 +91,7 @@ def _all_roots_real_in_window(p: ExactPoly, q: int) -> None:
     G = Pe * Pe - u * Po * Po
     if d % 2:
         G = -G
-    bound = Fraction(4 * q)
-    cauchy = bound + 1 + max(abs(c) for c in G.coeffs)
-    if G.count_roots(bound, cauchy) != 0:
+    if G.count_roots(Fraction(4 * q)) != 0:
         raise ValueError(f"a root lies outside [-2 sqrt({q}), 2 sqrt({q})]")
 
 

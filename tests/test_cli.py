@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -169,7 +170,48 @@ def test_robinson_rejects_bad_pell_polynomial(capsys, tmp_path, coeffs, M, messa
 
 def test_robinson_rejects_degree_above_cap(capsys):
     assert main(["robinson", "--preset", "x2m6", "--degree", "2000"]) == 2
-    assert "max_degree = 256" in capsys.readouterr().err
+    assert "max_degree = 512" in capsys.readouterr().err
+
+
+def test_robinson_degree_512_certificate_redecided(capsys):
+    rep = run_json(capsys, ["robinson", "--preset", "x2m6", "--degree", "512"])
+    coeffs = [int(c) for c in rep["P_coeffs"]]
+    d = len(coeffs) - 1
+    assert d == rep["degree"] == 512 and coeffs[-1] == 1
+
+    def sign(x):
+        # sign of b^d P'(a/b) = sum c_k a^k b^(d-k), by Horner in integers
+        a, b = x.numerator, x.denominator
+        v, bk = coeffs[-1], 1
+        for c in reversed(coeffs[:-1]):
+            bk *= b
+            v = v * a + c * bk
+        return (v > 0) - (v < 0)
+
+    total, last = 0, None
+    for band in rep["certificate"]["bands"]:
+        xs = [Fraction(s) for s in band["points"]]
+        # inside E = {(x^2 - 6)^2 <= 4^2}, increasing, and past the last band
+        assert all((x * x - 6) ** 2 <= 16 for x in xs)
+        assert all(u < v for u, v in zip(xs, xs[1:]))
+        assert last is None or last < xs[0]
+        signs = [sign(x) for x in xs]
+        assert signs == band["signs"]
+        assert all(s * t == -1 for s, t in zip(signs, signs[1:]))
+        assert band["count"] == len(xs) - 1
+        total += band["count"]
+        last = xs[-1]
+    assert total == 512
+
+
+def test_robinson_degree_512_csv(capsys):
+    rc = main(["robinson", "--preset", "x2m6", "--degree", "512", "--format", "csv"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    n_s, deg_s, d_s = lines[-1].split(",")
+    assert (n_s, deg_s) == ("256", "512")
+    # 1/(4n) up to the equilibrium CDF's quadrature error
+    assert float(d_s) == pytest.approx(1.0 / 1024, abs=1e-8)
 
 
 @pytest.mark.parametrize("argv", [
@@ -201,6 +243,8 @@ def test_explicit_zero_is_not_a_default(capsys, argv):
     pytest.param(["weil", "lift", "--q", "3", "--coeffs", "[[1]]"], id="weil-lift-coeffs-nested"),
     pytest.param(["pell", "construct", "--bands", "[[-2,2]]", "--r", "0"], id="pell-r-0"),
     pytest.param(["pell", "construct", "--bands", "[[-2,2]]", "--r", "-1"], id="pell-r-neg"),
+    pytest.param(["cap", "--bands", "[[0,Infinity]]"], id="cap-bands-infinite"),
+    pytest.param(["eqm", "--bands", "[[-Infinity,0],[1,2]]"], id="eqm-bands-infinite"),
 ])
 def test_malformed_input_exits_2(capsys, argv):
     assert main(argv) == 2

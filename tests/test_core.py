@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -196,6 +197,168 @@ def test_isolation_intervals_hold_one_root(coeffs, lo, width, edge_root, mid_roo
         k = p.count_roots(a, b) + (p(a) == 0) - (a in points) - (b in points)
         assert k == 1
         assert float(b - a) <= refine * scale
+
+
+# -- integer representation against a Fraction reference ------------------------
+
+
+class RefPoly:
+    """Dense polynomial with one Fraction per coefficient and the classical
+    Sturm chain: the reference the integer-backed ExactPoly must match."""
+
+    def __init__(self, coeffs):
+        c = [Fraction(v) for v in coeffs] or [Fraction(0)]
+        while len(c) > 1 and c[-1] == 0:
+            c.pop()
+        self.coeffs = tuple(c)
+
+    @property
+    def degree(self):
+        return -1 if self.coeffs == (0,) else len(self.coeffs) - 1
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
+        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
+        return RefPoly([x + y for x, y in zip(a, b)])
+
+    def __neg__(self):
+        return RefPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return RefPoly(out)
+
+    def divmod(self, other):
+        num, den = list(self.coeffs), other.coeffs
+        dn, dd = len(num) - 1, len(den) - 1
+        if dn < dd:
+            return RefPoly([0]), self
+        q = [Fraction(0)] * (dn - dd + 1)
+        for k in range(dn - dd, -1, -1):
+            q[k] = num[k + dd] / den[-1]
+            for i in range(dd + 1):
+                num[k + i] -= q[k] * den[i]
+        return RefPoly(q), RefPoly(num[:dd])
+
+    def deriv(self):
+        return RefPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+
+    def __call__(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def sturm_chain(self):
+        chain = [self, self.deriv()]
+        while chain[-1].degree > 0:
+            _, r = chain[-2].divmod(chain[-1])
+            if r.degree < 0:
+                break
+            chain.append(-r)
+        return [p for p in chain if p.degree >= 0]
+
+    def sturm_count(self, lo, hi):
+        chain = self.sturm_chain()
+
+        def variations(x):
+            signs = [s for s in ((v > 0) - (v < 0) for v in (p(x) for p in chain)) if s]
+            return sum(a != b for a, b in zip(signs, signs[1:]))
+
+        return variations(lo) - variations(hi)
+
+
+wide_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(wide_rationals, min_size=1, max_size=8),
+       st.lists(wide_rationals, min_size=1, max_size=6), wide_rationals, st.booleans())
+def test_arithmetic_matches_fraction_reference(a, b, x, root_at_x):
+    if root_at_x:
+        a = (RefPoly(a) * RefPoly([-x, 1])).coeffs
+    pa, pb, ra, rb = ExactPoly(a), ExactPoly(b), RefPoly(a), RefPoly(b)
+    # reduced: one positive denominator sharing no factor with all numerators
+    assert pa.den > 0 and math.gcd(pa.den, *pa.num) == 1
+    assert pa.coeffs == ra.coeffs and pa == ExactPoly(pa.coeffs)
+    assert pa.is_integer == all(c.denominator == 1 for c in ra.coeffs)
+    assert (pa + pb).coeffs == (ra + rb).coeffs
+    assert (pa - pb).coeffs == (ra - rb).coeffs
+    assert (pa * pb).coeffs == (ra * rb).coeffs
+    assert (pa * x).coeffs == (ra * RefPoly([x])).coeffs
+    assert pa.deriv().coeffs == ra.deriv().coeffs
+    v = ra(x)
+    assert pa(x) == v
+    assert pa.sign_at(x) == (v > 0) - (v < 0)
+    if rb.degree >= 0:
+        q, r = pa.divmod(pb)
+        rq, rr = ra.divmod(rb)
+        assert (q.coeffs, r.coeffs) == (rq.coeffs, rr.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-6, max_value=6), unique=True, max_size=4),
+       st.lists(small_ints, min_size=1, max_size=6),
+       st.one_of(rationals, st.integers(min_value=-6, max_value=6).map(Fraction)),
+       st.one_of(rationals, st.integers(min_value=-6, max_value=6).map(Fraction)))
+def test_count_roots_matches_fraction_sturm(roots, cofactor, lo, hi):
+    # integer roots put window ends on roots; the cofactor adds irrational ones
+    p = P(*cofactor) if cofactor[-1] else P(*cofactor, 1)
+    for k in roots:
+        p = p * (X - k)
+    ref = RefPoly(p.coeffs)
+    chain, ref_chain = p.sturm_chain(), ref.sturm_chain()
+    assume(p.degree >= 1 and ref_chain[-1].degree == 0)  # squarefree
+    # each entry is a positive multiple of the classical one
+    assert len(chain) == len(ref_chain)
+    for e, r in zip(chain, ref_chain):
+        s = r.coeffs[-1] / e.lead
+        assert s > 0 and tuple(s * c for c in e.coeffs) == r.coeffs
+    lo, hi = min(lo, hi), max(lo, hi)
+    assert p.count_roots(lo, hi) == ref.sturm_count(lo, hi)
+    bound = 1 + sum(abs(c) for c in ref.coeffs) / abs(ref.coeffs[-1])
+    assert p.count_roots() == ref.sturm_count(-bound, bound)
+    assert p.count_roots(lo) == ref.sturm_count(lo, bound)
+    assert p.count_roots(None, hi) == ref.sturm_count(-bound, hi)
+
+
+def test_resultant_matches_fraction_elimination():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        f = ExactPoly([Fraction(int(v), int(d)) for v, d in
+                       zip(rng.integers(-9, 10, size=4), rng.integers(1, 7, size=4))])
+        g = ExactPoly([Fraction(int(v), int(d)) for v, d in
+                       zip(rng.integers(-9, 10, size=3), rng.integers(1, 7, size=3))])
+        if f.degree < 1 or g.degree < 1:
+            continue
+        # reference: the Sylvester determinant by Fraction elimination
+        m, n = f.degree, g.degree
+        size = m + n
+        rows = [[Fraction(0)] * i + list(reversed(f.coeffs)) + [Fraction(0)] * (size - m - 1 - i)
+                for i in range(n)]
+        rows += [[Fraction(0)] * i + list(reversed(g.coeffs)) + [Fraction(0)] * (size - n - 1 - i)
+                 for i in range(m)]
+        det = Fraction(1)
+        for col in range(size):
+            piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
+            if piv is None:
+                det = Fraction(0)
+                break
+            if piv != col:
+                rows[col], rows[piv] = rows[piv], rows[col]
+                det = -det
+            det *= rows[col][col]
+            for r in range(col + 1, size):
+                t = rows[r][col] / rows[col][col]
+                rows[r] = [x - t * y for x, y in zip(rows[r], rows[col])]
+        assert f.resultant(g) == det
 
 
 # -- interval unions -----------------------------------------------------------

@@ -124,6 +124,24 @@ def test_compose_sup_norm_on_E(i5):
         assert np.max(vals) <= 2.0 * float(i5.lam) ** n * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("preset", ["i6", "i5"])
+def test_ladder_matches_fraction_recurrence(request, preset):
+    # P_{k+1} = P P_k - lam^2 P_{k-1} with one Fraction per coefficient
+    inst = request.getfixturevalue(preset)
+    P = inst.pa.P.coeffs
+    lam2 = inst.lam ** 2
+    prev, cur = [Fraction(2)], list(P)
+    for n in range(1, 129):
+        assert compose_Pn(inst, n).coeffs == tuple(cur)
+        nxt = [Fraction(0)] * (len(cur) + len(P) - 1)
+        for i, a in enumerate(P):
+            for j, b in enumerate(cur):
+                nxt[i + j] += a * b
+        for j, b in enumerate(prev):
+            nxt[j] -= lam2 * b
+        prev, cur = cur, nxt
+
+
 def test_integrality_scan(i5, i6):
     # the only nontrivial admissible multiplier below 40 for lam = 3/2 is 32
     assert [n for n in range(2, 40) if certify_integrality(i5, n)] == [32]
