@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .core import (
     ExactPoly,
     IntervalUnion,
     QuadratureError,
-    RealPoly,
     make_interval_union,
 )
 from ._quad import EndpointSystem, ThetaDensity, adaptive_double, gauss_legendre, log_abs_sum
@@ -46,11 +46,17 @@ __all__ = [
 ]
 
 
+def _from_roots(roots) -> Polynomial:
+    """The monic polynomial with these roots, multiplied out by ``np.poly``."""
+    return Polynomial(np.atleast_1d(np.poly(np.asarray(roots, dtype=float)))[::-1])
+
+
 @dataclass(frozen=True)
 class AbelDatum:
+    """Solved band data of E.  It holds only hashable fields, so it can key
+    ``_cached_density``; D and R are built from their roots on demand."""
+
     E: IntervalUnion
-    D: RealPoly
-    R: RealPoly
     eta: tuple[float, ...]
     omega: tuple[float, ...]
     vE: float
@@ -59,6 +65,16 @@ class AbelDatum:
     def __post_init__(self):
         if len(self.eta) != self.E.n_bands or len(self.omega) != self.E.n_bands:
             raise ValueError("need one eta/omega per band")
+
+    @property
+    def D(self) -> Polynomial:
+        """The monic polynomial vanishing at the band endpoints."""
+        return _from_roots(self.E.endpoints)
+
+    @property
+    def R(self) -> Polynomial:
+        """The monic polynomial vanishing at the gap roots."""
+        return _from_roots(self.gap_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +251,8 @@ def solve_R(E: IntervalUnion) -> AbelDatum:
         raise QuadratureError(f"band masses sum to {omega.sum()}, not 1")
 
     vE = _v_right(E, z)
-    ends = [e for band in E.bands for e in band]
     return AbelDatum(
         E=E,
-        D=RealPoly.from_roots(ends),
-        R=RealPoly.from_roots(z.tolist()),
         eta=tuple(float(x) for x in eta),
         omega=tuple(float(x) for x in omega),
         vE=float(vE),
@@ -247,10 +260,10 @@ def solve_R(E: IntervalUnion) -> AbelDatum:
     )
 
 
-def gap_integral(R: RealPoly, D: RealPoly, gap_index: int) -> float:
+def gap_integral(R: Polynomial, D: Polynomial, gap_index: int) -> float:
     """int over the gap_index-th gap (1-based) of R/sqrt(D), D rooted at the
     band endpoints."""
-    rts = np.roots(np.array(D.coeffs[::-1]))
+    rts = np.roots(D.coef[::-1])
     if np.max(np.abs(rts.imag)) > 1e-9 * max(1.0, np.max(np.abs(rts))):
         raise ValueError("D must have real roots (the band endpoints)")
     ends = np.sort(rts.real)

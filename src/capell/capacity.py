@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .core import (
     IntervalUnion,
     QuadratureError,
-    RealPoly,
     make_interval_union,
 )
 from ._quad import ThetaDensity, density_from_callable
@@ -214,10 +214,15 @@ def fekete_points(E: IntervalUnion, n: int, seed: int = 0, restarts: int = 20) -
     return np.sort(best_x)
 
 
+def _diameter_of(x: np.ndarray) -> float:
+    """Geometric mean of the pairwise distances of the points x."""
+    n = len(x)
+    return math.exp(2.0 * _vander_log(x) / (n * (n - 1)))
+
+
 def fekete_diameter(E: IntervalUnion, n: int, seed: int = 0, restarts: int = 20) -> float:
     """d_n(E): the maximized geometric mean of pairwise distances."""
-    x = fekete_points(E, n, seed=seed, restarts=restarts)
-    return math.exp(2.0 * _vander_log(x) / (n * (n - 1)))
+    return _diameter_of(fekete_points(E, n, seed=seed, restarts=restarts))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +266,7 @@ def chebyshev_constant(
     n: int,
     maxiter: int = 200,
     tol: float = 1e-12,
-) -> tuple[float, RealPoly]:
+) -> tuple[float, Polynomial]:
     """Monic degree-n polynomial of minimal sup norm on E and that norm.
 
     Works in the Chebyshev basis of E's hull (the monic constraint pins the
@@ -364,8 +369,7 @@ def chebyshev_constant(
         raise QuadratureError("minimax exchange: final reference does not alternate")
 
     series = np.polynomial.chebyshev.Chebyshev(coef, domain=[A, B])
-    poly = series.convert(kind=np.polynomial.Polynomial)
-    return norm, RealPoly(tuple(poly.coef))
+    return norm, series.convert(kind=Polynomial)
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +384,16 @@ def capacity_preimage(capK: float, d: int) -> float:
     return capK ** (1.0 / d)
 
 
-def _preimage_bands(f: RealPoly, K: IntervalUnion) -> list[tuple[float, float]]:
+def _preimage_bands(f: Polynomial, K: IntervalUnion) -> list[tuple[float, float]]:
     cuts: list[float] = []
     scale = max(1.0, max(abs(e) for e in K.endpoints))
     for (u, v) in K.bands:
         for level in (u, v):
-            shifted = list(f.coeffs)
-            shifted[0] -= level
-            rts = np.roots(np.array(shifted[::-1]))
+            rts = np.roots((f - level).coef[::-1])
             cuts.extend(r.real for r in rts if abs(r.imag) <= 1e-9 * scale)
-    dcoef = f.deriv().coeffs
+    dcoef = f.deriv().coef
     if len(dcoef) > 1:
-        rts = np.roots(np.array(dcoef[::-1]))
+        rts = np.roots(dcoef[::-1])
         cuts.extend(r.real for r in rts if abs(r.imag) <= 1e-9 * scale)
     cuts = sorted(set(float(c) for c in cuts))
     out: list[tuple[float, float]] = []
@@ -408,16 +410,16 @@ def _preimage_bands(f: RealPoly, K: IntervalUnion) -> list[tuple[float, float]]:
     return out
 
 
-def pullback_density(f: RealPoly, nu, nsamples: int = 4096) -> ThetaDensity:
+def pullback_density(f: Polynomial, nu, nsamples: int = 4096) -> ThetaDensity:
     """Canonical lift of a density under a monic polynomial.
 
     The lift of nu along f has pointwise density nu(f(x)) |f'(x)| / deg f on
     f^{-1}(supp nu); its pushforward under f is nu again.
     """
-    d = f.degree
+    d = f.degree()
     if d < 1:
         raise ValueError("need a nonconstant polynomial")
-    if abs(f.coeffs[-1] - 1.0) > 1e-12:
+    if abs(f.coef[-1] - 1.0) > 1e-12:
         raise ValueError("need a monic polynomial")
     Epre = make_interval_union(_preimage_bands(f, nu.E))
     fp = f.deriv()

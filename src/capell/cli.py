@@ -26,7 +26,7 @@ from .core import (
     QuadratureError,
     make_interval_union,
 )
-from .capacity import capacity as _capacity_fn, fekete_diameter, fekete_points
+from .capacity import capacity as _capacity_fn, _diameter_of, fekete_points
 from ._quad import uniform_density
 from .abel import BandDensity, abel_capacity, equilibrium_density, solve_R
 from . import pellabel as _pell
@@ -179,7 +179,7 @@ def _run_eqm(cfg: RunConfig) -> str:
     datum = solve_R(E)
     mu = BandDensity(datum)
     header = {
-        "R": list(datum.R.coeffs),
+        "R": datum.R.coef.tolist(),
         "omega": list(datum.omega),
         "vE": datum.vE,
         "cap": abel_capacity(datum),
@@ -204,7 +204,7 @@ def _run_fekete(cfg: RunConfig) -> str:
     return _dump_json({
         "n": n,
         "points": [float(x) for x in pts],
-        "diameter": fekete_diameter(E, n, seed=seed),
+        "diameter": _diameter_of(pts),
         "method": "fekete",
     })
 
@@ -239,8 +239,8 @@ def _run_pell(cfg: RunConfig) -> str:
     pa = _pell.construct_pa_polynomial(datum, r)
     if action == "construct":
         return _dump_json({
-            "P": list(pa.P.coeffs),
-            "Q": list(pa.Q.coeffs),
+            "P": pa.P.coef.tolist(),
+            "Q": pa.Q.coef.tolist(),
             "M": pa.M,
             "r": pa.r,
             "r_j": list(pa.r_j),
@@ -277,6 +277,7 @@ def _robinson_instance(cfg: RunConfig) -> "_robinson.RobinsonInstance":
 def _run_robinson(cfg: RunConfig) -> str:
     inst = _robinson_instance(cfg)
     if cfg.n is not None:
+        _robinson._check_degree(f"multiplier n = {cfg.n}", cfg.n * inst.pa.r)
         P_prime, cert, table = _robinson.generate_at(inst, cfg.n)
     else:
         P_prime, cert, table = _robinson.generate(inst, _default(cfg.degree, 16))

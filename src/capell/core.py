@@ -1,15 +1,15 @@
-"""Foundation types: interval unions, dense polynomials, root isolation, discrete measures.
+"""Foundation types: interval unions, exact polynomials, root isolation.
 
-Everything downstream builds on four small value types:
+Everything downstream builds on two small value types:
 
-* ``IntervalUnion``   -- a finite union of disjoint closed real intervals,
-* ``RealPoly``        -- a dense float polynomial, coefficients low degree first,
-* ``ExactPoly``       -- the same shape over the rationals, held as integer
-                         numerators over one denominator,
-* ``DiscreteMeasure`` -- finitely many weighted atoms in the complex plane.
+* ``IntervalUnion`` -- a finite union of disjoint closed real intervals,
+* ``ExactPoly``     -- a dense polynomial over the rationals, coefficients
+                       low degree first, held as integer numerators over one
+                       denominator.
 
 The exact layer carries every certificate (Sturm isolation, resultants,
-integrality) and runs on Python ints; the float layer carries the numerics.
+integrality) and runs on Python ints.  Float polynomials, which carry the
+numerics, are ``numpy.polynomial.Polynomial``; ``ExactPoly.to_real`` makes one.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-import numpy as np
+from numpy.polynomial import Polynomial
 
 __all__ = [
     "QuadratureError",
@@ -27,10 +27,8 @@ __all__ = [
     "NonSquarefreeError",
     "IntervalUnion",
     "make_interval_union",
-    "RealPoly",
     "ExactPoly",
     "isolate_real_roots",
-    "DiscreteMeasure",
 ]
 
 Number = Union[int, float, Fraction]
@@ -155,110 +153,6 @@ def make_interval_union(pairs: Iterable[Sequence[Number]]) -> IntervalUnion:
             merged.append([a, b])
     return IntervalUnion(tuple((float(a), float(b)) for a, b in merged))
 
-
-# ---------------------------------------------------------------------------
-# float polynomials
-# ---------------------------------------------------------------------------
-
-
-def _trim(seq: Sequence, zero) -> tuple:
-    out = list(seq)
-    while len(out) > 1 and out[-1] == zero:
-        out.pop()
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class RealPoly:
-    """Dense float polynomial; ``coeffs[k]`` multiplies x**k."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        c = _trim([float(v) for v in self.coeffs], 0.0)
-        object.__setattr__(self, "coeffs", c)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_roots(cls, roots: Sequence[float]) -> "RealPoly":
-        c = np.atleast_1d(np.poly(np.asarray(roots, dtype=float)))[::-1]
-        return cls(tuple(c))
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return -1 if self.is_zero else len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0.0
-
-    @property
-    def lead(self) -> float:
-        return self.coeffs[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return self.lead == 1.0
-
-    # -- evaluation ---------------------------------------------------------
-
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
-
-    def deriv(self) -> "RealPoly":
-        if self.degree <= 0:
-            return RealPoly((0.0,))
-        return RealPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other) -> "RealPoly":
-        if not isinstance(other, RealPoly):
-            other = RealPoly((float(other),))
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0.0] * (n - len(self.coeffs))
-        for k, c in enumerate(other.coeffs):
-            a[k] += c
-        return RealPoly(tuple(a))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RealPoly":
-        return RealPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "RealPoly":
-        if not isinstance(other, RealPoly):
-            other = RealPoly((float(other),))
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RealPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "RealPoly":
-        if isinstance(other, RealPoly):
-            out = np.convolve(np.asarray(self.coeffs), np.asarray(other.coeffs))
-            return RealPoly(tuple(out))
-        return RealPoly(tuple(float(other) * c for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "RealPoly") -> tuple["RealPoly", "RealPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        num = list(self.coeffs)
-        den = other.coeffs
-        dn, dd = len(num) - 1, len(den) - 1
-        if dn < dd:
-            return RealPoly((0.0,)), self
-        q = [0.0] * (dn - dd + 1)
-        for k in range(dn - dd, -1, -1):
-            q[k] = num[k + dd] / den[-1]
-            for i in range(dd + 1):
-                num[k + i] -= q[k] * den[i]
-        return RealPoly(tuple(q)), RealPoly(tuple(num[:dd] or [0.0]))
 
 # ---------------------------------------------------------------------------
 # exact polynomials
@@ -418,15 +312,12 @@ class ExactPoly:
 
     def __call__(self, x: Number):
         """p(x): exact for an int or Fraction x (homogenised Horner in
-        integers, one Fraction at the end); Horner over ``coeffs`` for any
-        other x, such as a float or a numpy array."""
+        integers, one Fraction at the end); float Horner through
+        ``to_real()`` for any other x, such as a float or a numpy array."""
         if isinstance(x, (int, Fraction)):
             a, b = x.numerator, x.denominator
             return Fraction(_horner(self.num, a, b), self.den * b ** (len(self.num) - 1))
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return self.to_real()(x)
 
     def sign_at(self, x: Number) -> int:
         """Exact sign (-1, 0 or 1) of p(x) for rational x.
@@ -512,9 +403,10 @@ class ExactPoly:
         return (ExactPoly._from_ints([c * other.den for c in q], s),
                 ExactPoly._from_ints(r, s))
 
-    def to_real(self) -> RealPoly:
+    def to_real(self) -> Polynomial:
+        """The float polynomial with each coefficient correctly rounded."""
         d = self.den
-        return RealPoly(tuple(c / d for c in self.num))
+        return Polynomial([c / d for c in self.num])
 
     # -- Sturm machinery ----------------------------------------------------
 
@@ -721,27 +613,3 @@ def isolate_real_roots(
     out.sort(key=lambda ab: ab[0])
     return out
 
-
-# ---------------------------------------------------------------------------
-# discrete measures
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Finitely many weighted atoms in the complex plane."""
-
-    atoms: tuple[tuple[complex, float], ...]
-
-    @property
-    def total_mass(self) -> float:
-        return float(sum(w for _, w in self.atoms))
-
-    def real_atoms(self, tol: float = 1e-9):
-        """(locations, weights) of atoms on the real axis, sorted."""
-        pts = [(z.real, w) for z, w in self.atoms if abs(z.imag) <= tol]
-        pts.sort()
-        return (
-            np.array([p for p, _ in pts]),
-            np.array([w for _, w in pts]),
-        )

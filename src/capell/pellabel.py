@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .core import (
     CertificationError,
     ExactPoly,
     IntervalUnion,
     NonSquarefreeError,
-    RealPoly,
     _refined,
     isolate_real_roots,
     make_interval_union,
@@ -44,9 +44,9 @@ __all__ = [
 @dataclass(frozen=True)
 class PellAbelDatum:
     E: IntervalUnion
-    P: RealPoly | ExactPoly
-    Q: RealPoly | ExactPoly
-    D: RealPoly | ExactPoly
+    P: Polynomial | ExactPoly
+    Q: Polynomial | ExactPoly
+    D: Polynomial | ExactPoly
     M: float | Fraction
     r: int
     r_j: tuple[int, ...]
@@ -118,10 +118,10 @@ def detect_pell_abel(datum: AbelDatum, max_denominator: int = 64, tol: float = 1
 # ---------------------------------------------------------------------------
 
 
-def _poly_sqrt(S: RealPoly) -> tuple[RealPoly, float]:
+def _poly_sqrt(S: Polynomial) -> tuple[Polynomial, float]:
     """Monic square root of a monic even-degree polynomial; returns (Q, rel
     residual of Q^2 - S)."""
-    s = np.array(S.coeffs, dtype=float)
+    s = S.coef
     if len(s) % 2 == 0:
         raise ValueError("need even degree")
     m = (len(s) - 1) // 2
@@ -136,7 +136,7 @@ def _poly_sqrt(S: RealPoly) -> tuple[RealPoly, float]:
         q[k] = acc / 2.0
     resid = np.convolve(q, q) - s
     scale = max(1.0, float(np.max(np.abs(s))))
-    return RealPoly(tuple(q)), float(np.max(np.abs(resid))) / scale
+    return Polynomial(q), float(np.max(np.abs(resid))) / scale
 
 
 def _band_phases(datum: AbelDatum, j: int, thetas: np.ndarray) -> np.ndarray:
@@ -201,13 +201,12 @@ def construct_pa_polynomial(datum: AbelDatum, r: int) -> PellAbelDatum:
             f"degree-{r} fit residual {fit_resid:.2e} exceeds 1e-6*M"
         )
     series = np.polynomial.chebyshev.Chebyshev(coef, domain=[A, B])
-    pc = series.convert(kind=np.polynomial.Polynomial).coef
-    P = RealPoly(tuple(pc / pc[-1]))  # exactly monic
+    pc = series.convert(kind=Polynomial).coef
+    P = Polynomial(pc / pc[-1])  # exactly monic
 
-    D = RealPoly.from_roots([e for band in E.bands for e in band])
-    N = P * P - RealPoly((M * M,))
-    S, rem = N.divmod(D)
-    rem_scale = float(np.max(np.abs(rem.coeffs))) / (M * M)
+    D = datum.D
+    S, rem = divmod(P * P - M * M, D)
+    rem_scale = float(np.max(np.abs(rem.coef))) / (M * M)
     if rem_scale > 1e-8:
         raise CertificationError(
             f"P^2 - M^2 is not divisible by D (relative remainder {rem_scale:.2e})"
@@ -227,12 +226,12 @@ def construct_pa_polynomial(datum: AbelDatum, r: int) -> PellAbelDatum:
 # ---------------------------------------------------------------------------
 
 
-def _as_real(p) -> RealPoly:
+def _as_real(p) -> Polynomial:
     return p.to_real() if isinstance(p, ExactPoly) else p
 
 
-def _real_roots(p: RealPoly, scale: float) -> np.ndarray:
-    rts = np.roots(np.array(p.coeffs[::-1]))
+def _real_roots(p: Polynomial, scale: float) -> np.ndarray:
+    rts = np.roots(p.coef[::-1])
     return np.sort(rts.real[np.abs(rts.imag) <= 1e-7 * scale])
 
 
@@ -247,8 +246,8 @@ def certify_structure(pa: PellAbelDatum) -> dict:
     report: dict = {}
 
     # identity P^2 - D Q^2 = M^2
-    resid = P * P - D * (Q * Q) - RealPoly((M * M,))
-    rel = float(np.max(np.abs(resid.coeffs))) / (M * M)
+    resid = P * P - D * (Q * Q) - M * M
+    rel = float(np.max(np.abs(resid.coef))) / (M * M)
     report["identity"] = (rel < 1e-8, {"relative_residual": rel})
 
     # per-band root counts of P
@@ -264,7 +263,7 @@ def certify_structure(pa: PellAbelDatum) -> dict:
     report["roots_per_band"] = (bool(ok_counts), {"counts": counts, "expected": list(pa.r_j)})
 
     # Q: r_j - 1 interior roots per band
-    q_roots = _real_roots(Q, scale) if Q.degree >= 1 else np.empty(0)
+    q_roots = _real_roots(Q, scale) if Q.degree() >= 1 else np.empty(0)
     q_counts = []
     for (u, v) in E.bands:
         q_counts.append(int(np.sum((q_roots > u) & (q_roots < v))))
@@ -329,7 +328,7 @@ def rationalize(pa: PellAbelDatum, M_prime: Fraction | int | str):
     last_err = "no attempt"
     while k <= 64:
         den = 1 << k
-        cs = [Fraction(round(c * den), den) for c in P.coeffs[:-1]] + [Fraction(1)]
+        cs = [Fraction(round(c * den), den) for c in P.coef[:-1].tolist()] + [Fraction(1)]
         k *= 2
         try:
             pa_prime = PellAbelDatum.from_exact(ExactPoly(tuple(cs)), M_prime)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import (
     CertificationError,
-    DiscreteMeasure,
     ExactPoly,
     IntervalUnion,
 )
@@ -221,9 +220,11 @@ def _eval_structured(inst: RobinsonInstance, n: int,
     cancel catastrophically.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    Pf = inst.pa.P.to_real()
+    P = inst.pa.P
     lam2 = np.full_like(x, float(inst.lam) ** 2)  # array * array skips a scalar cast
-    px = Pf(x)
+    # polyval on P's float coefficients: this runs about 45 times per CSV
+    # row, where building a Polynomial on each call costs more
+    px = np.polynomial.polynomial.polyval(x, [c / P.den for c in P.num])
     by_k: dict[int, list[tuple[int, float]]] = {}
     for (j, k), c in table.items():
         by_k.setdefault(k, []).append((j, float(c)))
@@ -295,15 +296,16 @@ def _certificate(inst: RobinsonInstance, n: int,
     """
     pa = inst.pa
     E, M, r = pa.E, float(pa.M), pa.r
-    Pf = pa.P.to_real()
+    coef = pa.P.to_real().coef
     scale = max(abs(e) for e in E.endpoints)
     # extrema of P_n: the levels P(x) = M cos(k pi / n), solved once for
-    # all bands
+    # all bands (shifting a coefficient copy costs less than Polynomial
+    # subtraction, which runs once per level)
     level_roots = []
     for k in range(n * max(pa.r_j) + 1):
-        shifted = list(Pf.coeffs)
+        shifted = coef.copy()
         shifted[0] -= M * math.cos(math.pi * k / n)
-        level_roots.append(np.roots(np.array(shifted[::-1])))
+        level_roots.append(np.roots(shifted[::-1]))
     bands_out = []
     intervals: list[tuple[Fraction, Fraction]] = []
     total = 0
@@ -372,7 +374,18 @@ def generate_at(inst: RobinsonInstance, n: int):
     return P_prime, cert, table
 
 
-def generate(inst: RobinsonInstance, degree_target: int, max_degree: int = 512):
+_MAX_DEGREE = 512
+
+
+def _check_degree(asked: str, degree: int, max_degree: int = _MAX_DEGREE) -> None:
+    """Refuse, before any work, a request whose degree is above the cap."""
+    if degree > max_degree:
+        raise ValueError(
+            f"{asked} needs degree {degree} > the cap max_degree = {max_degree}"
+        )
+
+
+def generate(inst: RobinsonInstance, degree_target: int, max_degree: int = _MAX_DEGREE):
     """Smallest admissible multiplier n with n*r >= degree_target; returns
     (P'_n monic integer, certificate, c-table) as ``generate_at(inst, n)``
     does.  A target above ``max_degree`` raises ValueError before any work."""
@@ -383,11 +396,7 @@ def generate(inst: RobinsonInstance, degree_target: int, max_degree: int = 512):
         raise ValueError(f"target degree must be >= 1, got {degree_target}")
     r = inst.pa.r
     n = max(1, -(-degree_target // r))
-    if n * r > max_degree:
-        raise ValueError(
-            f"target degree {degree_target} needs degree {n * r} > the cap "
-            f"max_degree = {max_degree}"
-        )
+    _check_degree(f"target degree {degree_target}", n * r, max_degree)
     tried = []
     while n * r <= max_degree:
         try:
@@ -409,9 +418,10 @@ def generate(inst: RobinsonInstance, degree_target: int, max_degree: int = 512):
 
 
 def root_measure_from_certificate(inst: RobinsonInstance, n: int,
-                                  table: dict, cert: dict) -> DiscreteMeasure:
-    """Roots of P'_n by bisection inside the certified isolating intervals,
-    evaluated through the stable recurrence; equal weights 1/(n r).
+                                  table: dict, cert: dict) -> np.ndarray:
+    """The sorted roots of P'_n, by bisection inside the certified isolating
+    intervals, evaluated through the stable recurrence.  Their root measure
+    gives each root the weight 1/(n r).
 
     All intervals bisect together, one recurrence evaluation per step on the
     vector of live midpoints.  Each interval takes at most 200 steps and
@@ -432,17 +442,16 @@ def root_measure_from_certificate(inst: RobinsonInstance, n: int,
         right = live[~left]
         a[right], fa[right] = m[~left], fm[~left]
         live = live[b[live] - a[live] >= 1e-14 * np.maximum(1.0, np.abs(m))]
-    roots = 0.5 * (a + b)
-    w = 1.0 / len(roots)
-    return DiscreteMeasure(tuple((complex(x), w) for x in roots))
+    return np.sort(0.5 * (a + b))
 
 
-def convergence_report(roots_sequence: Sequence[DiscreteMeasure],
+def convergence_report(roots_sequence: Sequence[np.ndarray],
                        mu_E: BandDensity) -> list[float]:
-    """Kolmogorov (sup-CDF) distance of each root measure to mu_E."""
+    """Kolmogorov (sup-CDF) distance to mu_E of the root measure of each
+    sorted root array, weight 1/N on each of its N roots."""
     out = []
-    for m in roots_sequence:
-        x, w = m.real_atoms()
+    for x in roots_sequence:
+        w = np.full(len(x), 1.0 / len(x))
         cum = np.cumsum(w)
         F = np.asarray(mu_E.cdf(x))
         D = max(float(np.max(np.abs(F - cum))), float(np.max(np.abs(F - (cum - w)))))

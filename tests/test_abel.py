@@ -6,6 +6,7 @@ import pytest
 
 from capell.abel import (
     BandDensity,
+    _cached_density,
     abel_capacity,
     equilibrium_density,
     equilibrium_potential,
@@ -124,6 +125,17 @@ def test_potential_strictly_larger_off_set():
     # the gap midpoint and far field both exceed v(E)
     assert equilibrium_potential(d, 0.0) > d.vE + 0.1
     assert equilibrium_potential(d, 10.0) > d.vE
+
+
+def test_potential_reuses_the_cached_density():
+    # the datum keys an lru_cache, so it must hash; a second call on it
+    # reuses the density built by the first
+    d = solve_R(UNION)
+    assert hash(d) == hash(solve_R(UNION))
+    equilibrium_potential(d, 5.0)
+    hits = _cached_density.cache_info().hits
+    equilibrium_potential(d, 6.0)
+    assert _cached_density.cache_info().hits == hits + 1
 
 
 def test_potential_far_field_is_log_abs():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import capell.capacity
+import capell.cli
 from capell.cli import dump_problem, load_problem, main
 
 PAIR_BANDS = json.dumps([[-math.sqrt(8), -math.sqrt(2)], [math.sqrt(2), math.sqrt(8)]])
@@ -67,6 +69,20 @@ def test_fekete_points(capsys):
     assert pts == sorted(pts)
     assert pts[0] >= -2 - 1e-9 and pts[-1] <= 2 + 1e-9
     assert rep["diameter"] > 0
+
+
+def test_fekete_optimizes_once(capsys, monkeypatch):
+    calls = []
+    inner = capell.capacity.fekete_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(capell.capacity, "fekete_points", counted)
+    monkeypatch.setattr(capell.cli, "fekete_points", counted)
+    run_json(capsys, ["fekete", "--bands", "[[-2,2]]", "--n", "3"])
+    assert len(calls) == 1
 
 
 def test_energy_uniform_and_equilibrium(capsys):
@@ -169,8 +185,12 @@ def test_robinson_rejects_bad_pell_polynomial(capsys, tmp_path, coeffs, M, messa
 
 
 def test_robinson_rejects_degree_above_cap(capsys):
-    assert main(["robinson", "--preset", "x2m6", "--degree", "2000"]) == 2
-    assert "max_degree = 512" in capsys.readouterr().err
+    # a target degree and an explicit multiplier meet one cap, before any work
+    for flag, value in (("--degree", "2000"), ("--n", "1024")):
+        t0 = time.perf_counter()
+        assert main(["robinson", "--preset", "x2m6", flag, value]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "max_degree = 512" in capsys.readouterr().err
 
 
 def test_robinson_degree_512_certificate_redecided(capsys):

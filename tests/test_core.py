@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from capell.core import (
     CertificationError,
-    DiscreteMeasure,
     ExactPoly,
     IntervalUnion,
     NonSquarefreeError,
-    RealPoly,
     isolate_real_roots,
     make_interval_union,
 )
@@ -150,11 +149,31 @@ def test_isolate_rejects_repeated_roots():
 def test_isolate_float_path():
     # isolation is exact only; a float polynomial is refused, not bisected
     with pytest.raises(TypeError):
-        isolate_real_roots(RealPoly((-2.0, 0.0, 1.0)))
+        isolate_real_roots(Polynomial([-2.0, 0.0, 1.0]))
 
 
 small_ints = st.integers(min_value=-20, max_value=20)
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=8),
+       st.lists(st.floats(-10, 10), min_size=1, max_size=5))
+def test_float_eval_matches_fraction_horner(coeffs, xs):
+    # reference: Horner over the Fraction coefficients, where a float x makes
+    # every step a float operation; to_real() must give the same bits
+    p = ExactPoly(coeffs)
+
+    def horner(x):
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * x + c
+        return acc
+
+    ref = [horner(x) for x in xs]
+    assert [p(x) for x in xs] == ref
+    vals = p(np.array(xs))
+    assert vals.dtype == float and vals.tolist() == ref
 
 
 @settings(max_examples=200, deadline=None)
@@ -392,16 +411,6 @@ def test_union_transforms():
     assert E.scaled(2).bands == ((0.0, 2.0), (4.0, 6.0))
     assert E.reflected().bands == ((-3.0, -2.0), (-1.0, 0.0))
     assert E.scaled(-1).scaled(-1).bands == E.bands
-
-
-# -- discrete measures ----------------------------------------------------------
-
-
-def test_discrete_measure_merge_and_energy():
-    m = DiscreteMeasure(((2 + 0j, 0.5), (0 + 0j, 0.5)))
-    assert m.total_mass == pytest.approx(1.0)
-    x, w = m.real_atoms()
-    assert list(x) == [0.0, 2.0] and list(w) == [0.5, 0.5]
 
 
 # -- fraction serialization (problem files and JSON output) ----------------------

@@ -51,23 +51,23 @@ def test_construct_pair_recovers_x2_minus_5():
     d = solve_R(PAIR)
     pa = construct_pa_polynomial(d, 2)
     assert pa.r == 2 and pa.r_j == (1, 1)
-    assert np.allclose(pa.P.coeffs, (-5.0, 0.0, 1.0), atol=1e-9)
+    assert np.allclose(pa.P.coef, (-5.0, 0.0, 1.0), atol=1e-9)
     assert pa.M == pytest.approx(3.0, abs=1e-9)
     # the identity forces Q constant here
-    assert pa.Q.degree == 0
-    assert pa.Q.coeffs[0] == pytest.approx(1.0, abs=1e-9)
+    assert pa.Q.degree() == 0
+    assert pa.Q.coef[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_construct_degree_five_on_interval():
     pa = construct_pa_polynomial(solve_R(I22), 5)
-    assert np.allclose(pa.P.coeffs, (0.0, 5.0, 0.0, -5.0, 0.0, 1.0), atol=1e-8)
+    assert np.allclose(pa.P.coef, (0.0, 5.0, 0.0, -5.0, 0.0, 1.0), atol=1e-8)
     assert pa.M == pytest.approx(2.0, abs=1e-9)
     assert pa.r_j == (5,)
 
 
 def test_construct_degree_one_is_identity_map():
     pa = construct_pa_polynomial(solve_R(I22), 1)
-    assert np.allclose(pa.P.coeffs, (0.0, 1.0), atol=1e-10)
+    assert np.allclose(pa.P.coef, (0.0, 1.0), atol=1e-10)
     assert pa.M == pytest.approx(2.0, abs=1e-10)
 
 

@@ -182,10 +182,14 @@ def test_x2m6_convergence_ladder(i6):
 
 def test_root_measure_weights(i6):
     _, cert, table = generate_at(i6, 4)
-    m = root_measure_from_certificate(i6, 4, table, cert)
-    xs, ws = m.real_atoms()
-    assert len(xs) == 8
-    assert np.allclose(ws, 1.0 / 8.0)
+    xs = root_measure_from_certificate(i6, 4, table, cert)
+    assert xs.dtype == float and len(xs) == 8
+    assert np.all(np.diff(xs) > 0)
+    # the report weighs each of the 8 roots 1/8
+    mu_E = BandDensity(solve_R(i6.pa.E))
+    F, k = mu_E.cdf(xs), np.arange(9) / 8
+    ks = max(np.max(np.abs(F - k[1:])), np.max(np.abs(F - k[:-1])))
+    assert convergence_report([xs], mu_E) == [ks]
 
 
 def _scalar_bisection_roots(inst, n, table, cert):
@@ -211,9 +215,8 @@ def _scalar_bisection_roots(inst, n, table, cert):
 def test_root_measure_matches_scalar_bisection(request, preset, n):
     inst = request.getfixturevalue(preset)
     _, cert, table = generate_at(inst, n)
-    m = root_measure_from_certificate(inst, n, table, cert)
-    assert [z.real for z, _ in m.atoms] == _scalar_bisection_roots(inst, n, table, cert)
-    assert all(z.imag == 0.0 for z, _ in m.atoms)
+    xs = root_measure_from_certificate(inst, n, table, cert)
+    assert xs.tolist() == _scalar_bisection_roots(inst, n, table, cert)
 
 
 # -- fractional lam: the correction machinery ---------------------------------------
