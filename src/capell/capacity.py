@@ -3,11 +3,16 @@
 Four routes are implemented and cross-checkable:
 
 * closed forms for intervals, symmetric pairs, circles, and circular arcs;
-* the transfinite-diameter oracle (maximize the Vandermonde product of n
-  points, small n only);
-* the Chebyshev route: monic minimal sup-norm polynomials by a generalized
-  Remez exchange over the union, cap ~ t_n^(1/n);
+* the transfinite-diameter oracle: n points maximizing the Vandermonde
+  product (small n only), by exact coordinate ascent;
+* the Chebyshev route: the monic minimal sup-norm polynomial by a
+  generalized Remez exchange over the union, cap ~ t_n^(1/n), where t_n is
+  the sup of the returned polynomial on the union and the exchange meets a
+  relative tolerance or raises ``QuadratureError`` (CLI exit 4);
 * the band-integral route (module ``abel``), reached through ``capacity()``.
+
+Both extremal routes locate the maximum of |p| on a band by one rule: it
+lies at a band end or at a real root of p' inside the band.
 
 Also here: transport of densities under monic polynomial preimages and the
 logarithmic energy of a density.
@@ -98,18 +103,18 @@ def capacity_closed_form(shape) -> float:
 
 
 # ---------------------------------------------------------------------------
-# transfinite diameter by direct maximization
+# extremal polynomials: |p| peaks on a band at a band end or a critical point
 # ---------------------------------------------------------------------------
 
+_FEKETE_RESTARTS = 20
+_FEKETE_SWEEPS = 80
+_REMEZ_MAXITER = 200
+_REMEZ_TOL = 1e-12
 
-def _project_to_bands(E: IntervalUnion, x: np.ndarray) -> np.ndarray:
-    bands = np.asarray(E.bands)
-    lo, hi = bands[:, 0], bands[:, 1]
-    below = lo[None, :] - x[:, None]
-    above = x[:, None] - hi[None, :]
-    dist = np.maximum(np.maximum(below, above), 0.0)
-    j = np.argmin(dist, axis=1)
-    return np.clip(x, lo[j], hi[j])
+
+def _in_bands(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Mask of the points x lying in one of the rows (lo, hi) of bands."""
+    return ((x[:, None] >= bands[:, 0]) & (x[:, None] <= bands[:, 1])).any(axis=1)
 
 
 def _vander_log(x: np.ndarray) -> float:
@@ -121,55 +126,32 @@ def _vander_log(x: np.ndarray) -> float:
     return float(np.sum(np.log(vals)))
 
 
-def _polish_coordinates(E: IntervalUnion, x: np.ndarray, sweeps: int = 80) -> np.ndarray:
-    """Cyclic golden-section ascent: each coordinate's objective is concave
-    between its neighbors inside a band."""
-    n = len(x)
-    gr = (math.sqrt(5) - 1) / 2
-    diam = E.diameter
-    x = np.sort(x.copy())
-    for _ in range(sweeps):
+def _polish_coordinates(bands: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cyclic exact coordinate ascent of the Vandermonde product.
+
+    With the other points fixed, point i maximizes |w| for w the monic
+    polynomial with the other points as roots; on a band that maximum is at
+    a band end or at a root of w'.  A candidate equal to another point
+    would make the product zero and is skipped.
+    """
+    ends = bands.ravel()
+    diam = ends[-1] - ends[0]
+    y = np.sort(y)
+    for _ in range(_FEKETE_SWEEPS):
         moved = 0.0
-        for i in range(n):
-            others = np.delete(x, i)
-
-            def f(t: float) -> float:
-                v = np.abs(t - others)
-                if np.any(v == 0.0):
-                    return -np.inf
-                return float(np.sum(np.log(v)))
-
-            best_t, best_v = x[i], f(x[i])
-            for (u, v) in E.bands:
-                cuts = [u] + [p for p in others if u < p < v] + [v]
-                for lo, hi in zip(cuts[:-1], cuts[1:]):
-                    pad = 1e-13 * diam
-                    a = lo + (pad if lo in others else 0.0)
-                    b = hi - (pad if hi in others else 0.0)
-                    if not a < b:
-                        continue
-                    c, d = b - gr * (b - a), a + gr * (b - a)
-                    fc, fd = f(c), f(d)
-                    for _ in range(80):
-                        if fc >= fd:
-                            b, d, fd = d, c, fc
-                            c = b - gr * (b - a)
-                            fc = f(c)
-                        else:
-                            a, c, fc = c, d, fd
-                            d = a + gr * (b - a)
-                            fd = f(d)
-                        if b - a < 1e-13 * diam:
-                            break
-                    for t in (a, 0.5 * (a + b), b):
-                        ft = f(t)
-                        if ft > best_v:
-                            best_t, best_v = t, ft
-            moved = max(moved, abs(best_t - x[i]))
-            x[i] = best_t
+        for i in range(len(y)):
+            others = np.delete(y, i)
+            # w has real roots only, so w' does too (Rolle)
+            crit = Polynomial.fromroots(others).deriv().roots().real
+            cand = np.concatenate([ends, crit[_in_bands(bands, crit)]])
+            cand = cand[~np.isin(cand, others)]
+            logs = np.log(np.abs(cand[:, None] - others[None, :])).sum(axis=1)
+            t = cand[np.argmax(logs)]
+            moved = max(moved, abs(t - y[i]))
+            y[i] = t
         if moved < 1e-12 * diam:
             break
-    return x
+    return y
 
 
 def _check_fekete_count(n: int) -> None:
@@ -177,41 +159,34 @@ def _check_fekete_count(n: int) -> None:
         raise ValueError(f"point count must be between 2 and 12, got {n}")
 
 
-def fekete_points(E: IntervalUnion, n: int, seed: int = 0, restarts: int = 20) -> np.ndarray:
-    """n points of E maximizing the product of pairwise distances."""
-    _check_fekete_count(n)
-    rng = np.random.default_rng(seed)
-    lengths = np.array(E.lengths)
-    weights = lengths / lengths.sum()
-    bands = np.asarray(E.bands)
+def fekete_points(E: IntervalUnion, n: int, seed: int = 0) -> np.ndarray:
+    """n points of E maximizing the product of pairwise distances.
 
-    best_x, best_val = None, -np.inf
-    for _ in range(restarts):
+    Seeded random starts run the exact coordinate ascent: each point in turn
+    moves to the best of its candidates, the band ends and the critical
+    points inside a band of the polynomial whose roots are the other points.
+    The work is done on E mapped affinely onto [-1, 1], so that the result
+    follows scaling and translation of E at any magnitude; points at a band
+    end come back as that exact end.
+    """
+    _check_fekete_count(n)
+    A, B = (float(v) for v in E.hull)
+    mid, half = 0.5 * A + 0.5 * B, 0.5 * B - 0.5 * A
+    bands_x = np.asarray(E.bands, dtype=float)
+    bands = (bands_x - mid) / half
+    rng = np.random.default_rng(seed)
+    lengths = bands[:, 1] - bands[:, 0]
+    weights = lengths / lengths.sum()
+
+    best_y, best_val = None, -np.inf
+    for _ in range(_FEKETE_RESTARTS):
         j = rng.choice(len(bands), size=n, p=weights)
-        x = bands[j, 0] + rng.random(n) * (bands[j, 1] - bands[j, 0])
-        val = _vander_log(x)
-        step = 0.05 * E.diameter / n
-        for _ in range(300):
-            diff = x[:, None] - x[None, :]
-            np.fill_diagonal(diff, np.inf)
-            g = np.sum(1.0 / diff, axis=1)
-            ok = False
-            for _ in range(50):
-                xn = _project_to_bands(E, x + step * g)
-                vn = _vander_log(xn)
-                if vn > val:
-                    ok = True
-                    break
-                step *= 0.5
-            if not ok:
-                break
-            x, val = xn, vn
-            step *= 1.5
-        x = _polish_coordinates(E, x)
-        val = _vander_log(x)
+        y = _polish_coordinates(bands, bands[j, 0] + rng.random(n) * lengths[j])
+        val = _vander_log(y)
         if val > best_val:
-            best_x, best_val = x, val
-    return np.sort(best_x)
+            best_y, best_val = y, val
+    exact_ends = dict(zip(bands.ravel().tolist(), bands_x.ravel().tolist()))
+    return np.sort([exact_ends.get(t, mid + half * t) for t in best_y.tolist()])
 
 
 def _diameter_of(x: np.ndarray) -> float:
@@ -220,14 +195,9 @@ def _diameter_of(x: np.ndarray) -> float:
     return math.exp(2.0 * _vander_log(x) / (n * (n - 1)))
 
 
-def fekete_diameter(E: IntervalUnion, n: int, seed: int = 0, restarts: int = 20) -> float:
+def fekete_diameter(E: IntervalUnion, n: int, seed: int = 0) -> float:
     """d_n(E): the maximized geometric mean of pairwise distances."""
-    return _diameter_of(fekete_points(E, n, seed=seed, restarts=restarts))
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev constant by Remez exchange
-# ---------------------------------------------------------------------------
+    return _diameter_of(fekete_points(E, n, seed=seed))
 
 
 def _cheb_basis(E: IntervalUnion, x: np.ndarray, n: int) -> np.ndarray:
@@ -261,31 +231,24 @@ def _alternating_subset(xs: np.ndarray, es: np.ndarray, k: int):
     return np.array(keep_x)
 
 
-def chebyshev_constant(
-    E: IntervalUnion,
-    n: int,
-    maxiter: int = 200,
-    tol: float = 1e-12,
-) -> tuple[float, Polynomial]:
+def chebyshev_constant(E: IntervalUnion, n: int) -> tuple[float, Polynomial]:
     """Monic degree-n polynomial of minimal sup norm on E and that norm.
 
     Works in the Chebyshev basis of E's hull (the monic constraint pins the
-    top basis coefficient), with a multi-point exchange over per-band grids
-    and parabolic refinement of the located extrema.
+    top basis coefficient), with a multi-point exchange.  Each exchange takes
+    its candidates from the band ends and the real roots of the derivative
+    inside a band, so the returned norm t_n is the sup of the returned
+    polynomial on E, up to rounding.  The exchange stops once the bracket
+    |h| <= t_n(E) <= t_n closes to 1e-12 relative to t_n; failing that
+    within 200 exchanges raises QuadratureError.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     A, B = E.hull
     mid, rad = 0.5 * (A + B), 0.5 * (B - A)
     c_top = rad**n * 2.0 ** (1 - n)  # monic: coefficient of T_n((x-mid)/rad)
-
-    grids = []
-    for (u, v) in E.bands:
-        m = max(64, 8 * n)
-        th = np.linspace(np.pi, 0.0, m)
-        grids.append(0.5 * (u + v) + 0.5 * (v - u) * np.cos(th))
-    grid = np.concatenate(grids)
-    Vg = _cheb_basis(E, grid, n)
+    bands = np.asarray(E.bands, dtype=float)
+    ends = bands.ravel()
 
     # initial reference: n+1 points apportioned to bands by length
     lengths = np.array(E.lengths)
@@ -312,47 +275,15 @@ def chebyshev_constant(
         coef = np.concatenate([sol[:n], [c_top]])
         return coef, sol[n]
 
-    def eval_poly(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return _cheb_basis(E, np.atleast_1d(x), n) @ coef
-
+    cheb = np.polynomial.chebyshev
     coef, h = solve_on(ref)
-    norm = None
-    for _ in range(maxiter):
-        eg = Vg @ coef
-        # local extrema per band, refined by two parabolic steps
-        cand_x, cand_e = [], []
-        pos = 0
-        for bg in grids:
-            k = len(bg)
-            e = eg[pos : pos + k]
-            pos += k
-            idx = [0, k - 1]
-            interior = np.where((np.abs(e[1:-1]) >= np.abs(e[:-2])) & (np.abs(e[1:-1]) >= np.abs(e[2:])))[0] + 1
-            idx = sorted(set(idx) | set(interior.tolist()))
-            for i in idx:
-                x0 = bg[i]
-                dx = min(abs(bg[min(i + 1, k - 1)] - x0), abs(x0 - bg[max(i - 1, 0)]), 1e-3 * rad)
-                dx = max(dx, 1e-14 * rad)
-                lo_b, hi_b = bg[0], bg[-1]
-                for _ in range(2):
-                    # vertex of the parabola through (x0 +- dx, e); location
-                    # is invariant under flipping the sign of e
-                    ys = eval_poly(coef, np.array([x0 - dx, x0, x0 + dx]))
-                    denom = ys[0] - 2 * ys[1] + ys[2]
-                    if denom == 0:
-                        break
-                    shift = 0.5 * dx * (ys[0] - ys[2]) / denom
-                    if not np.isfinite(shift) or abs(shift) > 2 * dx:
-                        break
-                    x0 = float(np.clip(x0 + shift, lo_b, hi_b))
-                    dx *= 0.25
-                cand_x.append(x0)
-                cand_e.append(float(eval_poly(coef, np.array([x0]))[0]))
-        order = np.argsort(cand_x)
-        cx = np.array(cand_x)[order]
-        ce = np.array(cand_e)[order]
+    for _ in range(_REMEZ_MAXITER):
+        crit = mid + rad * cheb.chebroots(cheb.chebder(coef)).real
+        cx = np.sort(np.concatenate([ends, crit[_in_bands(bands, crit)]]))
+        ce = _cheb_basis(E, cx, n) @ coef
         norm = float(np.max(np.abs(ce)))
-        if norm - abs(h) <= tol * max(1.0, norm):
+        gap = norm - abs(h)
+        if gap <= _REMEZ_TOL * norm:
             break
         new_ref = _alternating_subset(cx, ce, n + 1)
         if new_ref is None:
@@ -360,15 +291,16 @@ def chebyshev_constant(
         ref = new_ref
         coef, h = solve_on(ref)
     else:
-        raise QuadratureError(f"minimax exchange: no convergence in {maxiter} iterations")
+        raise QuadratureError(
+            f"minimax exchange: no convergence in {_REMEZ_MAXITER} iterations "
+            f"(bracket {gap / norm:.1e} relative, tol {_REMEZ_TOL:g})")
 
     # verify equioscillation on the final reference
-    re = eval_poly(coef, ref)
-    signs = np.sign(re)
+    signs = np.sign(_cheb_basis(E, ref, n) @ coef)
     if np.any(signs[1:] * signs[:-1] >= 0):
         raise QuadratureError("minimax exchange: final reference does not alternate")
 
-    series = np.polynomial.chebyshev.Chebyshev(coef, domain=[A, B])
+    series = cheb.Chebyshev(coef, domain=[A, B])
     return norm, series.convert(kind=Polynomial)
 
 

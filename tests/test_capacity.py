@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial import Polynomial
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Legendre, Polynomial
 
 from capell.capacity import (
     capacity,
@@ -14,7 +16,7 @@ from capell.capacity import (
     fekete_points,
     pullback_density,
 )
-from capell.core import make_interval_union
+from capell.core import QuadratureError, make_interval_union
 from capell._quad import ThetaDensity, uniform_density
 
 I22 = make_interval_union([(-2, 2)])
@@ -89,6 +91,30 @@ def test_fekete_respects_bands():
     assert all(E.contains(x, tol=1e-9) for x in pts)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_fekete_interval_is_legendre(n):
+    # on [-2, 2]: the ends and twice the roots of P'_{n-1}
+    exact = np.concatenate([[-2.0], 2.0 * Legendre.basis(n - 1).deriv().roots(), [2.0]])
+    assert np.max(np.abs(fekete_points(I22, n) - exact)) <= 1e-11
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-8, 1e8, 1e300])
+def test_fekete_follows_affine_maps(s):
+    bands = [(0.0, 1.0), (2.0, 3.0)]
+    t = 0.75 * s
+    moved = fekete_points(make_interval_union([(s * u + t, s * v + t) for u, v in bands]), 6)
+    base = fekete_points(make_interval_union(bands), 6)
+    assert np.max(np.abs(moved - (s * base + t))) <= 1e-12 * 3.0 * s
+
+
+def test_fekete_readme_pair_interior_point():
+    # the interior point of the README's n = 6 output, by mpmath to 40 digits
+    E = make_interval_union([(-2.8284271247, -1.4142135624), (1.4142135624, 2.8284271247)])
+    pts = fekete_points(E, 6)
+    assert pts[4] == pytest.approx(2.28355746341470191, abs=1e-14)
+    assert pts[1] == pytest.approx(-2.28355746341470191, abs=1e-14)
+
+
 # -- Chebyshev / Remez -------------------------------------------------------------
 
 
@@ -119,6 +145,35 @@ def test_chebyshev_norm_dominates_capacity():
     for n in (2, 4, 8):
         t_n, _ = chebyshev_constant(E, n)
         assert t_n ** (1.0 / n) >= cap - 1e-9
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_chebyshev_pair_is_exact(n):
+    # x^2 maps the pair onto [2, 8], so t_n = 2 ((8 - 2)/4)^(n/2)
+    t_n, _ = chebyshev_constant(PAIR, n)
+    assert t_n == pytest.approx(2.0 * 1.5 ** (n / 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.1, 10.0])
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_chebyshev_scales_as_s_to_the_n(s, n):
+    bands = [(0.0, 1.0), (1.5, 3.0)]
+    t_n, _ = chebyshev_constant(make_interval_union(bands), n)
+    t_sn, _ = chebyshev_constant(make_interval_union([(s * u, s * v) for u, v in bands]), n)
+    assert t_sn == pytest.approx(s**n * t_n, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.05, 0.95), st.floats(0.01, 100.0), st.integers(1, 8))
+def test_chebyshev_symmetric_pairs_exact_or_exit(ratio, b, half_n):
+    # the exchange meets its tolerance or says so; it never returns a wrong value
+    a, n = ratio * b, 2 * half_n
+    E = make_interval_union([(-b, -a), (a, b)])
+    try:
+        t_n, _ = chebyshev_constant(E, n)
+    except QuadratureError:
+        return
+    assert t_n == pytest.approx(2.0 * ((b * b - a * a) / 4.0) ** half_n, rel=1e-10, abs=0.0)
 
 
 # -- dispatcher ---------------------------------------------------------------------

@@ -335,6 +335,16 @@ def test_exit_codes(capsys):
     assert "certification failure" in err
 
 
+def test_minimax_exit_names_stage_and_tolerance(capsys):
+    # the bracket stalls near 1e-11, above the relative tolerance
+    argv = ["cap", "--bands", "[[-2.3708,-1.4152],[1.7238,2.0630]]",
+            "--method", "chebyshev", "--n", "14"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "minimax exchange: no convergence in 200 iterations" in err
+    assert "relative, tol 1e-12)" in err
+
+
 def test_unknown_problem_key(capsys, tmp_path):
     prob = tmp_path / "bad.json"
     prob.write_text(json.dumps({"bands": [[-2, 2]], "typo_key": 1}))
