@@ -5,10 +5,10 @@ Four routes are implemented and cross-checkable:
 * closed forms for intervals, symmetric pairs, circles, and circular arcs;
 * the transfinite-diameter oracle: n points maximizing the Vandermonde
   product (small n only), by exact coordinate ascent;
-* the Chebyshev route: the monic minimal sup-norm polynomial by a
-  generalized Remez exchange over the union, cap ~ t_n^(1/n), where t_n is
-  the sup of the returned polynomial on the union and the exchange meets a
-  relative tolerance or raises ``QuadratureError`` (CLI exit 4);
+* the Chebyshev route: a Remez exchange in barycentric form brackets the
+  least sup norm t_n(E) of a monic polynomial, cap ~ (t_n/2)^(1/n); the
+  bracket meets a relative tolerance or ``QuadratureError`` is raised (CLI
+  exit 4);
 * the band-integral route (module ``abel``), reached through ``capacity()``.
 
 Both extremal routes locate the maximum of |p| on a band by one rule: it
@@ -114,7 +114,7 @@ _REMEZ_TOL = 1e-12
 
 def _in_bands(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Mask of the points x lying in one of the rows (lo, hi) of bands."""
-    return ((x[:, None] >= bands[:, 0]) & (x[:, None] <= bands[:, 1])).any(axis=1)
+    return ((x[..., None] >= bands[:, 0]) & (x[..., None] <= bands[:, 1])).any(axis=-1)
 
 
 def _vander_log(x: np.ndarray) -> float:
@@ -126,30 +126,62 @@ def _vander_log(x: np.ndarray) -> float:
     return float(np.sum(np.log(vals)))
 
 
+def _unit_map(lo: float, hi: float) -> tuple[float, float]:
+    """(mid, half) with [lo, hi] = mid +- half, formed without overflow."""
+    lo, hi = float(lo), float(hi)
+    return 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+
+
+def _critical_points(roots: np.ndarray) -> np.ndarray:
+    """Row k: the real parts of the roots of w', w monic with roots roots[k],
+    bit for bit as Polynomial.fromroots(roots[k]).deriv().roots() (numpy's
+    pairwise products and companion matrix), all rows in one eigvals call."""
+    coefs = []
+    for row in np.stack([-np.sort(roots + 0.0, axis=1), np.ones(roots.shape)], axis=2):
+        p = list(row)  # the linear factors (-x, 1)
+        while len(p) > 1:
+            m, odd = divmod(len(p), 2)
+            tmp = [np.convolve(p[i], p[i + m]) for i in range(m)]
+            if odd:
+                tmp[0] = np.convolve(tmp[0], p[-1])
+            p = tmp
+        coefs.append(p[0][1:] * np.arange(1.0, len(p[0])))
+    c = np.array(coefs)
+    d = c.shape[1] - 1
+    mat = np.zeros((len(c), d, d))
+    mat[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    mat[:, :, -1:] -= (c[:, :-1] / c[:, -1:])[:, :, None]
+    return np.sort(np.linalg.eigvals(mat), axis=1).real + 0.0
+
+
 def _polish_coordinates(bands: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cyclic exact coordinate ascent of the Vandermonde product.
+    """Cyclic exact coordinate ascent of the Vandermonde product, one start
+    per row of y, the rows in step; a row stops after a sweep that moves
+    none of its points by 1e-12 of the diameter.
 
     With the other points fixed, point i maximizes |w| for w the monic
-    polynomial with the other points as roots; on a band that maximum is at
-    a band end or at a root of w'.  A candidate equal to another point
-    would make the product zero and is skipped.
+    polynomial with the other points as roots: at a band end or at a root of
+    w'.  A candidate equal to another point makes the product zero.
     """
     ends = bands.ravel()
-    diam = ends[-1] - ends[0]
-    y = np.sort(y)
+    y, live = np.sort(y, axis=1), np.arange(len(y))
     for _ in range(_FEKETE_SWEEPS):
-        moved = 0.0
-        for i in range(len(y)):
-            others = np.delete(y, i)
+        moved = np.zeros(len(live))
+        for i in range(y.shape[1]):
+            others = np.delete(y[live], i, axis=1)
             # w has real roots only, so w' does too (Rolle)
-            crit = Polynomial.fromroots(others).deriv().roots().real
-            cand = np.concatenate([ends, crit[_in_bands(bands, crit)]])
-            cand = cand[~np.isin(cand, others)]
-            logs = np.log(np.abs(cand[:, None] - others[None, :])).sum(axis=1)
-            t = cand[np.argmax(logs)]
-            moved = max(moved, abs(t - y[i]))
-            y[i] = t
-        if moved < 1e-12 * diam:
+            crit = _critical_points(others)
+            cand = np.hstack([np.broadcast_to(ends, (len(live), len(ends))),
+                              np.where(_in_bands(bands, crit), crit, np.nan)])
+            diff = cand[:, :, None] - others[:, None, :]
+            with np.errstate(divide="ignore"):
+                logs = np.log(np.abs(diff)).sum(axis=2)
+            logs[np.isnan(cand) | (diff == 0.0).any(axis=2)] = -np.inf
+            t = cand[np.arange(len(live)), np.argmax(logs, axis=1)]
+            moved = np.maximum(moved, np.abs(t - y[live, i]))
+            y[live, i] = t
+        live = live[moved >= 1e-12 * (ends[-1] - ends[0])]
+        if not len(live):
             break
     return y
 
@@ -170,40 +202,35 @@ def fekete_points(E: IntervalUnion, n: int, seed: int = 0) -> np.ndarray:
     end come back as that exact end.
     """
     _check_fekete_count(n)
-    A, B = (float(v) for v in E.hull)
-    mid, half = 0.5 * A + 0.5 * B, 0.5 * B - 0.5 * A
-    bands_x = np.asarray(E.bands, dtype=float)
-    bands = (bands_x - mid) / half
+    mid, half = _unit_map(*E.hull)
+    bands = (np.asarray(E.bands, dtype=float) - mid) / half
     rng = np.random.default_rng(seed)
     lengths = bands[:, 1] - bands[:, 0]
     weights = lengths / lengths.sum()
 
-    best_y, best_val = None, -np.inf
+    starts = []
     for _ in range(_FEKETE_RESTARTS):
         j = rng.choice(len(bands), size=n, p=weights)
-        y = _polish_coordinates(bands, bands[j, 0] + rng.random(n) * lengths[j])
-        val = _vander_log(y)
-        if val > best_val:
-            best_y, best_val = y, val
-    exact_ends = dict(zip(bands.ravel().tolist(), bands_x.ravel().tolist()))
+        starts.append(bands[j, 0] + rng.random(n) * lengths[j])
+    y = _polish_coordinates(bands, np.array(starts))
+    best_y = y[np.argmax([_vander_log(row) for row in y])]
+    exact_ends = dict(zip(bands.ravel().tolist(), np.ravel(E.bands).tolist()))
     return np.sort([exact_ends.get(t, mid + half * t) for t in best_y.tolist()])
 
 
 def _diameter_of(x: np.ndarray) -> float:
-    """Geometric mean of the pairwise distances of the points x."""
-    n = len(x)
-    return math.exp(2.0 * _vander_log(x) / (n * (n - 1)))
+    """Geometric mean of the pairwise distances of the points x, formed on
+    their hull mapped onto [-1, 1] so that no difference overflows."""
+    n, (mid, half) = len(x), _unit_map(np.min(x), np.max(x))
+    d = half * math.exp(2.0 * _vander_log((x - mid) / half) / (n * (n - 1)))
+    if d == math.inf:
+        raise QuadratureError(f"Fekete diameter d_{n} lies outside the float range")
+    return d
 
 
 def fekete_diameter(E: IntervalUnion, n: int, seed: int = 0) -> float:
     """d_n(E): the maximized geometric mean of pairwise distances."""
     return _diameter_of(fekete_points(E, n, seed=seed))
-
-
-def _cheb_basis(E: IntervalUnion, x: np.ndarray, n: int) -> np.ndarray:
-    A, B = E.hull
-    u = (2.0 * x - (A + B)) / (B - A)
-    return np.polynomial.chebyshev.chebvander(u, n)
 
 
 def _alternating_subset(xs: np.ndarray, es: np.ndarray, k: int):
@@ -231,77 +258,73 @@ def _alternating_subset(xs: np.ndarray, es: np.ndarray, k: int):
     return np.array(keep_x)
 
 
-def chebyshev_constant(E: IntervalUnion, n: int) -> tuple[float, Polynomial]:
-    """Monic degree-n polynomial of minimal sup norm on E and that norm.
+def _bary(ref: np.ndarray, a: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """p/|h| at the points u by the second barycentric formula on ref, whose
+    weights are s*a; p/|h| = s there."""
+    d = u[:, None] - ref[None, :]
+    hit = d == 0.0
+    c = a / np.where(hit, 1.0, d)
+    out = c.sum(axis=1) / (c * s).sum(axis=1)
+    rows, cols = np.nonzero(hit)
+    out[rows] = s[cols]
+    return out
 
-    Works in the Chebyshev basis of E's hull (the monic constraint pins the
-    top basis coefficient), with a multi-point exchange.  Each exchange takes
-    its candidates from the band ends and the real roots of the derivative
-    inside a band, so the returned norm t_n is the sup of the returned
-    polynomial on E, up to rounding.  The exchange stops once the bracket
-    |h| <= t_n(E) <= t_n closes to 1e-12 relative to t_n; failing that
-    within 200 exchanges raises QuadratureError.
+
+def chebyshev_constant(E: IntervalUnion, n: int) -> tuple[float, float]:
+    """The bracket (t_n, |h|) around t_n(E), the least sup norm on E of a
+    monic degree-n polynomial, by a Remez exchange on E mapped onto [-1, 1].
+
+    The reference starts as n + 1 greedy Leja points of a Chebyshev grid on
+    the bands.  The polynomial p levelled on it (p = +-h there) is held in
+    barycentric form: |h| = 1/sum|w_i| from the reference's weights, p/|h|
+    by the second barycentric formula.  Candidates are the band ends and the
+    real critical points of each band's degree-n Chebyshev series of p/|h|,
+    so t_n = |h| max_E |p/h| is the sup of p on E.  Both ends are formed in
+    logs; QuadratureError when they are not within 1e-12 relative after 200
+    exchanges, or lie outside the float range.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    A, B = E.hull
-    mid, rad = 0.5 * (A + B), 0.5 * (B - A)
-    c_top = rad**n * 2.0 ** (1 - n)  # monic: coefficient of T_n((x-mid)/rad)
-    bands = np.asarray(E.bands, dtype=float)
-    ends = bands.ravel()
-
-    # initial reference: n+1 points apportioned to bands by length
-    lengths = np.array(E.lengths)
-    counts = np.maximum(1, np.round(lengths / lengths.sum() * (n + 1)).astype(int))
-    while counts.sum() > n + 1:
-        counts[np.argmax(counts)] -= 1
-    while counts.sum() < n + 1:
-        counts[np.argmax(lengths / counts)] += 1
-    ref = []
-    for (u, v), k in zip(E.bands, counts):
-        if k == 1:
-            ref.append(0.5 * (u + v))
-        else:
-            ref.extend(0.5 * (u + v) + 0.5 * (v - u) * np.cos(np.linspace(np.pi, 0, k)))
-    ref = np.sort(np.array(ref))
-
-    def solve_on(refpts: np.ndarray):
-        M = _cheb_basis(E, refpts, n)
-        lhs = np.empty((n + 1, n + 1))
-        lhs[:, :n] = M[:, :n]
-        lhs[:, n] = (-1.0) ** np.arange(n + 1)
-        rhs = -c_top * M[:, n]
-        sol = np.linalg.solve(lhs, rhs)
-        coef = np.concatenate([sol[:n], [c_top]])
-        return coef, sol[n]
-
     cheb = np.polynomial.chebyshev
-    coef, h = solve_on(ref)
+    mid, half = _unit_map(*E.hull)
+    bands = (np.asarray(E.bands, dtype=float) - mid) / half
+    bmid, bhalf = bands.mean(axis=1), 0.5 * (bands[:, 1] - bands[:, 0])
+    nodes = np.cos(np.pi * (np.arange(n + 1) + 0.5) / (n + 1))
+    to_series = np.linalg.inv(cheb.chebvander(nodes, n))
+    grid = (bmid[:, None] + bhalf[:, None] * np.cos(np.pi * np.arange(n + 1) / n)).ravel()
+    ref, logd = [grid[0]], np.zeros_like(grid)
+    with np.errstate(divide="ignore"):
+        for _ in range(n):  # greedy Leja: the next point is farthest from the others
+            logd += np.log(np.abs(grid - ref[-1]))
+            ref.append(grid[np.argmax(logd)])
+    ref, s = np.sort(ref), (-1.0) ** np.arange(n, -1, -1)  # s: sign of w_i, ref sorted
     for _ in range(_REMEZ_MAXITER):
-        crit = mid + rad * cheb.chebroots(cheb.chebder(coef)).real
-        cx = np.sort(np.concatenate([ends, crit[_in_bands(bands, crit)]]))
-        ce = _cheb_basis(E, cx, n) @ coef
-        norm = float(np.max(np.abs(ce)))
-        gap = norm - abs(h)
-        if gap <= _REMEZ_TOL * norm:
+        lw = -np.log(np.abs(ref[:, None] - ref[None, :]) + np.eye(n + 1)).sum(axis=1)
+        top = lw.max()
+        a = np.exp(lw - top)
+        log_h = -top - math.log(a.sum())
+        coef = to_series @ _bary(ref, a, s, (bmid + np.outer(nodes, bhalf)).ravel()
+                                 ).reshape(n + 1, -1)
+        crit = [m + r * t for m, r, c in zip(bmid, bhalf, coef.T)
+                for t in cheb.chebroots(cheb.chebder(c)).real if abs(t) <= 1.0]
+        cx = np.sort(np.concatenate([bands.ravel(), crit]))
+        ce = _bary(ref, a, s, cx)
+        norm = max(1.0, float(np.max(np.abs(ce))))  # |p/h| = 1 on the reference
+        if norm - 1.0 <= _REMEZ_TOL * norm:
             break
-        new_ref = _alternating_subset(cx, ce, n + 1)
-        if new_ref is None:
+        ref = _alternating_subset(cx, ce, n + 1)
+        if ref is None:
             raise QuadratureError("minimax exchange lost alternation")
-        ref = new_ref
-        coef, h = solve_on(ref)
     else:
         raise QuadratureError(
             f"minimax exchange: no convergence in {_REMEZ_MAXITER} iterations "
-            f"(bracket {gap / norm:.1e} relative, tol {_REMEZ_TOL:g})")
-
-    # verify equioscillation on the final reference
-    signs = np.sign(_cheb_basis(E, ref, n) @ coef)
-    if np.any(signs[1:] * signs[:-1] >= 0):
-        raise QuadratureError("minimax exchange: final reference does not alternate")
-
-    series = cheb.Chebyshev(coef, domain=[A, B])
-    return norm, series.convert(kind=Polynomial)
+            f"(bracket {1.0 - 1.0 / norm:.1e} relative, tol {_REMEZ_TOL:g})")
+    log_lo = n * math.log(half) + log_h
+    log_t = log_lo + math.log(norm)
+    if not math.log(np.finfo(float).tiny) <= log_lo <= log_t < math.log(np.finfo(float).max):
+        raise QuadratureError(f"minimax norm t_{n} = 10^{log_t / math.log(10):.1f} "
+                              f"lies outside the float range")
+    return math.exp(log_t), math.exp(log_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +430,9 @@ def capacity(E: IntervalUnion, method: str = "abel_integral", n: int | None = No
         # t_n >= 2 cap^n, with equality on intervals, so dividing out the 2
         # removes the persistent 2^(1/n) bias of the raw root.
         deg = 32 if n is None else n
-        t_n, _ = chebyshev_constant(E, deg)
+        t_n, lower = chebyshev_constant(E, deg)
         return CapacityReport((t_n / 2.0) ** (1.0 / deg), "chebyshev",
-                              {"n": deg, "t_n": t_n,
+                              {"n": deg, "t_n": t_n, "t_n_lower": lower,
                                "t_n_root": t_n ** (1.0 / deg)})
     if method == "abel_integral":
         from .abel import solve_R, abel_capacity

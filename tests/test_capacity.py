@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Legendre, Polynomial
 
 from capell.capacity import (
+    _critical_points,
     capacity,
     capacity_closed_form,
     capacity_preimage,
@@ -115,23 +117,37 @@ def test_fekete_readme_pair_interior_point():
     assert pts[1] == pytest.approx(-2.28355746341470191, abs=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 11), st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_fekete_critical_points_match_numpy_bit_for_bit(k, rows, seed):
+    # the batched ascent must pick the candidates the per-start numpy path picked
+    rng = np.random.default_rng(seed)
+    roots = rng.uniform(-1.0, 1.0, (rows, k))
+    roots[:, 0] = rng.choice([-1.0, -0.0, 0.0, 1.0, roots[0, 0]])
+    got = _critical_points(roots)
+    for r, g in zip(roots, got):
+        want = Polynomial.fromroots(r).deriv().roots().real + 0.0
+        assert g.tobytes() == want.tobytes()
+
+
 # -- Chebyshev / Remez -------------------------------------------------------------
 
 
-def test_chebyshev_norm_interval():
-    t2, p2 = chebyshev_constant(I22, 2)
-    assert t2 == pytest.approx(2.0, rel=1e-10)
-    assert np.allclose(p2.coef, (-2.0, 0.0, 1.0), atol=1e-9)
+def _assert_bracket(t_n, lower, exact):
+    """lower <= exact <= t_n up to rounding, and the bracket within 1e-12 relative."""
+    assert 0.0 <= t_n - lower <= 1e-12 * t_n
+    assert lower <= exact * (1 + 1e-12) and t_n >= exact * (1 - 1e-12)
 
-    t5, p5 = chebyshev_constant(I22, 5)
-    assert t5 == pytest.approx(2.0, rel=1e-10)
-    assert np.allclose(p5.coef, (0.0, 5.0, 0.0, -5.0, 0.0, 1.0), atol=1e-8)
+
+def test_chebyshev_norm_interval():
+    # 2 T_n(x/2) is the monic minimax polynomial on [-2, 2]
+    for n in (2, 5):
+        _assert_bracket(*chebyshev_constant(I22, n), 2.0)
 
 
 def test_chebyshev_degree_one_midpoint():
-    t1, p1 = chebyshev_constant(make_interval_union([(0, 4)]), 1)
-    assert t1 == pytest.approx(2.0, rel=1e-12)
-    assert np.allclose(p1.coef, (-2.0, 1.0), atol=1e-10)
+    # x - 2 on [0, 4]
+    _assert_bracket(*chebyshev_constant(make_interval_union([(0, 4)]), 1), 2.0)
 
 
 def test_chebyshev_union_degree_one():
@@ -147,11 +163,50 @@ def test_chebyshev_norm_dominates_capacity():
         assert t_n ** (1.0 / n) >= cap - 1e-9
 
 
-@pytest.mark.parametrize("n", range(2, 17, 2))
+@pytest.mark.parametrize("n", [*range(2, 17, 2), 24, 32, 48, 64, 96, 128])
 def test_chebyshev_pair_is_exact(n):
     # x^2 maps the pair onto [2, 8], so t_n = 2 ((8 - 2)/4)^(n/2)
-    t_n, _ = chebyshev_constant(PAIR, n)
+    t_n, lower = chebyshev_constant(PAIR, n)
     assert t_n == pytest.approx(2.0 * 1.5 ** (n / 2), rel=1e-12)
+    _assert_bracket(t_n, lower, 2.0 * 1.5 ** (n / 2))
+
+
+def _pell_bands(roots, M):
+    """Bands of {|P| <= M} for P with the given roots, each end the float
+    nearest a root of P -+ M (two Newton steps in exact arithmetic)."""
+    cs = [Fraction(1)]
+    for x0 in map(Fraction, roots):  # multiply by (x - x0)
+        cs = [Fraction(0)] + cs
+        for k in range(len(cs) - 1):
+            cs[k] -= x0 * cs[k + 1]
+    P = Polynomial([float(c) for c in cs])
+    ends = []
+    for level in (M, -M):
+        for x in (P - level).roots().real:
+            x = Fraction(x)
+            for _ in range(2):
+                val = sum(c * x**k for k, c in enumerate(cs)) - Fraction(level)
+                x -= val / sum(k * c * x ** (k - 1) for k, c in enumerate(cs) if k)
+            ends.append(float(x))
+    ends.sort()
+    return make_interval_union(list(zip(ends[::2], ends[1::2])))
+
+
+@pytest.mark.parametrize("roots", [(0.0, 1.7), (0.0, 1.6, 3.3), (-2.5, -0.8, 0.9, 2.6)],
+                         ids=["r2", "r3", "r4"])
+@pytest.mark.parametrize("n", range(16, 65, 8))
+def test_chebyshev_pell_unions(roots, n):
+    # E = P^-1([-M, M]) has cap (M/2)^(1/r) and t_n(E) >= 2 cap^n, with
+    # equality at n = kr, where 2 (M/2)^k T_k(P/M) is extremal
+    r = len(roots)
+    P = Polynomial.fromroots(roots)
+    M = 0.65 * np.min(np.abs(P(P.deriv().roots())))
+    t_n, lower = chebyshev_constant(_pell_bands(roots, M), n)
+    low = 2.0 * (M / 2.0) ** (n / r)
+    if n % r == 0:
+        _assert_bracket(t_n, lower, low)
+    else:
+        assert 0.0 <= t_n - lower <= 1e-12 * t_n and t_n >= low * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("s", [1e-3, 0.1, 10.0])
@@ -165,15 +220,18 @@ def test_chebyshev_scales_as_s_to_the_n(s, n):
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.05, 0.95), st.floats(0.01, 100.0), st.integers(1, 8))
-def test_chebyshev_symmetric_pairs_exact_or_exit(ratio, b, half_n):
-    # the exchange meets its tolerance or says so; it never returns a wrong value
+def test_chebyshev_symmetric_pairs_exact(ratio, b, half_n):
+    # the exchange closes its bracket on every pair, around the exact value
     a, n = ratio * b, 2 * half_n
-    E = make_interval_union([(-b, -a), (a, b)])
-    try:
-        t_n, _ = chebyshev_constant(E, n)
-    except QuadratureError:
-        return
-    assert t_n == pytest.approx(2.0 * ((b * b - a * a) / 4.0) ** half_n, rel=1e-10, abs=0.0)
+    t_n, lower = chebyshev_constant(make_interval_union([(-b, -a), (a, b)]), n)
+    assert 0.0 <= t_n - lower <= 1e-12 * t_n
+    assert t_n == pytest.approx(2.0 * ((b * b - a * a) / 4.0) ** half_n, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("bands,n", [([(0.0, 1e-5)], 64), ([(-1e300, 1e300)], 4)])
+def test_chebyshev_outside_float_range_raises(bands, n):
+    with pytest.raises(QuadratureError, match="outside the float range"):
+        chebyshev_constant(make_interval_union(bands), n)
 
 
 # -- dispatcher ---------------------------------------------------------------------
@@ -189,6 +247,7 @@ def test_capacity_dispatcher_routes():
     r = capacity(I22, method="chebyshev", n=64)
     assert r.value == pytest.approx(1.0, abs=1e-3)
     assert r.diagnostics["t_n"] == pytest.approx(2.0, rel=1e-9)
+    assert 0.0 <= r.diagnostics["t_n"] - r.diagnostics["t_n_lower"] <= 1e-12 * 2.0
 
     r = capacity(I22, method="fekete", n=6)
     assert r.value >= 1.0

@@ -8,6 +8,7 @@ import pytest
 import capell.capacity
 import capell.cli
 from capell.cli import dump_problem, load_problem, main
+from capell.core import make_interval_union
 
 PAIR_BANDS = json.dumps([[-math.sqrt(8), -math.sqrt(2)], [math.sqrt(2), math.sqrt(8)]])
 
@@ -38,6 +39,7 @@ def test_cap_chebyshev_normalized(capsys):
                             "--n", "64"])
     assert abs(rep["value"] - 1.0) < 1e-3
     assert rep["diagnostics"]["n"] == 64
+    assert rep["diagnostics"]["t_n_lower"] <= rep["diagnostics"]["t_n"]
 
 
 # -- eqm / fekete / energy ---------------------------------------------------------
@@ -336,13 +338,46 @@ def test_exit_codes(capsys):
 
 
 def test_minimax_exit_names_stage_and_tolerance(capsys):
-    # the bracket stalls near 1e-11, above the relative tolerance
-    argv = ["cap", "--bands", "[[-2.3708,-1.4152],[1.7238,2.0630]]",
-            "--method", "chebyshev", "--n", "14"]
-    assert main(argv) == 4
-    err = capsys.readouterr().err
-    assert "minimax exchange: no convergence in 200 iterations" in err
-    assert "relative, tol 1e-12)" in err
+    # t_4 = 2 (1e300/2)^4 overflows and t_64 = 2 (2.5e-6)^64 underflows
+    for bands, n in (("[[-1e300,1e300]]", "4"), ("[[0,1e-5]]", "64")):
+        assert main(["cap", "--bands", bands, "--method", "chebyshev", "--n", n]) == 4
+        err = capsys.readouterr().err
+        assert f"minimax norm t_{n} = 10^" in err and "outside the float range" in err
+
+
+def test_minimax_closes_a_former_stall(capsys):
+    # a hull Chebyshev basis stalled here near 1e-11; the bracket now closes
+    E = [(-2.3708, -1.4152), (1.7238, 2.0630)]
+    rep = run_json(capsys, ["cap", "--bands", json.dumps(E), "--method", "chebyshev",
+                            "--n", "14"])["diagnostics"]
+    assert 0.0 <= rep["t_n"] - rep["t_n_lower"] <= 1e-12 * rep["t_n"]
+    cap = capell.capacity.capacity(make_interval_union(E)).value
+    assert rep["t_n"] >= 2.0 * cap**14 * (1 - 1e-9)
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_fekete_at_the_float_range_edge(capsys):
+    # the pairwise distances of points near +-1e308 overflow unless mapped first
+    rc = main(["fekete", "--bands", "[[-1e308,1e308]]", "--n", "5"])
+    wide = _strict_json(capsys.readouterr().out)
+    assert rc == 0
+    unit = run_json(capsys, ["fekete", "--bands", "[[-1,1]]", "--n", "5"])
+    assert wide["diameter"] == pytest.approx(1e308 * unit["diameter"], rel=1e-12)
+
+    # d_2 = 2e308 is not a float; d_5 of a slightly smaller union is
+    assert main(["cap", "--bands", "[[-1e308,1e308]]", "--method", "fekete", "--n", "5"]) == 4
+    assert "Fekete diameter d_2 lies outside the float range" in capsys.readouterr().err
+    rc = main(["cap", "--bands", "[[-8e307,8e307]]", "--method", "fekete", "--n", "5"])
+    wide = _strict_json(capsys.readouterr().out)
+    assert rc == 0
+    unit = run_json(capsys, ["cap", "--bands", "[[-1,1]]", "--method", "fekete", "--n", "5"])
+    for d, d1 in zip(wide["diagnostics"]["d_n"], unit["diagnostics"]["d_n"]):
+        assert d == pytest.approx(8e307 * d1, rel=1e-12)
 
 
 def test_unknown_problem_key(capsys, tmp_path):
