@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import IntervalUnion, QuadratureError
+from .core import IntervalUnion, QuadratureError, _unit_map
 
 __all__ = [
     "cheb_nodes",
@@ -119,12 +119,12 @@ class EndpointSystem:
         return log_abs_sum(x, self._skip(2 * j + 1, 2 * j + 2))
 
     def band_nodes(self, j: int, n: int) -> np.ndarray:
-        u, v = self.E.bands[j]
-        return 0.5 * (u + v) + 0.5 * (v - u) * cheb_nodes(n)
+        mid, half = _unit_map(*self.E.bands[j])
+        return mid + half * cheb_nodes(n)
 
     def gap_nodes(self, j: int, n: int) -> np.ndarray:
-        u, v = self.E.bands[j][1], self.E.bands[j + 1][0]
-        return 0.5 * (u + v) + 0.5 * (v - u) * cheb_nodes(n)
+        mid, half = _unit_map(self.E.bands[j][1], self.E.bands[j + 1][0])
+        return mid + half * cheb_nodes(n)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +162,8 @@ class ThetaDensity:
 
     # -- geometry ------------------------------------------------------------
 
-    def _mid_rho(self, j: int) -> tuple[float, float]:
-        u, v = self.E.bands[j]
-        return 0.5 * (u + v), 0.5 * (v - u)
-
     def _theta_of(self, j: int, x: float) -> float:
-        m, rho = self._mid_rho(j)
+        m, rho = _unit_map(*self.E.bands[j])
         return float(np.arccos(np.clip((x - m) / rho, -1.0, 1.0)))
 
     # -- masses and distribution ---------------------------------------------
@@ -185,7 +181,7 @@ class ThetaDensity:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(xs)
         for j, (u, v) in enumerate(self.E.bands):
-            m, rho = self._mid_rho(j)
+            m, rho = _unit_map(u, v)
             inside = (xs >= u) & (xs <= v)
             if not np.any(inside):
                 continue
@@ -201,7 +197,7 @@ class ThetaDensity:
         edges = np.linspace(0.0, np.pi, self.n + 1)
         left_mass = np.concatenate(([0.0], np.cumsum(self._masses)))
         for j, (u, v) in enumerate(self.E.bands):
-            m, rho = self._mid_rho(j)
+            m, rho = _unit_map(u, v)
             sel = xs >= u
             below = xs >= v
             mid = sel & ~below
@@ -218,7 +214,7 @@ class ThetaDensity:
         xs_all, fs_all = [], []
         offset = 0.0
         for j, (u, v) in enumerate(self.E.bands):
-            m, rho = self._mid_rho(j)
+            m, rho = _unit_map(u, v)
             th = np.linspace(np.pi, 0.0, self.n + 1)
             xg = m + rho * np.cos(th)
             fg = offset + (self._masses[j] - np.interp(th, np.linspace(0, np.pi, self.n + 1), self._cum[j]))
@@ -237,7 +233,7 @@ class ThetaDensity:
         h = np.pi / self.n
         tot = 0.0
         for j in range(self.E.n_bands):
-            m, rho = self._mid_rho(j)
+            m, rho = _unit_map(*self.E.bands[j])
             w = m + rho * np.cos(self._theta)
             tot += h * float(np.sum(np.asarray(fn(w)) * self._qs[j]))
         return tot
@@ -263,7 +259,7 @@ class ThetaDensity:
         """I = double integral of log|x - y| against the density squared."""
         total = 0.0
         for j in range(self.E.n_bands):
-            _, rho = self._mid_rho(j)
+            _, rho = _unit_map(*self.E.bands[j])
             a = self.cos_coeffs(j)
             k = np.arange(1, len(a))
             total += self._masses[j] ** 2 * math.log(rho / 2.0) - 2.0 * float(
@@ -279,7 +275,7 @@ class ThetaDensity:
             wq = w01 * (np.pi / 2)
             ws, qs = [], []
             for j in range(nb):
-                m, rho = self._mid_rho(j)
+                m, rho = _unit_map(*self.E.bands[j])
                 ws.append(m + rho * np.cos(th))
                 qs.append(np.asarray(self.profiles[j](th), dtype=float) * wq)
             for i in range(nb):
@@ -298,7 +294,7 @@ class ThetaDensity:
         zc = complex(z)
         total = 0.0
         for j, (u, v) in enumerate(self.E.bands):
-            m, rho = self._mid_rho(j)
+            m, rho = _unit_map(u, v)
             if zc.imag == 0.0 and u <= zc.real <= v:
                 thz = self._theta_of(j, zc.real)
                 a = self.cos_coeffs(j)
@@ -328,7 +324,7 @@ def uniform_density(E: IntervalUnion, nsamples: int = 4096) -> ThetaDensity:
     L = E.total_length
 
     def make(j: int):
-        rho = 0.5 * (E.bands[j][1] - E.bands[j][0])
+        _, rho = _unit_map(*E.bands[j])
 
         def q(theta: np.ndarray) -> np.ndarray:
             return rho * np.sin(theta) / L
@@ -346,8 +342,7 @@ def density_from_callable(
     """Wrap a pointwise x-space density fn(x) as a ThetaDensity."""
 
     def make(j: int):
-        u, v = E.bands[j]
-        m, rho = 0.5 * (u + v), 0.5 * (v - u)
+        m, rho = _unit_map(*E.bands[j])
 
         def q(theta: np.ndarray) -> np.ndarray:
             w = m + rho * np.cos(theta)

@@ -8,7 +8,8 @@ are omega_j = eta_j/pi with eta_j the band integrals of |R|/sqrt|D|, and
 
     v(E) = lim_{x->oo} ( log x - int_{b_g}^x R/sqrt(D) )
 
-gives the capacity cap(E) = exp(v(E)).
+gives the capacity cap(E) = exp(v(E)); it is taken on E mapped onto [-1, 1],
+plus log of the half-width, so every scale the floats carry works.
 
 The solver parameterizes R by its gap roots (one unknown per gap), which
 stays well conditioned even with hundreds of bands, where a monomial-basis
@@ -30,6 +31,7 @@ from .core import (
     ExactPoly,
     IntervalUnion,
     QuadratureError,
+    _unit_map,
     make_interval_union,
 )
 from ._quad import EndpointSystem, ThetaDensity, adaptive_double, gauss_legendre, log_abs_sum
@@ -93,7 +95,6 @@ class _GapSolver:
     def __init__(self, E: IntervalUnion):
         self.es = EndpointSystem(E)
         self.g = E.g
-        self.scale = E.diameter
 
     def setup(self, n: int):
         # node grids and LOG cofactor weights; exponentials are only taken
@@ -183,36 +184,41 @@ class _GapSolver:
         return eta
 
 
+_TAIL_TERMS = 64
+
+
 def _v_right(E: IntervalUnion, z: np.ndarray, tol: float = 5e-11) -> float:
-    """log-capacity from the decay of log x - int_{b_g}^x R/sqrt(D)."""
-    ends = np.asarray(E.endpoints)
+    """v(E) = lim_{x->oo} (log x - int_{b_g}^x R/sqrt(D)) for R rooted at z.
+
+    E and z are mapped onto [-1, 1] by x = mid + half*x', which leaves the
+    integral alone and adds log half to log x: v(E) = v(E') + log half at any
+    scale.  On E' the head, b_g to 2, is adaptive Gauss-Legendre in
+    s = sqrt(x' - b_g).  For |x'| > 1, R/sqrt(D) = exp(-sum p_m x'^-m / m) / x'
+    with p_m = sum_j z_j^m - (1/2) sum_k e_k^m, so the tail
+    int_2^oo (R/sqrt(D) - 1/x') dx' = sum_m c_m 2^-m / m for the coefficients
+    c_m of exp(-sum p_m u^m / m), of radius 1: 64 terms leave about 2^-64.
+    """
+    mid, half = _unit_map(*E.hull)
+    ends = (np.asarray(E.endpoints) - mid) / half
+    z = (np.asarray(z, dtype=float) - mid) / half
     b_g = float(ends[-1])
-    x0 = max(1.0, 2.0 * float(np.max(np.abs(ends))), b_g + 0.6 * E.diameter)
-
-    def rd_log(x: np.ndarray) -> np.ndarray:
-        # log of R(x)/sqrt(D(x)) for x > b_g (all factors positive)
-        return log_abs_sum(x, z) - 0.5 * log_abs_sum(x, ends)
-
-    S = math.sqrt(x0 - b_g)
+    S = math.sqrt(2.0 - b_g)
     others = ends[:-1]
 
-    def I1(n: int) -> float:
+    def head(n: int) -> float:
         t, w = gauss_legendre(n)
         s = 0.5 * S * (t + 1.0)
         x = b_g + s * s
-        lf = log_abs_sum(x, z) - 0.5 * log_abs_sum(x, others)
-        return 0.5 * S * float(np.sum(w * 2.0 * np.exp(lf)))
+        return S * float(np.sum(w * np.exp(log_abs_sum(x, z) - 0.5 * log_abs_sum(x, others))))
 
-    def I2(n: int) -> float:
-        t, w = gauss_legendre(n)
-        u = 0.5 * (t + 1.0)
-        x = x0 / u
-        f = (np.exp(rd_log(x)) - 1.0 / x) * (x0 / (u * u))
-        return 0.5 * float(np.sum(w * f))
-
-    v1, _, _ = adaptive_double(I1, tol, n0=64, nmax=1 << 13, context="capacity head integral")
-    v2, _, _ = adaptive_double(I2, tol, n0=64, nmax=1 << 13, context="capacity tail integral")
-    return math.log(x0) - v1 - v2
+    v1, _, _ = adaptive_double(head, tol, n0=64, nmax=1 << 13, context="capacity head integral")
+    m = np.arange(1, _TAIL_TERMS + 1)
+    p = (np.vander(z, _TAIL_TERMS + 1, increasing=True).sum(axis=0)
+         - 0.5 * np.vander(ends, _TAIL_TERMS + 1, increasing=True).sum(axis=0))
+    c = np.r_[1.0, np.zeros(_TAIL_TERMS)]
+    for k in range(1, _TAIL_TERMS + 1):
+        c[k] = -(p[1:k + 1] @ c[k - 1::-1]) / k
+    return math.log(2.0) - v1 - float(np.sum(c[1:] / (m * 2.0 ** m))) + math.log(half)
 
 
 def solve_R(E: IntervalUnion) -> AbelDatum:
@@ -224,7 +230,7 @@ def solve_R(E: IntervalUnion) -> AbelDatum:
         z = np.empty(0)
         resid = 0.0
     else:
-        z = np.array([0.5 * (u + v) for u, v in E.gaps])
+        z = np.array([_unit_map(u, v)[0] for u, v in E.gaps])
         n = 64
         while True:
             X, logbw = solver.setup(n)
@@ -313,8 +319,7 @@ class BandDensity:
         z = np.asarray(datum.gap_roots)
 
         def make(j: int):
-            u, v = E.bands[j]
-            m, rho = 0.5 * (u + v), 0.5 * (v - u)
+            m, rho = _unit_map(*E.bands[j])
             return lambda theta: es.band_profile(j, m + rho * np.cos(theta), z) / np.pi
 
         self._theta = ThetaDensity(E, [make(j) for j in range(E.n_bands)], nsamples)

@@ -29,6 +29,7 @@ from numpy.polynomial import Polynomial
 from .core import (
     IntervalUnion,
     QuadratureError,
+    _unit_map,
     make_interval_union,
 )
 from ._quad import ThetaDensity, density_from_callable
@@ -83,12 +84,13 @@ def capacity_closed_form(shape) -> float:
         (a, b) = params
         if not a < b:
             raise ValueError("interval needs a < b")
-        return (b - a) / 4.0
+        return 0.25 * b - 0.25 * a
     if tag == "symmetric_pair":
         (a, b) = params
         if not 0 < a < b:
             raise ValueError("symmetric pair needs 0 < a < b")
-        return 0.5 * math.sqrt(b * b - a * a)
+        # 0.5 sqrt(b^2 - a^2), with no square formed
+        return math.sqrt(0.5 * b - 0.5 * a) * math.sqrt(0.5 * b + 0.5 * a)
     if tag == "circle":
         (r,) = params
         if not r > 0:
@@ -124,12 +126,6 @@ def _vander_log(x: np.ndarray) -> float:
     if np.any(vals == 0.0):
         return -np.inf
     return float(np.sum(np.log(vals)))
-
-
-def _unit_map(lo: float, hi: float) -> tuple[float, float]:
-    """(mid, half) with [lo, hi] = mid +- half, formed without overflow."""
-    lo, hi = float(lo), float(hi)
-    return 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
 
 
 def _critical_points(roots: np.ndarray) -> np.ndarray:

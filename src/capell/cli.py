@@ -187,7 +187,7 @@ def _run_eqm(cfg: RunConfig) -> str:
     }
     rows: list[tuple[float, float]] = []
     for (u, v) in E.bands:
-        xs = np.linspace(u, v, samples + 2)[1:-1]
+        xs = 2.0 * np.linspace(0.5 * u, 0.5 * v, samples + 2)[1:-1]  # v - u may overflow
         qs = mu.density(xs)
         rows.extend((float(x), float(d)) for x, d in zip(xs, qs))
     if (cfg.format or "csv") == "json":

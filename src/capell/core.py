@@ -114,13 +114,20 @@ class IntervalUnion:
         return self.scaled(-1.0)
 
 
+def _unit_map(lo: float, hi: float) -> tuple[float, float]:
+    """(mid, half) with [lo, hi] = mid +- half, formed without overflow."""
+    lo, hi = float(lo), float(hi)
+    return 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+
+
 def make_interval_union(pairs: Iterable[Sequence[Number]]) -> IntervalUnion:
     """Normalize raw (a, b) pairs into a sorted disjoint ``IntervalUnion``.
 
     Endpoints must be finite.  Overlapping or touching intervals are merged.
     When every endpoint is an int or Fraction the merge decision is exact;
     with float endpoints two bands merge when the gap between them is below
-    1e-12 of the overall diameter.
+    1e-12 of the overall diameter.  A union whose half-width rounds to 0 in
+    floats raises ValueError.
     """
     raw = [tuple(p) for p in pairs]
     if not raw:
@@ -139,12 +146,12 @@ def make_interval_union(pairs: Iterable[Sequence[Number]]) -> IntervalUnion:
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"interval [{a}, {b}] has an infinite endpoint")
     raw.sort(key=lambda p: (p[0], p[1]))
-    if exact:
-        tol: Number = 0
-    else:
-        lo = min(float(a) for a, _ in raw)
-        hi = max(float(b) for _, b in raw)
-        tol = 1e-12 * (hi - lo)
+    lo, hi = raw[0][0], max(b for _, b in raw)
+    _, half = _unit_map(lo, hi)
+    if half == 0.0:
+        raise ValueError(f"interval union [{lo}, {hi}] is below the float range: "
+                         f"its half-width rounds to 0")
+    tol: Number = 0 if exact else 2e-12 * half
     merged: list[list[Number]] = [list(raw[0])]
     for a, b in raw[1:]:
         if a - merged[-1][1] <= tol:

@@ -26,6 +26,7 @@ from .core import (
     IntervalUnion,
     NonSquarefreeError,
     _refined,
+    _unit_map,
     isolate_real_roots,
     make_interval_union,
 )
@@ -142,8 +143,7 @@ def _poly_sqrt(S: Polynomial) -> tuple[Polynomial, float]:
 def _band_phases(datum: AbelDatum, j: int, thetas: np.ndarray) -> np.ndarray:
     """psi(t) = pi * integral_0^t of the band-j angle profile of the
     equilibrium density (so psi(pi) = pi * omega_j)."""
-    u, v = datum.E.bands[j]
-    m, rho = 0.5 * (u + v), 0.5 * (v - u)
+    m, rho = _unit_map(*datum.E.bands[j])
     es = EndpointSystem(datum.E)
     z = np.asarray(datum.gap_roots)
 
@@ -182,7 +182,7 @@ def construct_pa_polynomial(datum: AbelDatum, r: int) -> PellAbelDatum:
 
     xs_all, ys_all = [], []
     for j, (u, v) in enumerate(E.bands):
-        m, rho = 0.5 * (u + v), 0.5 * (v - u)
+        m, rho = _unit_map(u, v)
         k = max(4 * r, 16)
         t = (np.arange(k) + 0.5) * np.pi / k
         psi = _band_phases(datum, j, t)
@@ -192,7 +192,8 @@ def construct_pa_polynomial(datum: AbelDatum, r: int) -> PellAbelDatum:
     ys = np.concatenate(ys_all)
 
     A, B = E.hull
-    u01 = (2.0 * xs - (A + B)) / (B - A)
+    mid, half = _unit_map(A, B)
+    u01 = (xs - mid) / half
     V = np.polynomial.chebyshev.chebvander(u01, r)
     coef, *_ = np.linalg.lstsq(V, ys, rcond=None)
     fit_resid = float(np.max(np.abs(V @ coef - ys)))
@@ -285,10 +286,7 @@ def certify_structure(pa: PellAbelDatum) -> dict:
     report["alternation"] = (alt_ok, {"band_extreme_values": alt_detail})
 
     # containment: |P| > M strictly off E, |P| <= M on E
-    off_pts = []
-    for j in range(E.g):
-        u, v = E.bands[j][1], E.bands[j + 1][0]
-        off_pts.append(0.5 * (u + v))
+    off_pts = [_unit_map(u, v)[0] for u, v in E.gaps]
     lo, hi = E.hull
     off_pts += [lo - 0.1 * E.diameter, hi + 0.1 * E.diameter]
     off_ok = all(abs(float(P(np.array([x]))[0])) > M for x in off_pts)

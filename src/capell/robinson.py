@@ -26,6 +26,7 @@ from .core import (
     CertificationError,
     ExactPoly,
     IntervalUnion,
+    _unit_map,
 )
 from .abel import BandDensity
 from .pellabel import PellAbelDatum
@@ -202,11 +203,9 @@ def correction_Cn(inst: RobinsonInstance, n: int) -> tuple[ExactPoly, ExactPoly]
 
 
 def _band_samples(E: IntervalUnion, per_band: int = 512) -> np.ndarray:
-    xs = []
-    for (u, v) in E.bands:
-        t = np.linspace(0.0, np.pi, per_band)
-        xs.append(0.5 * (u + v) + 0.5 * (v - u) * np.cos(t))
-    return np.concatenate(xs)
+    c = np.cos(np.linspace(0.0, np.pi, per_band))
+    maps = [_unit_map(u, v) for u, v in E.bands]
+    return np.concatenate([mid + half * c for mid, half in maps])
 
 
 def _eval_structured(inst: RobinsonInstance, n: int,

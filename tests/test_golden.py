@@ -8,8 +8,13 @@ sweep (x2m5), and a three-band problem file with odd M, whose table skips an
 inadmissible n and ends off the powers of two.  The other subcommands run on
 [-2, 2] and on the README's two-band pair, whose gap exercises the gap-root
 solver, the band profiles and the Pell synthesis.
+
+The comparison is byte-exact.  On a mismatch the message names the first
+differing number and its relative change, the figure to state when a golden
+file is regenerated on purpose.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +22,26 @@ import pytest
 from capell.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+_NUMBER = re.compile(rb"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|Infinity)|NaN")
+
+
+def _first_difference(got: bytes, want: bytes) -> str:
+    """Where got first departs from the golden bytes want, by number."""
+    a, b = _NUMBER.findall(got), _NUMBER.findall(want)
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            fx, fy = float(x), float(y)
+            rel = abs(fx - fy) / abs(fy) if fy else abs(fx - fy)
+            return (f"number {i}: {x.decode()} where the golden file has {y.decode()}, "
+                    f"relative change {rel:.2e}")
+    if len(a) != len(b):
+        return f"{len(a)} numbers where the golden file has {len(b)}"
+    return "every number matches; the text between them differs"
+
+
+def _assert_golden(out: str, name: str) -> None:
+    got, want = out.encode(), (GOLDEN / name).read_bytes()
+    assert got == want, f"{name}: {_first_difference(got, want)}"
 
 CASES = [
     ("x2m6_d64", ["--preset", "x2m6", "--degree", "64"]),
@@ -53,7 +78,7 @@ def test_robinson_output_is_byte_identical(capsys, name, args, fmt):
     rc = main(["robinson", *args, "--format", fmt])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+    _assert_golden(out, f"{name}.{fmt}")
 
 
 @pytest.mark.parametrize("name,argv", CLI_CASES, ids=[c[0] for c in CLI_CASES])
@@ -61,4 +86,4 @@ def test_cli_output_is_byte_identical(capsys, name, argv):
     rc = main(argv)
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.encode() == (GOLDEN / name).read_bytes()
+    _assert_golden(out, name)
