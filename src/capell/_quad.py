@@ -60,7 +60,8 @@ def adaptive_double(
     nmax: int = 1 << 15,
     context: str = "integral",
 ):
-    """Double the node count until two consecutive estimates agree.
+    """Double the node count until two consecutive estimates agree, entry
+    by entry for an array, relative to max(1, max|estimate|).
 
     Returns (value, est_error, nodes_used); raises QuadratureError when nmax
     is exhausted without convergence.
@@ -70,8 +71,8 @@ def adaptive_double(
     while n < nmax:
         n *= 2
         cur = eval_fn(n)
-        err = abs(cur - prev)
-        if err <= tol * max(1.0, abs(cur)):
+        err = float(np.abs(cur - prev).max())
+        if err <= tol * max(1.0, float(np.abs(cur).max())):
             return cur, err, n
         prev = cur
     raise QuadratureError(f"{context}: no convergence below {tol} with {nmax} nodes")

@@ -11,11 +11,15 @@ are omega_j = eta_j/pi with eta_j the band integrals of |R|/sqrt|D|, and
 gives the capacity cap(E) = exp(v(E)); it is taken on E mapped onto [-1, 1],
 plus log of the half-width, so every scale the floats carry works.
 
-The solver parameterizes R by its gap roots (one unknown per gap), which
-stays well conditioned even with hundreds of bands, where a monomial-basis
-linear solve would be hopeless.  All inverse-square-root integrals use the
-Chebyshev substitution of ``_quad``; products over many roots/endpoints are
-accumulated in log space.
+The solver parameterizes R by its gap roots z (one per gap), which stays
+well conditioned with hundreds of bands.  Gap i carries n Chebyshev nodes
+X_ik (``_quad``), and one kernel, w_ik prod_{j != i} |X_ik - z_j| with w the
+1/sqrt(D) cofactor weight, summed in log space and centred per row, gives
+the residuals F_i = int R/sqrt(D), their scales W_i and the Jacobian.  A
+Jacobi warm-up moves each z_i to its row's centre of mass; Newton then stops
+at max|F|/W < 1e-13 or when a step fails to halve it.  The roots are
+re-checked on 2n nodes, to 1e-10; if they fail, that grid is the next solve
+grid, n = 64 up to 1024.  Band masses double their nodes until they settle.
 """
 
 from __future__ import annotations
@@ -84,104 +88,71 @@ class AbelDatum:
 # ---------------------------------------------------------------------------
 
 
-class _GapSolver:
-    """Newton iteration on the gap roots z (one per gap) of R.
+def _gap_grid(es: EndpointSystem, n: int):
+    """n Chebyshev nodes X[i] on each gap i and the log of the weight
+    1/sqrt of D's cofactor there, both (g, n)."""
+    X = np.array([es.gap_nodes(i, n) for i in range(es.g)])
+    return X, np.array([-0.5 * es.log_cofactor_gap(i, x) for i, x in enumerate(X)])
 
-    Residual F_i(z) = int over gap i of prod_j (x - z_j) / sqrt(D);
-    the Jacobian entries are the same integrals with one factor removed.
-    Everything is evaluated on shared Chebyshev node grids in log space.
-    """
 
-    def __init__(self, E: IntervalUnion):
-        self.es = EndpointSystem(E)
-        self.g = E.g
+def _kernel(X: np.ndarray, logw: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """core[i, k] = w_ik prod_{j != i} |X_ik - z_j| over its row maximum, so
+    no product under- or overflows; F_i, W_i and row i of J share that
+    factor, which leaves the Newton step and F/W alone.  The log is taken
+    in place: one (g, n, g) tensor is alive at a time."""
+    L = X[:, :, None] - z
+    np.abs(L, out=L)
+    np.log(L, out=L)
+    lw = L.sum(axis=2) - L.diagonal(axis1=0, axis2=2).T + logw
+    return np.exp(lw - lw.max(axis=1, keepdims=True))
 
-    def setup(self, n: int):
-        # node grids and LOG cofactor weights; exponentials are only taken
-        # after combining with the root products, with a per-row shift, so
-        # nothing overflows even with hundreds of endpoints
-        g = self.g
-        X = np.empty((g, n))
-        logbw = np.empty((g, n))
-        for i in range(g):
-            X[i] = self.es.gap_nodes(i, n)
-            logbw[i] = -0.5 * self.es.log_cofactor_gap(i, X[i])
-        return X, logbw
 
-    @staticmethod
-    def _logZ(X: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.log(np.abs(X[:, :, None] - z[None, None, :]))
+def _residual(z, X, logw, jac=False):
+    """F_i = int over gap i of R/sqrt(D), its scale W_i (the same with |R|)
+    and, if asked, J = dF/dz, up to the row factors of ``_kernel``."""
+    g, h = len(z), np.pi / X.shape[1]
+    core = _kernel(X, logw, z)
+    dx = X - z[:, None]
+    # sign of prod_{j != i} (x - z_j) on gap i: the g - 1 - i roots above
+    sig = (-1.0) ** (g - 1 - np.arange(g))
+    F = h * sig * (dx * core).sum(axis=1)
+    W = h * (np.abs(dx) * core).sum(axis=1)
+    if not jac:
+        return F, W, None
+    # J[i, l] = -h sig_i sum_k dx_ik core_ik / (X_ik - z_l); at l = i this
+    # is -h sig_i sum_k core_ik
+    Q = X[:, :, None] - z
+    np.reciprocal(Q, out=Q)
+    return F, W, -h * sig[:, None] * np.einsum("ik,ikl->il", dx * core, Q)
 
-    def _sigma(self, i: int) -> float:
-        # sign of prod_{j != i} (x - z_j) on gap i: roots above contribute -1
-        return -1.0 if (self.g - 1 - i) % 2 else 1.0
 
-    def residuals(self, z, X, logbw, want_jac=False):
-        g, n = X.shape
-        h = np.pi / n
-        logZ = self._logZ(X, z)
-        rowT = logZ.sum(axis=2)
-        F = np.empty(g)
-        W = np.empty(g)
-        J = np.empty((g, g)) if want_jac else None
-        for i in range(g):
-            lw = rowT[i] - logZ[i, :, i] + logbw[i]
-            # center each row in log space: a common positive factor scales
-            # F_i, W_i and the Jacobian row together, leaving the Newton step
-            # and the normalized residual F/W unchanged while avoiding
-            # under/overflow however extreme the root and endpoint products
-            core = np.exp(lw - float(np.max(lw)))
-            dxi = X[i] - z[i]
-            sig = self._sigma(i)
-            F[i] = h * sig * float(np.sum(dxi * core))
-            W[i] = h * float(np.sum(np.abs(dxi) * core))
-            if want_jac:
-                s_k = np.where(np.arange(g) < i, 1.0, -1.0)
-                J[i] = -h * sig * s_k * ((dxi * core) @ np.exp(-logZ[i]))
-                J[i, i] = -h * sig * float(np.sum(core))
-        return F, W, J
+def _newton(z, X, logw, lo, hi, tol=1e-13, iters=40):
+    """Newton on the gap conditions, clipped into [lo, hi].  It stops once
+    max|F|/W is below tol or a step fails to halve it; a step that raises
+    it is not taken."""
+    F, W, J = _residual(z, X, logw, jac=True)
+    r = float(np.max(np.abs(F) / W))
+    cond = 0.0 if r < tol else float(np.linalg.cond(J))
+    if not cond <= 1e13:
+        raise QuadratureError(f"gap-root system ill conditioned (cond ~ {cond:.2e})")
+    for _ in range(iters):
+        if r < tol:
+            break
+        z_new = np.clip(z + np.linalg.solve(J, -F), lo, hi)
+        F, W, J = _residual(z_new, X, logw, jac=True)
+        r, r_old = float(np.max(np.abs(F) / W)), r
+        if r <= r_old:
+            z = z_new
+        if not r <= 0.5 * r_old:
+            break
+    return z
 
-    def jacobi_warmup(self, z, X, logbw, iters=12):
-        g, n = X.shape
-        for _ in range(iters):
-            logZ = self._logZ(X, z)
-            rowT = logZ.sum(axis=2)
-            znew = z.copy()
-            for i in range(g):
-                lw = rowT[i] - logZ[i, :, i] + logbw[i]
-                Gw = np.exp(lw - float(np.max(lw)))
-                znew[i] = float(np.sum(X[i] * Gw) / np.sum(Gw))
-            z = znew
-        return z
 
-    def newton(self, z, X, logbw, tol=1e-13, iters=40):
-        gaps = self.es.E.gaps
-        cond = 0.0
-        for it in range(iters):
-            F, W, J = self.residuals(z, X, logbw, want_jac=True)
-            if np.max(np.abs(F) / W) < tol:
-                break
-            if it == 0:
-                cond = float(np.linalg.cond(J))
-                if not np.isfinite(cond) or cond > 1e13:
-                    raise QuadratureError(
-                        f"gap-root system ill conditioned (cond ~ {cond:.2e})"
-                    )
-            step = np.linalg.solve(J, -F)
-            for i, (u, v) in enumerate(gaps):
-                pad = 1e-9 * (v - u)
-                z[i] = float(np.clip(z[i] + step[i], u + pad, v - pad))
-        F, W, _ = self.residuals(z, X, logbw)
-        return z, np.max(np.abs(F) / W), cond
-
-    def band_etas(self, z: np.ndarray, n: int) -> np.ndarray:
-        nb = self.es.n_bands
-        h = np.pi / n
-        eta = np.empty(nb)
-        for j in range(nb):
-            x = self.es.band_nodes(j, n)
-            eta[j] = h * float(np.sum(self.es.band_profile(j, x, z)))
-        return eta
+def _band_etas(es: EndpointSystem, z: np.ndarray, n: int) -> np.ndarray:
+    """eta_j = int over band j of |R|/sqrt|D|, on n Chebyshev nodes."""
+    h = np.pi / n
+    return np.array([h * float(np.sum(es.band_profile(j, es.band_nodes(j, n), z)))
+                     for j in range(es.n_bands)])
 
 
 _TAIL_TERMS = 64
@@ -223,35 +194,27 @@ def _v_right(E: IntervalUnion, z: np.ndarray, tol: float = 5e-11) -> float:
 
 def solve_R(E: IntervalUnion) -> AbelDatum:
     """Solve the gap conditions for R and assemble the full datum."""
-    g = E.g
-    solver = _GapSolver(E)
-
-    if g == 0:
-        z = np.empty(0)
-        resid = 0.0
-    else:
-        z = np.array([_unit_map(u, v)[0] for u, v in E.gaps])
-        n = 64
-        while True:
-            X, logbw = solver.setup(n)
-            if n == 64:
-                z = solver.jacobi_warmup(z, X, logbw)
-            z, resid, _ = solver.newton(z, X, logbw)
-            # re-check the solved roots on a finer grid before accepting
-            X2, logbw2 = solver.setup(2 * n)
-            F2, W2, _ = solver.residuals(z, X2, logbw2)
-            if np.max(np.abs(F2) / W2) < 1e-10:
+    es = EndpointSystem(E)
+    z = np.array([_unit_map(u, v)[0] for u, v in E.gaps])
+    if E.g:
+        lo, hi = np.array(E.gaps).T
+        pad = 1e-9 * (hi - lo)
+        X, logw = _gap_grid(es, 64)
+        for _ in range(12):  # Jacobi warm-up: z_i <- centre of mass of row i
+            core = _kernel(X, logw, z)
+            z = (X * core).sum(axis=1) / core.sum(axis=1)
+        for n in (64, 128, 256, 512, 1024):
+            z = _newton(z, X, logw, lo + pad, hi - pad)
+            # re-check on the doubled grid, the next solve grid if z fails
+            X, logw = _gap_grid(es, 2 * n)
+            F, W, _ = _residual(z, X, logw)
+            if np.max(np.abs(F) / W) < 1e-10:
                 break
-            n *= 2
-            if n > 1024:
-                raise QuadratureError("gap conditions: no stable solution below 2048 nodes")
+        else:
+            raise QuadratureError("gap conditions: no stable solution below 2048 nodes")
 
-    n_eta = 128
-    eta = solver.band_etas(z, n_eta)
-    eta2 = solver.band_etas(z, 2 * n_eta)
-    if np.max(np.abs(eta2 - eta)) > 1e-9 * math.pi:
-        eta2 = solver.band_etas(z, 4 * n_eta)
-    eta = eta2
+    eta, _, _ = adaptive_double(lambda n: _band_etas(es, z, n), 1e-9, n0=128,
+                                nmax=1 << 14, context="band masses")
     omega = eta / math.pi
     if abs(float(omega.sum()) - 1.0) > 1e-8:
         raise QuadratureError(f"band masses sum to {omega.sum()}, not 1")

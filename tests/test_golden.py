@@ -6,20 +6,25 @@ the code behind them; a change that keeps behaviour must keep every byte.
 ``robinson`` cases: integer lam (x2m6), half-integer lam with the correction
 sweep (x2m5), and a three-band problem file with odd M, whose table skips an
 inadmissible n and ends off the powers of two.  The other subcommands run on
-[-2, 2] and on the README's two-band pair, whose gap exercises the gap-root
-solver, the band profiles and the Pell synthesis.
+[-2, 2] and on the README's two-band pair, which exercises the band profiles
+and the Pell synthesis; on the pair the gap-root warm-up alone meets the
+tolerance, so no Newton step is taken.  ``cap`` on the 64-band pullback of
+[-2, 2] by six compositions of x^2 - 3 takes Newton steps and the fine-grid
+re-check on many gaps.
 
 The comparison is byte-exact.  On a mismatch the message names the first
 differing number and its relative change, the figure to state when a golden
 file is regenerated on purpose.
 """
 
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 from capell.cli import main
+from test_scale import _pell_ladder
 
 GOLDEN = Path(__file__).parent / "golden"
 _NUMBER = re.compile(rb"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|Infinity)|NaN")
@@ -58,6 +63,7 @@ CLI_CASES = [
     ("cap_closed_form.json", ["cap", "--bands", I22, "--method", "closed_form"]),
     ("cap_chebyshev_n64.json", ["cap", "--bands", I22, "--method", "chebyshev", "--n", "64"]),
     ("cap_abel_pair.json", ["cap", "--bands", PAIR]),
+    ("cap_abel_ladder64.json", ["cap", "--bands", json.dumps(_pell_ladder(6).bands)]),
     ("eqm_s5.csv", ["eqm", "--bands", I22, "--samples", "5"]),
     ("eqm_s5.json", ["eqm", "--bands", I22, "--samples", "5", "--format", "json"]),
     ("eqm_pair_s5.json", ["eqm", "--bands", PAIR, "--samples", "5", "--format", "json"]),

@@ -76,11 +76,43 @@ def _pell_ladder(k: int, c: float = 3.0):
     return make_interval_union(bands)
 
 
+def _ladder_critical_points(k: int, c: float = 3.0) -> np.ndarray:
+    """Critical points of P = f o ... o f (k times): P' = prod_m 2 P_m for the
+    partial compositions P_m, m < k, so they are the preimages of 0 under
+    each P_m."""
+    level, out = [0.0], [0.0]
+    for _ in range(k - 1):
+        level = [s * math.sqrt(c + y) for y in level for s in (-1.0, 1.0)]
+        out += level
+    return np.sort(out)
+
+
 @pytest.mark.parametrize("k", range(1, 7))
-def test_pell_ladder_has_capacity_one_and_equal_masses(k):
+def test_pell_ladder_has_capacity_one_and_equal_masses(k, monkeypatch):
     rep = capacity(_pell_ladder(k))
     assert rep.value == pytest.approx(1.0, rel=1e-12)
     assert np.allclose(rep.diagnostics["omega"], 2.0 ** -k, rtol=0, atol=1e-12)
+    # R is P' up to a constant, so the gap roots are P's critical points
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    roots = solve_R(_pell_ladder(k)).gap_roots
+    assert np.allclose(roots, _ladder_critical_points(k), rtol=0, atol=1e-10)
+    # Newton stops once a step no longer halves the residual
+    assert len(solves) <= 8
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-6])
+def test_near_touching_bands_keep_unit_mass(capsys, delta):
+    rep = run_cap(capsys, [[0, 1], [1 + delta, 2]])
+    assert sum(rep["diagnostics"]["omega"]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-6])
+def test_near_touching_symmetric_pair_matches_closed_form(capsys, delta):
+    bands = [[-1, -delta / 2], [delta / 2, 1]]
+    closed = run_cap(capsys, bands, "--method", "closed_form")["value"]
+    assert run_cap(capsys, bands)["value"] == pytest.approx(closed, rel=1e-12)
 
 
 @pytest.mark.parametrize("s", [1e-300, 1e-170, 1e200, 1e300])
