@@ -32,7 +32,6 @@ __all__ = [
     "gauss_legendre",
     "adaptive_double",
     "log_abs_sum",
-    "EndpointSystem",
     "ThetaDensity",
     "uniform_density",
     "density_from_callable",
@@ -84,48 +83,6 @@ def log_abs_sum(x: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
     d = np.abs(x[..., None] - pts)
     return np.sum(np.log(d), axis=-1)
-
-
-class EndpointSystem:
-    """Bookkeeping for integrals against 1/sqrt|D| with D = prod (x - e_i).
-
-    ``ends`` are the sorted band endpoints a_0 < b_0 < ... < b_g.  On any band
-    or gap (u, v), both endpoints are roots of D and the cofactor
-    |D(x)/((x-u)(v-x))| is smooth and positive there; ``log_cofactor``
-    evaluates its log by summing over the remaining roots.
-    """
-
-    def __init__(self, E: IntervalUnion):
-        self.E = E
-        self.ends = np.asarray(E.endpoints, dtype=float)
-        self.n_bands = E.n_bands
-        self.g = E.g
-
-    def _skip(self, i: int, j: int) -> np.ndarray:
-        keep = np.ones(len(self.ends), dtype=bool)
-        keep[i] = keep[j] = False
-        return self.ends[keep]
-
-    def log_cofactor_band(self, j: int, x: np.ndarray) -> np.ndarray:
-        """log of |D(x)| / ((x-a_j)(b_j-x)) on band j."""
-        return log_abs_sum(x, self._skip(2 * j, 2 * j + 1))
-
-    def band_profile(self, j: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """|R(x)| / sqrt(|D(x)| / ((x-a_j)(b_j-x))) on band j for the monic R
-        with roots z: pi times the angle profile q_j of |R| / (pi sqrt|D|)."""
-        return np.exp(log_abs_sum(x, z) - 0.5 * self.log_cofactor_band(j, x))
-
-    def log_cofactor_gap(self, j: int, x: np.ndarray) -> np.ndarray:
-        """log of D(x) / ((x-b_j)(a_{j+1}-x)) on gap j."""
-        return log_abs_sum(x, self._skip(2 * j + 1, 2 * j + 2))
-
-    def band_nodes(self, j: int, n: int) -> np.ndarray:
-        mid, half = _unit_map(*self.E.bands[j])
-        return mid + half * cheb_nodes(n)
-
-    def gap_nodes(self, j: int, n: int) -> np.ndarray:
-        mid, half = _unit_map(self.E.bands[j][1], self.E.bands[j + 1][0])
-        return mid + half * cheb_nodes(n)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ Jacobi warm-up moves each z_i to its row's centre of mass; Newton then stops
 at max|F|/W < 1e-13 or when a step fails to halve it.  The roots are
 re-checked on 2n nodes, to 1e-10; if they fail, that grid is the next solve
 grid, n = 64 up to 1024.  Band masses double their nodes until they settle.
+
+On band j, x = m_j + rho_j cos(theta) turns |R|/sqrt|D| into a smooth
+profile pi q_j(theta).  ``_band_profile`` is the one copy of it: the band
+masses, ``BandDensity`` and the Pell band phases in ``pellabel`` all use it.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .core import (
     _unit_map,
     make_interval_union,
 )
-from ._quad import EndpointSystem, ThetaDensity, adaptive_double, gauss_legendre, log_abs_sum
+from ._quad import ThetaDensity, adaptive_double, cheb_nodes, gauss_legendre, log_abs_sum
 
 __all__ = [
     "AbelDatum",
@@ -46,7 +50,6 @@ __all__ = [
     "gap_integral",
     "solve_R",
     "abel_capacity",
-    "equilibrium_density",
     "equilibrium_potential",
     "resultant_positivity",
 ]
@@ -88,11 +91,32 @@ class AbelDatum:
 # ---------------------------------------------------------------------------
 
 
-def _gap_grid(es: EndpointSystem, n: int):
-    """n Chebyshev nodes X[i] on each gap i and the log of the weight
-    1/sqrt of D's cofactor there, both (g, n)."""
-    X = np.array([es.gap_nodes(i, n) for i in range(es.g)])
-    return X, np.array([-0.5 * es.log_cofactor_gap(i, x) for i, x in enumerate(X)])
+def _band_profile(E: IntervalUnion, z: np.ndarray, j: int):
+    """theta -> pi q_j(theta) = |R| / sqrt(|D| / ((x-a_j)(b_j-x))) at
+    x = m_j + rho_j cos(theta) on band j, R monic with roots z."""
+    m, rho = _unit_map(*E.bands[j])
+    others = np.delete(np.asarray(E.endpoints, dtype=float), (2 * j, 2 * j + 1))
+
+    def q(theta: np.ndarray) -> np.ndarray:
+        x = m + rho * np.cos(theta)
+        return np.exp(log_abs_sum(x, z) - 0.5 * log_abs_sum(x, others))
+
+    return q
+
+
+def _gap_nodes(E: IntervalUnion, i: int, n: int):
+    """n Chebyshev nodes on gap i and the log of the weight 1/sqrt of D's
+    cofactor |D / ((x-b_i)(a_{i+1}-x))| there."""
+    mid, half = _unit_map(*E.gaps[i])
+    x = mid + half * cheb_nodes(n)
+    others = np.delete(np.asarray(E.endpoints, dtype=float), (2 * i + 1, 2 * i + 2))
+    return x, -0.5 * log_abs_sum(x, others)
+
+
+def _gap_grid(E: IntervalUnion, n: int):
+    """``_gap_nodes`` stacked over the gaps: X and log w, both (g, n)."""
+    X, logw = zip(*(_gap_nodes(E, i, n) for i in range(E.g)))
+    return np.array(X), np.array(logw)
 
 
 def _kernel(X: np.ndarray, logw: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -148,11 +172,13 @@ def _newton(z, X, logw, lo, hi, tol=1e-13, iters=40):
     return z
 
 
-def _band_etas(es: EndpointSystem, z: np.ndarray, n: int) -> np.ndarray:
-    """eta_j = int over band j of |R|/sqrt|D|, on n Chebyshev nodes."""
+def _band_etas(E: IntervalUnion, z: np.ndarray, n: int) -> np.ndarray:
+    """eta_j = int over band j of |R|/sqrt|D|, on n Chebyshev nodes: the
+    profile at theta_k = (k + 1/2) pi / n, whose cosines are cheb_nodes(n)."""
     h = np.pi / n
-    return np.array([h * float(np.sum(es.band_profile(j, es.band_nodes(j, n), z)))
-                     for j in range(es.n_bands)])
+    theta = (np.arange(n) + 0.5) * np.pi / n
+    return np.array([h * float(np.sum(_band_profile(E, z, j)(theta)))
+                     for j in range(E.n_bands)])
 
 
 _TAIL_TERMS = 64
@@ -194,26 +220,25 @@ def _v_right(E: IntervalUnion, z: np.ndarray, tol: float = 5e-11) -> float:
 
 def solve_R(E: IntervalUnion) -> AbelDatum:
     """Solve the gap conditions for R and assemble the full datum."""
-    es = EndpointSystem(E)
     z = np.array([_unit_map(u, v)[0] for u, v in E.gaps])
     if E.g:
         lo, hi = np.array(E.gaps).T
         pad = 1e-9 * (hi - lo)
-        X, logw = _gap_grid(es, 64)
+        X, logw = _gap_grid(E, 64)
         for _ in range(12):  # Jacobi warm-up: z_i <- centre of mass of row i
             core = _kernel(X, logw, z)
             z = (X * core).sum(axis=1) / core.sum(axis=1)
         for n in (64, 128, 256, 512, 1024):
             z = _newton(z, X, logw, lo + pad, hi - pad)
             # re-check on the doubled grid, the next solve grid if z fails
-            X, logw = _gap_grid(es, 2 * n)
+            X, logw = _gap_grid(E, 2 * n)
             F, W, _ = _residual(z, X, logw)
             if np.max(np.abs(F) / W) < 1e-10:
                 break
         else:
             raise QuadratureError("gap conditions: no stable solution below 2048 nodes")
 
-    eta, _, _ = adaptive_double(lambda n: _band_etas(es, z, n), 1e-9, n0=128,
+    eta, _, _ = adaptive_double(lambda n: _band_etas(E, z, n), 1e-9, n0=128,
                                 nmax=1 << 14, context="band masses")
     omega = eta / math.pi
     if abs(float(omega.sum()) - 1.0) > 1e-8:
@@ -241,12 +266,10 @@ def gap_integral(R: Polynomial, D: Polynomial, gap_index: int) -> float:
     E = make_interval_union([(ends[2 * j], ends[2 * j + 1]) for j in range(len(ends) // 2)])
     if not 1 <= gap_index <= E.g:
         raise ValueError(f"gap index must be in 1..{E.g}")
-    es = EndpointSystem(E)
-    i = gap_index - 1
 
     def one(n: int) -> float:
-        x = es.gap_nodes(i, n)
-        return np.pi / n * float(np.sum(R(x) * np.exp(-0.5 * es.log_cofactor_gap(i, x))))
+        x, logw = _gap_nodes(E, gap_index - 1, n)
+        return np.pi / n * float(np.sum(R(x) * np.exp(logw)))
 
     val, _, _ = adaptive_double(one, 1e-11, n0=32, context="gap integral")
     return val
@@ -270,44 +293,26 @@ def abel_capacity(datum: AbelDatum) -> float:
 # ---------------------------------------------------------------------------
 
 
-class BandDensity:
-    """Equilibrium density |R|/(pi sqrt|D|) with per-band cumulative tables."""
+class BandDensity(ThetaDensity):
+    """Equilibrium density |R|/(pi sqrt|D|), held per band by its angle
+    profile ``_band_profile`` / pi."""
 
     def __init__(self, datum: AbelDatum, nsamples: int | None = None):
         self.datum = datum
         E = datum.E
         if nsamples is None:
             nsamples = 4096 if E.n_bands <= 16 else (1024 if E.n_bands <= 64 else 256)
-        es = EndpointSystem(E)
-        z = np.asarray(datum.gap_roots)
-
-        def make(j: int):
-            m, rho = _unit_map(*E.bands[j])
-            return lambda theta: es.band_profile(j, m + rho * np.cos(theta), z) / np.pi
-
-        self._theta = ThetaDensity(E, [make(j) for j in range(E.n_bands)], nsamples)
-        if np.max(np.abs(self._theta.band_masses - np.asarray(datum.omega))) > 1e-8:
+        self._z = np.asarray(datum.gap_roots)
+        profiles = [_band_profile(E, self._z, j) for j in range(E.n_bands)]
+        super().__init__(E, [lambda theta, q=q: q(theta) / np.pi for q in profiles], nsamples)
+        if np.max(np.abs(self.band_masses - np.asarray(datum.omega))) > 1e-8:
             raise QuadratureError("band masses do not match the period data")
-        self._es = es
-        self._z = z
-
-    @property
-    def E(self) -> IntervalUnion:
-        return self.datum.E
-
-    @property
-    def band_masses(self) -> np.ndarray:
-        return self._theta.band_masses
-
-    @property
-    def total_mass(self) -> float:
-        return self._theta.total_mass
 
     def density(self, x) -> np.ndarray:
         """|R(x)| / (pi sqrt|D(x)|) for x strictly inside the bands."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(xs)
-        ends = self._es.ends
+        ends = np.asarray(self.E.endpoints, dtype=float)
         for j, (u, v) in enumerate(self.E.bands):
             sel = (xs > u) & (xs < v)
             if not np.any(sel):
@@ -316,24 +321,8 @@ class BandDensity:
             out[sel] = np.exp(log_abs_sum(xx, self._z) - 0.5 * log_abs_sum(xx, ends)) / np.pi
         return out if np.ndim(x) else float(out[0])
 
-    def cdf(self, x):
-        return self._theta.cdf(x)
-
-    def quantile(self, p):
-        return self._theta.quantile(p)
-
-    def energy(self) -> float:
-        return self._theta.energy()
-
-    def potential(self, z) -> float:
-        return self._theta.potential(z)
-
-    def integrate(self, fn) -> float:
-        return self._theta.integrate(fn)
-
-
-def equilibrium_density(datum: AbelDatum, nsamples: int | None = None) -> BandDensity:
-    return BandDensity(datum, nsamples)
+    # an entry of BandDensity's own, so a tracer can wrap it on this class
+    cdf = ThetaDensity.cdf
 
 
 @lru_cache(maxsize=16)

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -28,12 +27,12 @@ from .core import (
 )
 from .capacity import capacity as _capacity_fn, _diameter_of, fekete_points
 from ._quad import uniform_density
-from .abel import BandDensity, abel_capacity, equilibrium_density, solve_R
+from .abel import BandDensity, abel_capacity, solve_R
 from . import pellabel as _pell
 from . import robinson as _robinson
 from . import weil as _weil
 
-__all__ = ["RunConfig", "build_config", "run", "main", "load_problem", "dump_problem"]
+__all__ = ["main", "load_problem", "dump_problem"]
 
 
 _PROBLEM_KEYS = {
@@ -41,28 +40,8 @@ _PROBLEM_KEYS = {
     "preset", "degree", "density", "seed", "format", "max_denominator",
     "action",
 }
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    action: str | None = None          # pell/weil sub-action
-    bands: list | None = None
-    method: str | None = None
-    samples: int | None = None
-    n: int | None = None
-    r: int | None = None
-    M_prime: str | None = None
-    q: int | None = None
-    coeffs: list | None = None
-    preset: str | None = None
-    degree: int | None = None
-    density: str | None = None
-    seed: int | None = None
-    max_denominator: int | None = None
-    format: str | None = None
-    output: str | None = None
-    extras: dict = field(default_factory=dict)
+# read as the flags' type=int reads its text
+_INT_KEYS = {"samples", "n", "r", "q", "degree", "seed", "max_denominator"}
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +91,11 @@ def load_problem(path: str) -> dict:
                 out[k] = str(Fraction(str(v)))
             elif k == "coeffs":
                 out[k] = [str(Fraction(str(c))) for c in v]
+            elif k in _INT_KEYS:
+                out[k] = int(str(v))
             else:
                 out[k] = v
-        except TypeError:
+        except (TypeError, ValueError, ZeroDivisionError):
             raise ValueError(f"problem key {k!r} has the wrong shape: {v!r}") from None
     return out
 
@@ -128,11 +109,22 @@ def _default(value, default):
     return default if value is None else value
 
 
+def _fill_from_problem(args: argparse.Namespace) -> None:
+    """Set each problem key that no flag set from the ``--problem`` file, or
+    to None, and parse the JSON text of --bands and --coeffs."""
+    problem = load_problem(args.problem) if args.problem else {}
+    for key in _PROBLEM_KEYS:
+        if getattr(args, key, None) is None:
+            setattr(args, key, problem.get(key))
+    for key in ("bands", "coeffs"):
+        text = getattr(args, key)
+        if isinstance(text, str):
+            setattr(args, key, json.loads(text))
+
+
 def _parse_bands(raw) -> IntervalUnion:
     if raw is None:
         raise ValueError("needs --bands")
-    if isinstance(raw, str):
-        raw = json.loads(raw)
     try:
         pairs = [(float(u), float(v)) for (u, v) in raw]
     except (TypeError, ValueError):
@@ -144,7 +136,7 @@ def _parse_coeffs(raw) -> ExactPoly:
     if isinstance(raw, list) and raw:
         try:
             return ExactPoly.from_list(raw)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             pass
     raise ValueError(f"coeffs must be a nonempty JSON list of rationals, lowest first, got {raw!r}")
 
@@ -162,7 +154,7 @@ def _emit(text: str, output: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_cap(cfg: RunConfig) -> str:
+def _run_cap(cfg: argparse.Namespace) -> str:
     E = _parse_bands(cfg.bands)
     method = cfg.method or "abel_integral"
     if method == "abel":
@@ -171,7 +163,7 @@ def _run_cap(cfg: RunConfig) -> str:
     return _dump_json(report.to_dict())
 
 
-def _run_eqm(cfg: RunConfig) -> str:
+def _run_eqm(cfg: argparse.Namespace) -> str:
     E = _parse_bands(cfg.bands)
     samples = _default(cfg.samples, 200)
     if samples < 1:
@@ -197,7 +189,7 @@ def _run_eqm(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_fekete(cfg: RunConfig) -> str:
+def _run_fekete(cfg: argparse.Namespace) -> str:
     E = _parse_bands(cfg.bands)
     n, seed = _default(cfg.n, 8), _default(cfg.seed, 0)
     pts = fekete_points(E, n, seed=seed)
@@ -209,7 +201,7 @@ def _run_fekete(cfg: RunConfig) -> str:
     })
 
 
-def _run_energy(cfg: RunConfig) -> str:
+def _run_energy(cfg: argparse.Namespace) -> str:
     E = _parse_bands(cfg.bands)
     kind = cfg.density or "equilibrium"
     if kind == "uniform":
@@ -222,9 +214,16 @@ def _run_energy(cfg: RunConfig) -> str:
     return _dump_json({"energy": value, "density": kind, "bands": E})
 
 
-def _run_pell(cfg: RunConfig) -> str:
+def _run_pell(cfg: argparse.Namespace) -> str:
     action = cfg.action or "detect"
     max_den = _default(cfg.max_denominator, 64)
+    if action == "rationalize":
+        if not cfg.M_prime:
+            raise ValueError("rationalize needs --m-prime")
+        try:
+            M_prime = Fraction(cfg.M_prime)
+        except ZeroDivisionError:
+            raise ValueError(f"--m-prime has a zero denominator: {cfg.M_prime!r}") from None
     datum = solve_R(_parse_bands(cfg.bands))
     if action == "detect":
         hit = _pell.detect_pell_abel(datum, max_denominator=max_den)
@@ -247,9 +246,7 @@ def _run_pell(cfg: RunConfig) -> str:
             "certificate": _pell.certify_structure(pa),
         })
     if action == "rationalize":
-        if not cfg.M_prime:
-            raise ValueError("rationalize needs --m-prime")
-        P_ex, E_prime, pa2 = _pell.rationalize(pa, Fraction(cfg.M_prime))
+        P_ex, E_prime, pa2 = _pell.rationalize(pa, M_prime)
         return _dump_json({
             "P": P_ex,
             "M_prime": Fraction(pa2.M),
@@ -260,21 +257,21 @@ def _run_pell(cfg: RunConfig) -> str:
     raise ValueError(f"unknown pell action {action!r}")
 
 
-def _robinson_instance(cfg: RunConfig) -> "_robinson.RobinsonInstance":
+def _robinson_instance(cfg: argparse.Namespace) -> "_robinson.RobinsonInstance":
     if cfg.preset == "x2m6":
         return _robinson.preset_x2m6()
     if cfg.preset == "x2m5":
         return _robinson.preset_x2m5()
     if cfg.preset:
         raise ValueError(f"unknown preset {cfg.preset!r}")
-    if cfg.coeffs and cfg.extras.get("M"):
+    if cfg.coeffs and cfg.M:
         P = _parse_coeffs(cfg.coeffs)
-        M = Fraction(str(cfg.extras["M"]))
+        M = Fraction(cfg.M)
         return _robinson.make_instance(_pell.PellAbelDatum.from_exact(P, M))
     raise ValueError("robinson needs --preset or coeffs + M")
 
 
-def _run_robinson(cfg: RunConfig) -> str:
+def _run_robinson(cfg: argparse.Namespace) -> str:
     inst = _robinson_instance(cfg)
     if cfg.n is not None:
         _robinson._check_degree(f"multiplier n = {cfg.n}", cfg.n * inst.pa.r)
@@ -282,7 +279,7 @@ def _run_robinson(cfg: RunConfig) -> str:
     else:
         P_prime, cert, table = _robinson.generate(inst, _default(cfg.degree, 16))
     if (cfg.format or "json") == "csv":
-        mu = equilibrium_density(solve_R(inst.pa.E))
+        mu = BandDensity(solve_R(inst.pa.E))
         lines = ["n,degree,kolmogorov_distance"]
 
         def row(n, c_n, t_n):
@@ -312,7 +309,7 @@ def _run_robinson(cfg: RunConfig) -> str:
     })
 
 
-def _run_weil(cfg: RunConfig) -> str:
+def _run_weil(cfg: argparse.Namespace) -> str:
     action = cfg.action or "bound"
     if cfg.q is None:
         raise ValueError("weil needs --q")
@@ -353,8 +350,9 @@ _HANDLERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     try:
+        _fill_from_problem(cfg)
         text = _HANDLERS[cfg.subcommand](cfg)
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -432,56 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    problem: dict = {}
-    if getattr(args, "problem", None):
-        problem = load_problem(args.problem)
-
-    def pick(key, cast=None):
-        v = getattr(args, key, None)
-        if v is None:
-            v = problem.get(key)
-        if v is not None and cast:
-            v = cast(v)
-        return v
-
-    coeffs = pick("coeffs")
-    if isinstance(coeffs, str):
-        coeffs = json.loads(coeffs)
-    bands = pick("bands")
-    if isinstance(bands, str):
-        bands = json.loads(bands)
-    extras = {k: problem[k] for k in ("M",) if k in problem}
-    return RunConfig(
-        subcommand=args.subcommand,
-        action=pick("action"),
-        bands=bands,
-        method=pick("method"),
-        samples=pick("samples", int),
-        n=pick("n", int),
-        r=pick("r", int),
-        M_prime=pick("M_prime"),
-        q=pick("q", int),
-        coeffs=coeffs,
-        preset=pick("preset"),
-        degree=pick("degree", int),
-        density=pick("density"),
-        seed=pick("seed", int),
-        max_denominator=pick("max_denominator", int),
-        format=pick("format"),
-        output=getattr(args, "output", None),
-        extras=extras,
-    )
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        cfg = build_config(args)
-    except (ValueError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run(cfg)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

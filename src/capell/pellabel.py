@@ -30,8 +30,8 @@ from .core import (
     isolate_real_roots,
     make_interval_union,
 )
-from ._quad import EndpointSystem, gauss_legendre
-from .abel import AbelDatum
+from ._quad import gauss_legendre
+from .abel import AbelDatum, _band_profile
 
 __all__ = [
     "PellAbelDatum",
@@ -143,15 +143,12 @@ def _poly_sqrt(S: Polynomial) -> tuple[Polynomial, float]:
 def _band_phases(datum: AbelDatum, j: int, thetas: np.ndarray) -> np.ndarray:
     """psi(t) = pi * integral_0^t of the band-j angle profile of the
     equilibrium density (so psi(pi) = pi * omega_j)."""
-    m, rho = _unit_map(*datum.E.bands[j])
-    es = EndpointSystem(datum.E)
-    z = np.asarray(datum.gap_roots)
-
+    profile = _band_profile(datum.E, np.asarray(datum.gap_roots), j)
     tg, wg = gauss_legendre(128)
     out = np.empty_like(thetas)
     for i, t in enumerate(thetas):
         s = 0.5 * t * (tg + 1.0)
-        out[i] = 0.5 * t * float(np.sum(wg * es.band_profile(j, m + rho * np.cos(s), z)))
+        out[i] = 0.5 * t * float(np.sum(wg * profile(s)))
     return out
 
 

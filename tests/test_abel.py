@@ -8,7 +8,6 @@ from capell.abel import (
     BandDensity,
     _cached_density,
     abel_capacity,
-    equilibrium_density,
     equilibrium_potential,
     gap_integral,
     resultant_positivity,
@@ -82,7 +81,7 @@ def test_cantor_capacity_decreasing():
 
 
 def test_interval_density_matches_arcsine():
-    mu = equilibrium_density(solve_R(I22))
+    mu = BandDensity(solve_R(I22))
     xs = np.linspace(-1.95, 1.95, 50)
     expect = 1.0 / (math.pi * np.sqrt(4.0 - xs**2))
     assert np.allclose(mu.density(xs), expect, atol=1e-10)
@@ -97,13 +96,13 @@ def test_band_masses_equal_omega():
 
 
 def test_density_vanishes_nowhere_inside():
-    mu = equilibrium_density(solve_R(PAIR))
+    mu = BandDensity(solve_R(PAIR))
     xs = np.linspace(math.sqrt(2) + 1e-3, math.sqrt(8) - 1e-3, 40)
     assert np.all(mu.density(xs) > 0)
 
 
 def test_cdf_and_quantile():
-    mu = equilibrium_density(solve_R(PAIR))
+    mu = BandDensity(solve_R(PAIR))
     # symmetric set: half the mass below 0
     assert mu.cdf(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-10)
     assert mu.quantile(np.array([0.25]))[0] == pytest.approx(

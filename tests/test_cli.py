@@ -267,6 +267,10 @@ def test_explicit_zero_is_not_a_default(capsys, argv):
     pytest.param(["pell", "construct", "--bands", "[[-2,2]]", "--r", "-1"], id="pell-r-neg"),
     pytest.param(["cap", "--bands", "[[0,Infinity]]"], id="cap-bands-infinite"),
     pytest.param(["eqm", "--bands", "[[-Infinity,0],[1,2]]"], id="eqm-bands-infinite"),
+    pytest.param(["pell", "rationalize", "--bands", "[[-2,2]]", "--m-prime", "1/0"],
+                 id="pell-m-prime-zero-denominator"),
+    pytest.param(["weil", "lift", "--q", "3", "--coeffs", '["1/0",1]'],
+                 id="weil-lift-coeffs-zero-denominator"),
 ])
 def test_malformed_input_exits_2(capsys, argv):
     assert main(argv) == 2
@@ -278,6 +282,23 @@ def test_malformed_problem_file_exits_2(capsys, tmp_path):
     prob.write_text(json.dumps({"bands": 5, "coeffs": 7}))
     assert main(["cap", "--problem", str(prob)]) == 2
     assert "wrong shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,problem,key", [
+    # an integer key takes what --n and the other type=int flags take
+    pytest.param("cap", {"bands": [[-2, 2]], "n": [1]}, "n", id="n-list"),
+    pytest.param("eqm", {"bands": [[-2, 2]], "samples": {"a": 1}}, "samples", id="samples-dict"),
+    pytest.param("weil", {"bands": [[-3, 3]], "q": 2.5}, "q", id="q-float"),
+    pytest.param("cap", {"bands": [[-2, 2]], "n": True}, "n", id="n-bool"),
+    pytest.param("robinson", {"coeffs": ["-6", "0", "1"], "M": "1/0"}, "M",
+                 id="M-zero-denominator"),
+])
+def test_malformed_problem_value_exits_2(capsys, tmp_path, cmd, problem, key):
+    prob = tmp_path / "bad.json"
+    prob.write_text(json.dumps(problem))
+    assert main([cmd, "--problem", str(prob)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"problem key {key!r}" in err
 
 
 @pytest.mark.parametrize("n", ["1", "13"])
