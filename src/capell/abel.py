@@ -8,8 +8,12 @@ are omega_j = eta_j/pi with eta_j the band integrals of |R|/sqrt|D|, and
 
     v(E) = lim_{x->oo} ( log x - int_{b_g}^x R/sqrt(D) )
 
-gives the capacity cap(E) = exp(v(E)); it is taken on E mapped onto [-1, 1],
-plus log of the half-width, so every scale the floats carry works.
+gives the capacity cap(E) = exp(v(E)).  ``solve_R`` maps E onto [-1, 1]
+once, x = mid + half x' (``_unit_frame``), and every function below it takes
+the endpoints e and gap roots z there.  R/sqrt(D) dx has degree 0 in x, so
+only v(E) = v(E') + log half moves, added in ``solve_R`` and in the left-hand
+limit of ``abel_capacity``: a union far from 0 or at the float ends solves
+like the same union at 0.
 
 The solver parameterizes R by its gap roots z (one per gap), which stays
 well conditioned with hundreds of bands.  Gap i carries n Chebyshev nodes
@@ -40,7 +44,6 @@ from .core import (
     IntervalUnion,
     QuadratureError,
     _unit_map,
-    make_interval_union,
 )
 from ._quad import ThetaDensity, adaptive_double, cheb_nodes, gauss_legendre, log_abs_sum
 
@@ -60,20 +63,27 @@ def _from_roots(roots) -> Polynomial:
     return Polynomial(np.atleast_1d(np.poly(np.asarray(roots, dtype=float)))[::-1])
 
 
+def _unit_frame(E: IntervalUnion):
+    """E's endpoints mapped onto [-1, 1] by x = mid + half x', and (mid, half)."""
+    mid, half = _unit_map(*E.hull)
+    return (np.asarray(E.endpoints, dtype=float) - mid) / half, mid, half
+
+
 @dataclass(frozen=True)
 class AbelDatum:
-    """Solved band data of E.  It holds only hashable fields, so it can key
-    ``_cached_density``; D and R are built from their roots on demand."""
+    """Solved band data of E, its gap roots held on E mapped onto [-1, 1].
+    It holds only hashable fields, so it can key ``_cached_density``; D, R
+    and ``gap_roots`` (in E's own coordinates) are built on demand."""
 
     E: IntervalUnion
-    eta: tuple[float, ...]
     omega: tuple[float, ...]
     vE: float
-    gap_roots: tuple[float, ...] = ()
+    unit_roots: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        if len(self.eta) != self.E.n_bands or len(self.omega) != self.E.n_bands:
-            raise ValueError("need one eta/omega per band")
+    @property
+    def gap_roots(self) -> tuple[float, ...]:
+        _, mid, half = _unit_frame(self.E)
+        return tuple(float(mid + half * t) for t in self.unit_roots)
 
     @property
     def D(self) -> Polynomial:
@@ -87,15 +97,16 @@ class AbelDatum:
 
 
 # ---------------------------------------------------------------------------
-# the gap-root solver
+# the gap-root solver, on E mapped onto [-1, 1]: endpoints e, gap roots z
 # ---------------------------------------------------------------------------
 
 
-def _band_profile(E: IntervalUnion, z: np.ndarray, j: int):
+def _band_profile(e: np.ndarray, z: np.ndarray, j: int):
     """theta -> pi q_j(theta) = |R| / sqrt(|D| / ((x-a_j)(b_j-x))) at
-    x = m_j + rho_j cos(theta) on band j, R monic with roots z."""
-    m, rho = _unit_map(*E.bands[j])
-    others = np.delete(np.asarray(E.endpoints, dtype=float), (2 * j, 2 * j + 1))
+    x = m_j + rho_j cos(theta) on band j, R monic with roots z; it has
+    degree 0 in x, so it is the same on E and on E mapped onto [-1, 1]."""
+    m, rho = _unit_map(e[2 * j], e[2 * j + 1])
+    others = np.delete(e, (2 * j, 2 * j + 1))
 
     def q(theta: np.ndarray) -> np.ndarray:
         x = m + rho * np.cos(theta)
@@ -104,18 +115,17 @@ def _band_profile(E: IntervalUnion, z: np.ndarray, j: int):
     return q
 
 
-def _gap_nodes(E: IntervalUnion, i: int, n: int):
+def _gap_nodes(e: np.ndarray, i: int, n: int):
     """n Chebyshev nodes on gap i and the log of the weight 1/sqrt of D's
     cofactor |D / ((x-b_i)(a_{i+1}-x))| there."""
-    mid, half = _unit_map(*E.gaps[i])
+    mid, half = _unit_map(e[2 * i + 1], e[2 * i + 2])
     x = mid + half * cheb_nodes(n)
-    others = np.delete(np.asarray(E.endpoints, dtype=float), (2 * i + 1, 2 * i + 2))
-    return x, -0.5 * log_abs_sum(x, others)
+    return x, -0.5 * log_abs_sum(x, np.delete(e, (2 * i + 1, 2 * i + 2)))
 
 
-def _gap_grid(E: IntervalUnion, n: int):
+def _gap_grid(e: np.ndarray, n: int):
     """``_gap_nodes`` stacked over the gaps: X and log w, both (g, n)."""
-    X, logw = zip(*(_gap_nodes(E, i, n) for i in range(E.g)))
+    X, logw = zip(*(_gap_nodes(e, i, n) for i in range(len(e) // 2 - 1)))
     return np.array(X), np.array(logw)
 
 
@@ -172,35 +182,31 @@ def _newton(z, X, logw, lo, hi, tol=1e-13, iters=40):
     return z
 
 
-def _band_etas(E: IntervalUnion, z: np.ndarray, n: int) -> np.ndarray:
+def _band_etas(e: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
     """eta_j = int over band j of |R|/sqrt|D|, on n Chebyshev nodes: the
     profile at theta_k = (k + 1/2) pi / n, whose cosines are cheb_nodes(n)."""
     h = np.pi / n
     theta = (np.arange(n) + 0.5) * np.pi / n
-    return np.array([h * float(np.sum(_band_profile(E, z, j)(theta)))
-                     for j in range(E.n_bands)])
+    return np.array([h * float(np.sum(_band_profile(e, z, j)(theta)))
+                     for j in range(len(e) // 2)])
 
 
 _TAIL_TERMS = 64
 
 
-def _v_right(E: IntervalUnion, z: np.ndarray, tol: float = 5e-11) -> float:
-    """v(E) = lim_{x->oo} (log x - int_{b_g}^x R/sqrt(D)) for R rooted at z.
+def _v_right(e: np.ndarray, z: np.ndarray, tol: float = 5e-11) -> float:
+    """v(E') = lim_{x->oo} (log x - int_{b_g}^x R/sqrt(D)) for E' in [-1, 1]
+    with endpoints e and R rooted at z.
 
-    E and z are mapped onto [-1, 1] by x = mid + half*x', which leaves the
-    integral alone and adds log half to log x: v(E) = v(E') + log half at any
-    scale.  On E' the head, b_g to 2, is adaptive Gauss-Legendre in
-    s = sqrt(x' - b_g).  For |x'| > 1, R/sqrt(D) = exp(-sum p_m x'^-m / m) / x'
-    with p_m = sum_j z_j^m - (1/2) sum_k e_k^m, so the tail
-    int_2^oo (R/sqrt(D) - 1/x') dx' = sum_m c_m 2^-m / m for the coefficients
+    The head, b_g to 2, is adaptive Gauss-Legendre in s = sqrt(x - b_g).  For
+    |x| > 1, R/sqrt(D) = exp(-sum p_m x^-m / m) / x with
+    p_m = sum_j z_j^m - (1/2) sum_k e_k^m, so the tail
+    int_2^oo (R/sqrt(D) - 1/x) dx = sum_m c_m 2^-m / m for the coefficients
     c_m of exp(-sum p_m u^m / m), of radius 1: 64 terms leave about 2^-64.
     """
-    mid, half = _unit_map(*E.hull)
-    ends = (np.asarray(E.endpoints) - mid) / half
-    z = (np.asarray(z, dtype=float) - mid) / half
-    b_g = float(ends[-1])
+    b_g = float(e[-1])
     S = math.sqrt(2.0 - b_g)
-    others = ends[:-1]
+    others = e[:-1]
 
     def head(n: int) -> float:
         t, w = gauss_legendre(n)
@@ -211,76 +217,72 @@ def _v_right(E: IntervalUnion, z: np.ndarray, tol: float = 5e-11) -> float:
     v1, _, _ = adaptive_double(head, tol, n0=64, nmax=1 << 13, context="capacity head integral")
     m = np.arange(1, _TAIL_TERMS + 1)
     p = (np.vander(z, _TAIL_TERMS + 1, increasing=True).sum(axis=0)
-         - 0.5 * np.vander(ends, _TAIL_TERMS + 1, increasing=True).sum(axis=0))
+         - 0.5 * np.vander(e, _TAIL_TERMS + 1, increasing=True).sum(axis=0))
     c = np.r_[1.0, np.zeros(_TAIL_TERMS)]
     for k in range(1, _TAIL_TERMS + 1):
         c[k] = -(p[1:k + 1] @ c[k - 1::-1]) / k
-    return math.log(2.0) - v1 - float(np.sum(c[1:] / (m * 2.0 ** m))) + math.log(half)
+    return math.log(2.0) - v1 - float(np.sum(c[1:] / (m * 2.0 ** m)))
 
 
 def solve_R(E: IntervalUnion) -> AbelDatum:
-    """Solve the gap conditions for R and assemble the full datum."""
-    z = np.array([_unit_map(u, v)[0] for u, v in E.gaps])
-    if E.g:
-        lo, hi = np.array(E.gaps).T
+    """Solve the gap conditions for R on E mapped onto [-1, 1] and assemble
+    the full datum; v(E) = v(E') + log half."""
+    e, _, half = _unit_frame(E)
+    lo, hi = e[1:-1].reshape(-1, 2).T
+    z = 0.5 * lo + 0.5 * hi
+    if len(z):
         pad = 1e-9 * (hi - lo)
-        X, logw = _gap_grid(E, 64)
+        X, logw = _gap_grid(e, 64)
         for _ in range(12):  # Jacobi warm-up: z_i <- centre of mass of row i
             core = _kernel(X, logw, z)
             z = (X * core).sum(axis=1) / core.sum(axis=1)
         for n in (64, 128, 256, 512, 1024):
             z = _newton(z, X, logw, lo + pad, hi - pad)
             # re-check on the doubled grid, the next solve grid if z fails
-            X, logw = _gap_grid(E, 2 * n)
+            X, logw = _gap_grid(e, 2 * n)
             F, W, _ = _residual(z, X, logw)
             if np.max(np.abs(F) / W) < 1e-10:
                 break
         else:
             raise QuadratureError("gap conditions: no stable solution below 2048 nodes")
 
-    eta, _, _ = adaptive_double(lambda n: _band_etas(E, z, n), 1e-9, n0=128,
+    eta, _, _ = adaptive_double(lambda n: _band_etas(e, z, n), 1e-9, n0=128,
                                 nmax=1 << 14, context="band masses")
     omega = eta / math.pi
     if abs(float(omega.sum()) - 1.0) > 1e-8:
         raise QuadratureError(f"band masses sum to {omega.sum()}, not 1")
 
-    vE = _v_right(E, z)
     return AbelDatum(
         E=E,
-        eta=tuple(float(x) for x in eta),
         omega=tuple(float(x) for x in omega),
-        vE=float(vE),
-        gap_roots=tuple(float(x) for x in z),
+        vE=_v_right(e, z) + math.log(half),
+        unit_roots=tuple(float(x) for x in z),
     )
 
 
-def gap_integral(R: Polynomial, D: Polynomial, gap_index: int) -> float:
-    """int over the gap_index-th gap (1-based) of R/sqrt(D), D rooted at the
-    band endpoints."""
-    rts = np.roots(D.coef[::-1])
-    if np.max(np.abs(rts.imag)) > 1e-9 * max(1.0, np.max(np.abs(rts))):
-        raise ValueError("D must have real roots (the band endpoints)")
-    ends = np.sort(rts.real)
-    if len(ends) % 2:
-        raise ValueError("D must have even degree")
-    E = make_interval_union([(ends[2 * j], ends[2 * j + 1]) for j in range(len(ends) // 2)])
-    if not 1 <= gap_index <= E.g:
-        raise ValueError(f"gap index must be in 1..{E.g}")
+def gap_integral(datum: AbelDatum, gap_index: int) -> float:
+    """int over the gap_index-th gap (1-based) of R/sqrt(D).  The integral
+    has degree 0 in x, so it is taken on E mapped onto [-1, 1]."""
+    e, _, _ = _unit_frame(datum.E)
+    if not 1 <= gap_index <= datum.E.g:
+        raise ValueError(f"gap index must be in 1..{datum.E.g}")
+    z = np.asarray(datum.unit_roots)
 
     def one(n: int) -> float:
-        x, logw = _gap_nodes(E, gap_index - 1, n)
-        return np.pi / n * float(np.sum(R(x) * np.exp(logw)))
+        x, logw = _gap_nodes(e, gap_index - 1, n)
+        return np.pi / n * float(np.sum(np.prod(x[:, None] - z, axis=1) * np.exp(logw)))
 
     val, _, _ = adaptive_double(one, 1e-11, n0=32, context="gap integral")
     return val
 
 
 def abel_capacity(datum: AbelDatum) -> float:
-    """cap(E) = e^{v(E)}, with the same limit recomputed from the left as a
-    consistency check."""
+    """cap(E) = e^{v(E)}, with the same limit recomputed from the left, on
+    E' reflected, as a consistency check."""
     # solve_R stores _v_right of its own roots as vE
+    e, _, half = _unit_frame(datum.E)
     v_right = datum.vE
-    v_left = _v_right(datum.E.reflected(), np.sort(-np.asarray(datum.gap_roots)))
+    v_left = _v_right(-e[::-1], -np.asarray(datum.unit_roots)[::-1]) + math.log(half)
     if abs(v_right - v_left) > 1e-7:
         raise QuadratureError(
             f"two-sided capacity limits disagree: {v_right} vs {v_left}"
@@ -297,28 +299,26 @@ class BandDensity(ThetaDensity):
     """Equilibrium density |R|/(pi sqrt|D|), held per band by its angle
     profile ``_band_profile`` / pi."""
 
-    def __init__(self, datum: AbelDatum, nsamples: int | None = None):
+    def __init__(self, datum: AbelDatum):
         self.datum = datum
         E = datum.E
-        if nsamples is None:
-            nsamples = 4096 if E.n_bands <= 16 else (1024 if E.n_bands <= 64 else 256)
-        self._z = np.asarray(datum.gap_roots)
-        profiles = [_band_profile(E, self._z, j) for j in range(E.n_bands)]
+        nsamples = 4096 if E.n_bands <= 16 else (1024 if E.n_bands <= 64 else 256)
+        self._e, self._mid, self._half = _unit_frame(E)
+        self._z = np.asarray(datum.unit_roots)
+        profiles = [_band_profile(self._e, self._z, j) for j in range(E.n_bands)]
         super().__init__(E, [lambda theta, q=q: q(theta) / np.pi for q in profiles], nsamples)
         if np.max(np.abs(self.band_masses - np.asarray(datum.omega))) > 1e-8:
             raise QuadratureError("band masses do not match the period data")
 
     def density(self, x) -> np.ndarray:
-        """|R(x)| / (pi sqrt|D(x)|) for x strictly inside the bands."""
+        """|R(x)| / (pi sqrt|D(x)|) for x strictly inside the bands, taken at
+        x' = (x - mid) / half on E mapped onto [-1, 1] and divided by half."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
+        inside = np.any([(xs > u) & (xs < v) for u, v in self.E.bands], axis=0)
+        xx = (xs[inside] - self._mid) / self._half
         out = np.zeros_like(xs)
-        ends = np.asarray(self.E.endpoints, dtype=float)
-        for j, (u, v) in enumerate(self.E.bands):
-            sel = (xs > u) & (xs < v)
-            if not np.any(sel):
-                continue
-            xx = xs[sel]
-            out[sel] = np.exp(log_abs_sum(xx, self._z) - 0.5 * log_abs_sum(xx, ends)) / np.pi
+        q = np.exp(log_abs_sum(xx, self._z) - 0.5 * log_abs_sum(xx, self._e))
+        out[inside] = q / np.pi / self._half
         return out if np.ndim(x) else float(out[0])
 
     # an entry of BandDensity's own, so a tracer can wrap it on this class

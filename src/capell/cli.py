@@ -111,8 +111,13 @@ def _default(value, default):
 
 def _fill_from_problem(args: argparse.Namespace) -> None:
     """Set each problem key that no flag set from the ``--problem`` file, or
-    to None, and parse the JSON text of --bands and --coeffs."""
+    to None, and parse the JSON text of --bands and --coeffs.  A file value
+    for a key whose flag has choices must be one of them."""
     problem = load_problem(args.problem) if args.problem else {}
+    for key, choices in args.choices.items():
+        if key in problem and problem[key] not in choices:
+            raise ValueError(f"problem key {key!r} must be one of {choices}, "
+                             f"got {problem[key]!r}")
     for key in _PROBLEM_KEYS:
         if getattr(args, key, None) is None:
             setattr(args, key, problem.get(key))
@@ -205,12 +210,9 @@ def _run_energy(cfg: argparse.Namespace) -> str:
     E = _parse_bands(cfg.bands)
     kind = cfg.density or "equilibrium"
     if kind == "uniform":
-        mu = uniform_density(E)
-        value = mu.energy()
-    elif kind == "equilibrium":
-        value = math.log(abel_capacity(solve_R(E)))
+        value = uniform_density(E).energy()
     else:
-        raise ValueError(f"unknown density {kind!r}")
+        value = math.log(abel_capacity(solve_R(E)))
     return _dump_json({"energy": value, "density": kind, "bands": E})
 
 
@@ -245,16 +247,14 @@ def _run_pell(cfg: argparse.Namespace) -> str:
             "r_j": list(pa.r_j),
             "certificate": _pell.certify_structure(pa),
         })
-    if action == "rationalize":
-        P_ex, E_prime, pa2 = _pell.rationalize(pa, M_prime)
-        return _dump_json({
-            "P": P_ex,
-            "M_prime": Fraction(pa2.M),
-            "bands": E_prime,
-            "r": pa2.r,
-            "r_j": list(pa2.r_j),
-        })
-    raise ValueError(f"unknown pell action {action!r}")
+    P_ex, E_prime, pa2 = _pell.rationalize(pa, M_prime)
+    return _dump_json({
+        "P": P_ex,
+        "M_prime": Fraction(pa2.M),
+        "bands": E_prime,
+        "r": pa2.r,
+        "r_j": list(pa2.r_j),
+    })
 
 
 def _robinson_instance(cfg: argparse.Namespace) -> "_robinson.RobinsonInstance":
@@ -262,8 +262,6 @@ def _robinson_instance(cfg: argparse.Namespace) -> "_robinson.RobinsonInstance":
         return _robinson.preset_x2m6()
     if cfg.preset == "x2m5":
         return _robinson.preset_x2m5()
-    if cfg.preset:
-        raise ValueError(f"unknown preset {cfg.preset!r}")
     if cfg.coeffs and cfg.M:
         P = _parse_coeffs(cfg.coeffs)
         M = Fraction(cfg.M)
@@ -330,13 +328,11 @@ def _run_weil(cfg: argparse.Namespace) -> str:
             "moduli_ok": True,
             "pushforward_ok": _weil.pushforward_check(lifted, P_I, cfg.q),
         })
-    if action == "bound":
-        cs = _weil.CircleSet(cfg.q, _parse_bands(cfg.bands))
-        cap, bound, ok = _weil.support_capacity_bound(cs)
-        return _dump_json({
-            "q": cfg.q, "capacity": cap, "bound": bound, "satisfied": ok,
-        })
-    raise ValueError(f"unknown weil action {action!r}")
+    cs = _weil.CircleSet(cfg.q, _parse_bands(cfg.bands))
+    cap, bound, ok = _weil.support_capacity_bound(cs)
+    return _dump_json({
+        "q": cfg.q, "capacity": cap, "bound": bound, "satisfied": ok,
+    })
 
 
 _HANDLERS = {
@@ -427,6 +423,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bands")
     sp.add_argument("--q", type=int)
     sp.add_argument("--coeffs", help="JSON coefficient list, lowest first")
+    for sp in sub.choices.values():
+        # the one list of choices: a problem-file value is checked against it
+        sp.set_defaults(choices={a.dest: a.choices for a in sp._actions if a.choices})
     return p
 
 

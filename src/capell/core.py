@@ -110,9 +110,6 @@ class IntervalUnion:
             scaled = [(b, a) for a, b in reversed(scaled)]
         return IntervalUnion(tuple(scaled))
 
-    def reflected(self) -> "IntervalUnion":
-        return self.scaled(-1.0)
-
 
 def _unit_map(lo: float, hi: float) -> tuple[float, float]:
     """(mid, half) with [lo, hi] = mid +- half, formed without overflow."""

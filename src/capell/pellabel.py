@@ -14,6 +14,7 @@ inside E — the step that turns analytic data into exact arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,13 +26,14 @@ from .core import (
     ExactPoly,
     IntervalUnion,
     NonSquarefreeError,
+    QuadratureError,
     _refined,
     _unit_map,
     isolate_real_roots,
     make_interval_union,
 )
 from ._quad import gauss_legendre
-from .abel import AbelDatum, _band_profile
+from .abel import AbelDatum, _band_profile, _unit_frame
 
 __all__ = [
     "PellAbelDatum",
@@ -51,7 +53,6 @@ class PellAbelDatum:
     M: float | Fraction
     r: int
     r_j: tuple[int, ...]
-    abel: AbelDatum | None = None
     # certified bound on |x| over E: the outer endpoints of from_exact's
     # isolation of D at refine 1e-9 (None for a datum built otherwise)
     x_bound: Fraction | None = field(default=None, init=False, repr=False,
@@ -143,7 +144,7 @@ def _poly_sqrt(S: Polynomial) -> tuple[Polynomial, float]:
 def _band_phases(datum: AbelDatum, j: int, thetas: np.ndarray) -> np.ndarray:
     """psi(t) = pi * integral_0^t of the band-j angle profile of the
     equilibrium density (so psi(pi) = pi * omega_j)."""
-    profile = _band_profile(datum.E, np.asarray(datum.gap_roots), j)
+    profile = _band_profile(_unit_frame(datum.E)[0], np.asarray(datum.unit_roots), j)
     tg, wg = gauss_legendre(128)
     out = np.empty_like(thetas)
     for i, t in enumerate(thetas):
@@ -168,6 +169,9 @@ def construct_pa_polynomial(datum: AbelDatum, r: int) -> PellAbelDatum:
         raise CertificationError(
             f"band masses {omega.tolist()} are not integral at denominator {r}"
         )
+    # P^2 - M^2 is formed in floats, so M^2 = (2 cap^r)^2 must be one
+    if 2.0 * (math.log(2.0) + r * datum.vE) >= math.log(sys.float_info.max):
+        raise QuadratureError(f"Pell synthesis: M^2 = (2 cap(E)^{r})^2 is outside the float range")
     M = 2.0 * math.exp(r * datum.vE)
 
     # signs per band, walking down from the top band where P(b_g) = +M
@@ -215,7 +219,6 @@ def construct_pa_polynomial(datum: AbelDatum, r: int) -> PellAbelDatum:
 
     return PellAbelDatum(
         E=E, P=P, Q=Q, D=D, M=M, r=int(r), r_j=tuple(int(x) for x in r_j),
-        abel=datum,
     )
 
 

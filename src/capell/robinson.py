@@ -211,7 +211,7 @@ def _band_samples(E: IntervalUnion, per_band: int = 512) -> np.ndarray:
 def _eval_structured(inst: RobinsonInstance, n: int,
                      table: dict[tuple[int, int], Fraction],
                      x: np.ndarray, want: str = "P'"):
-    """Float evaluation of P_n, C_n or P'_n = P_n - C_n through the scalar
+    """Float evaluation of C_n or P'_n = P_n - C_n through the scalar
     recurrence p_{k+1} = P(x) p_k - lam^2 p_{k-1}.
 
     On E the recurrence magnitudes stay of order lam^k, so this is stable
@@ -236,12 +236,9 @@ def _eval_structured(inst: RobinsonInstance, n: int,
             corr += c * x**j * pk
         if k >= 1 and k < n:
             p_prev, p_cur = p_cur, px * p_cur - lam2 * p_prev
-    Pn = p_cur if n >= 1 else p_prev
-    if want == "P_n":
-        return Pn
     if want == "C_n":
         return corr
-    return Pn - corr
+    return (p_cur if n >= 1 else p_prev) - corr
 
 
 def _sup_on_bands(inst: RobinsonInstance, table, n: int) -> float:

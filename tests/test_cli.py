@@ -301,6 +301,32 @@ def test_malformed_problem_value_exits_2(capsys, tmp_path, cmd, problem, key):
     assert err.startswith("error:") and f"problem key {key!r}" in err
 
 
+@pytest.mark.parametrize("cmd,problem,key", [
+    pytest.param("eqm", {"bands": [[-2, 2]], "format": "xml"}, "format", id="format-xml"),
+    pytest.param("robinson", {"preset": "x2m6", "format": ["json"]}, "format",
+                 id="format-list"),
+    pytest.param("cap", {"bands": [[-2, 2]], "method": "remez"}, "method", id="method"),
+    pytest.param("energy", {"bands": [[-2, 2]], "density": "normal"}, "density",
+                 id="density"),
+    pytest.param("pell", {"bands": [[-2, -1], [1, 2]], "action": "xml"}, "action",
+                 id="pell-action"),
+    pytest.param("weil", {"bands": [[-3, 3]], "q": 2, "action": "lower"}, "action",
+                 id="weil-action"),
+    pytest.param("robinson", {"preset": "x2m7"}, "preset", id="preset"),
+])
+def test_problem_value_outside_the_flag_choices_exits_2(capsys, tmp_path, monkeypatch,
+                                                       cmd, problem, key):
+    # checked against the flag's own choices, before any work
+    solves = []
+    monkeypatch.setattr(capell.cli, "solve_R", lambda E: solves.append(E))
+    prob = tmp_path / "bad.json"
+    prob.write_text(json.dumps(problem))
+    assert main([cmd, "--problem", str(prob)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"problem key {key!r}" in err
+    assert solves == []
+
+
 @pytest.mark.parametrize("n", ["1", "13"])
 def test_cap_fekete_count_checked_before_work(capsys, n):
     t0 = time.perf_counter()

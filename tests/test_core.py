@@ -409,7 +409,6 @@ def test_union_transforms():
     E = make_interval_union([(0, 1), (2, 3)])
     assert E.translated(1).bands == ((1.0, 2.0), (3.0, 4.0))
     assert E.scaled(2).bands == ((0.0, 2.0), (4.0, 6.0))
-    assert E.reflected().bands == ((-3.0, -2.0), (-1.0, 0.0))
     assert E.scaled(-1).scaled(-1).bands == E.bands
 
 

@@ -1,8 +1,10 @@
-"""Capacity at every scale: diameters from 1e-300 to the float ends.
+"""Capacity at every scale: diameters from 1e-300 to the float ends, and
+unions far from the origin compared with their gaps.
 
-The integral route maps E onto [-1, 1] before it takes the capacity limit,
-so cap(sE + t) = |s| cap(E) holds to rounding for any s the floats can
-carry.  Unions the floats cannot resolve are rejected as bad input.
+The integral route solves on E mapped onto [-1, 1], so cap(sE + t) = |s| cap(E)
+holds to rounding for any s and t the floats can carry; where E + t is exact
+in floats, E + t maps onto the same unit union bit for bit.  Unions the floats
+cannot resolve are rejected as bad input.
 """
 
 import json
@@ -66,6 +68,41 @@ def test_capacity_scales_with_the_union(steps, k, sign, shift):
     assert np.allclose(omega, ref.diagnostics["omega"], rtol=0, atol=1e-10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 680), st.integers(1, 680)), min_size=2, max_size=6),
+       st.integers(0, 40), st.sampled_from([1.0, -1.0]))
+def test_capacity_is_invariant_under_dyadic_shifts(steps, j, sign):
+    # endpoints on a 2^-10 grid, diameter at most 8: E + t is exact in floats
+    bands, x = [], 0.0
+    for length, gap in steps:
+        bands.append((x, x + length / 1024))
+        x += (length + gap) / 1024
+    t = sign * 2.0 ** j
+    ref = capacity(make_interval_union(bands)).value
+    moved = capacity(make_interval_union([(a + t, b + t) for a, b in bands])).value
+    assert moved == pytest.approx(ref, rel=1e-12)
+
+
+# [c, c+1] u [c+1+d, c+2]: each exited 4 while the solve ran in E's own
+# coordinates
+OFFSET_CASES = [(100, 1e-4), (1000, 1e-4)] + [(c, d) for c in (1e4, 1e6)
+                                               for d in (1e-2, 1e-3, 1e-4)]
+
+
+@pytest.mark.parametrize("c,d", OFFSET_CASES)
+def test_union_far_from_the_origin_matches_it_at_the_origin(capsys, c, d):
+    at_zero = run_cap(capsys, [[0, 1], [1 + d, 2]])["value"]
+    assert run_cap(capsys, [[c, c + 1], [c + 1 + d, c + 2]])["value"] == pytest.approx(
+        at_zero, rel=1e-12)
+
+
+def test_weil_bound_on_trace_bands_far_from_the_origin(capsys):
+    rc = main(["weil", "bound", "--q", "1000000", "--bands", "[[1990,1991],[1991.0001,1992]]"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert json.loads(out)["satisfied"] is False
+
+
 def _pell_ladder(k: int, c: float = 3.0):
     """P^{-1}([-2, 2]) for P = f o ... o f (k times), f = x^2 - c, c > 2:
     2^k bands, capacity exactly 1, every band mass exactly 2^-k."""
@@ -126,8 +163,18 @@ def test_closed_form_and_integral_agree_on_symmetric_pairs(capsys, s):
 
 def test_closed_form_holds_at_the_float_ends(capsys):
     assert run_cap(capsys, [[-1e308, 1e308]], "--method", "closed_form")["value"] == 5e307
-    two = run_cap(capsys, [[-1e308, -1e307], [1e307, 1e308]], "--method", "closed_form")
-    assert two["value"] == pytest.approx(0.5e308 * math.sqrt(0.99), rel=1e-15)
+    pair = [[-1e308, -1e307], [1e307, 1e308]]
+    two = run_cap(capsys, pair, "--method", "closed_form")["value"]
+    assert two == pytest.approx(0.5e308 * math.sqrt(0.99), rel=1e-15)
+    assert run_cap(capsys, pair)["value"] == pytest.approx(two, rel=1e-12)
+
+
+@pytest.mark.parametrize("bands", ["[[-1e151,-1e150],[1e150,1e151]]",
+                                   "[[-1e308,-1e307],[1e307,1e308]]"])
+def test_pell_synthesis_beyond_the_float_range_exits_4(capsys, bands):
+    # the datum solves, but P^2 - M^2 with M = 2 cap^2 overflows in floats
+    assert main(["pell", "construct", "--bands", bands, "--r", "2"]) == 4
+    assert "Pell synthesis" in capsys.readouterr().err
 
 
 def test_union_at_the_float_ends_keeps_its_gap():
@@ -140,10 +187,29 @@ def test_union_below_the_float_range_exits_2(capsys):
     assert "float range" in capsys.readouterr().err
 
 
-def test_eqm_grid_at_the_float_ends(capsys):
-    assert main(["eqm", "--bands", "[[-1e308,1e308]]", "--samples", "3"]) == 0
-    rows = [tuple(map(float, ln.split(","))) for ln in capsys.readouterr().out.splitlines()[2:]]
-    assert [x for x, _ in rows] == [-5e307, 0.0, 5e307]
+def _eqm_rows(capsys, bands, samples):
+    assert main(["eqm", "--bands", bands, "--samples", str(samples)]) == 0
+    return [tuple(map(float, ln.split(","))) for ln in capsys.readouterr().out.splitlines()[2:]]
+
+
+def _assert_arcsine(rows, b):
+    """Each density is 1/(pi sqrt(b^2 - x^2)) to 1e-12 relative, compared
+    after scaling by b: the density itself is subnormal at b = 1e308."""
     for x, d in rows:
-        exact = 1.0 / (math.pi * 1e308 * math.sqrt(1.0 - (x / 1e308) ** 2))
-        assert d == pytest.approx(exact, rel=1e-12)
+        exact = 1.0 / (math.pi * math.sqrt(1.0 - (x / b) ** 2))
+        assert d * b == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_eqm_grid_at_the_float_ends(capsys):
+    rows = _eqm_rows(capsys, "[[-1e308,1e308]]", 3)
+    assert [x for x, _ in rows] == [-5e307, 0.0, 5e307]
+    _assert_arcsine(rows, 1e308)
+
+
+@pytest.mark.parametrize("samples", [5, 9])
+def test_eqm_density_near_the_float_ends(capsys, samples):
+    # at 9 samples the outer rows sit 0.2e308 from an end, where x - e
+    # overflowed while the density was taken in E's own coordinates
+    rows = _eqm_rows(capsys, "[[-1e308,1e308]]", samples)
+    assert len(rows) == samples
+    _assert_arcsine(rows, 1e308)
