@@ -27,7 +27,9 @@ grid, n = 64 up to 1024.  Band masses double their nodes until they settle.
 
 On band j, x = m_j + rho_j cos(theta) turns |R|/sqrt|D| into a smooth
 profile pi q_j(theta).  ``_band_profile`` is the one copy of it: the band
-masses, ``BandDensity`` and the Pell band phases in ``pellabel`` all use it.
+masses and ``BandDensity`` use it.  ``_exp_series`` is the one Laurent
+series at infinity, exp(-sum p_m u^m / m): the tail of v(E) takes it in
+u = 1/x, the Pell synthesis in ``pellabel`` in u = 1/w, x = (w + 1/w)/2.
 """
 
 from __future__ import annotations
@@ -194,6 +196,16 @@ def _band_etas(e: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
 _TAIL_TERMS = 64
 
 
+def _exp_series(p: np.ndarray) -> np.ndarray:
+    """Coefficients c_0..c_n of exp(-sum_{m=1}^n p_m u^m / m), from p_0..p_n
+    (p_0 is not read): k c_k = -sum_{m=1}^k p_m c_{k-m}."""
+    c = np.zeros(len(p))
+    c[0] = 1.0
+    for k in range(1, len(p)):
+        c[k] = -(p[1:k + 1] @ c[k - 1::-1]) / k
+    return c
+
+
 def _v_right(e: np.ndarray, z: np.ndarray, tol: float = 5e-11) -> float:
     """v(E') = lim_{x->oo} (log x - int_{b_g}^x R/sqrt(D)) for E' in [-1, 1]
     with endpoints e and R rooted at z.
@@ -216,11 +228,8 @@ def _v_right(e: np.ndarray, z: np.ndarray, tol: float = 5e-11) -> float:
 
     v1, _, _ = adaptive_double(head, tol, n0=64, nmax=1 << 13, context="capacity head integral")
     m = np.arange(1, _TAIL_TERMS + 1)
-    p = (np.vander(z, _TAIL_TERMS + 1, increasing=True).sum(axis=0)
-         - 0.5 * np.vander(e, _TAIL_TERMS + 1, increasing=True).sum(axis=0))
-    c = np.r_[1.0, np.zeros(_TAIL_TERMS)]
-    for k in range(1, _TAIL_TERMS + 1):
-        c[k] = -(p[1:k + 1] @ c[k - 1::-1]) / k
+    c = _exp_series(np.vander(z, _TAIL_TERMS + 1, increasing=True).sum(axis=0)
+                    - 0.5 * np.vander(e, _TAIL_TERMS + 1, increasing=True).sum(axis=0))
     return math.log(2.0) - v1 - float(np.sum(c[1:] / (m * 2.0 ** m)))
 
 

@@ -226,6 +226,8 @@ def _run_pell(cfg: argparse.Namespace) -> str:
             M_prime = Fraction(cfg.M_prime)
         except ZeroDivisionError:
             raise ValueError(f"--m-prime has a zero denominator: {cfg.M_prime!r}") from None
+    if action != "detect" and cfg.r is not None and cfg.r < 1:
+        raise ValueError(f"--r must be >= 1, got {cfg.r}")
     datum = solve_R(_parse_bands(cfg.bands))
     if action == "detect":
         hit = _pell.detect_pell_abel(datum, max_denominator=max_den)
@@ -429,8 +431,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    return run(_build_parser().parse_args(argv))
+    return run(_PARSER.parse_args(argv))
 
 
 if __name__ == "__main__":

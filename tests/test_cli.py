@@ -119,6 +119,42 @@ def test_pell_rationalize(capsys):
     assert len(rep["bands"]) == 2
 
 
+@pytest.mark.parametrize("bands,r", [
+    pytest.param("[[-2,2]]", "13", id="interval-r13"),
+    pytest.param("[[-2,2]]", "14", id="interval-r14"),
+    pytest.param(json.dumps([[-1e-3 * math.sqrt(8), -1e-3 * math.sqrt(2)],
+                             [1e-3 * math.sqrt(2), 1e-3 * math.sqrt(8)]]), "2",
+                 id="pair-scaled-1e-3"),
+])
+def test_pell_construct_certifies(capsys, bands, r):
+    rep = run_json(capsys, ["pell", "construct", "--bands", bands, "--r", r])
+    assert rep["certificate"]["pass"] is True
+
+
+@pytest.mark.parametrize("bands,r", [
+    # P^2 - D Q^2 - M^2 in E's power basis cancels past 1e-8 of M^2
+    pytest.param("[[-2,2]]", "22", id="interval-r22"),
+    pytest.param(json.dumps([[1e3 - math.sqrt(8), 1e3 - math.sqrt(2)],
+                             [1e3 + math.sqrt(2), 1e3 + math.sqrt(8)]]), "2",
+                 id="pair-centred-at-1e3"),
+])
+def test_pell_construct_out_of_float_reach_exits_3(capsys, bands, r):
+    assert main(["pell", "construct", "--bands", bands, "--r", r]) == 3
+    assert capsys.readouterr().err.startswith("certification failure")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["construct", "--r", "0"], id="construct-r-0"),
+    pytest.param(["rationalize", "--r", "-1", "--m-prime", "1/2"], id="rationalize-r-neg"),
+])
+def test_pell_nonpositive_r_exits_2_before_solving(capsys, monkeypatch, argv):
+    solves = []
+    monkeypatch.setattr(capell.cli, "solve_R", lambda E: solves.append(E))
+    assert main(["pell", *argv, "--bands", "[[-2,2]]"]) == 2
+    assert "--r must be >= 1" in capsys.readouterr().err
+    assert solves == []
+
+
 def test_pell_rationalize_needs_m_prime(capsys):
     assert main(["pell", "rationalize", "--bands", PAIR_BANDS]) == 2
     assert "error:" in capsys.readouterr().err

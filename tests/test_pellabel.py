@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Chebyshev, Polynomial
 
 from capell.abel import abel_capacity, solve_R
 from capell.core import CertificationError, ExactPoly, make_interval_union
@@ -75,6 +78,46 @@ def test_construct_rejects_non_integral_degree():
     d = solve_R(PAIR)
     with pytest.raises(CertificationError):
         construct_pa_polynomial(d, 3)
+
+
+def _rel(got: Polynomial, want: Polynomial) -> float:
+    """Largest coefficient error over the largest coefficient of want."""
+    return float(np.max(np.abs(got.coef - want.coef)) / np.max(np.abs(want.coef)))
+
+
+@pytest.mark.parametrize("r", range(1, 22))
+def test_construct_on_the_interval_is_the_chebyshev_pair(r):
+    # on [-2, 2]: P = 2 T_r(x/2), Q = U_{r-1}(x/2) = T_r'(x/2)/r, M = 2
+    pa = construct_pa_polynomial(solve_R(I22), r)
+    half_x = 0.5 ** np.arange(r + 1)
+    T = Chebyshev.basis(r).convert(kind=Polynomial)
+    assert _rel(pa.P, Polynomial(2 * T.coef * half_x)) <= 1e-12
+    assert _rel(pa.Q, Polynomial(T.deriv().coef / r * half_x[:r])) <= 1e-12
+    assert pa.M == pytest.approx(2.0, rel=1e-14)
+
+
+def _pell_union(P: Polynomial, M: float):
+    """The bands of {|P| <= M}, P real-rooted with |critical values| > M."""
+    ends = np.sort(np.concatenate([(P - M).roots(), (P + M).roots()]).real)
+    return make_interval_union(list(zip(ends[::2], ends[1::2])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(1.6, 1.7), max_size=3), st.floats(1.2, 1.3),
+       st.floats(-3.0, 3.0), st.floats(0.62, 0.68), st.sampled_from([1, 2]))
+def test_construct_matches_the_composed_pair(gaps, scale, centre, frac, k):
+    # P1 with roots spaced gaps * scale, M1 a fraction of its smallest critical
+    # value; the degree k r pair on {|P1| <= M1} is 2 lam^k T_k(P1 / 2 lam),
+    # lam = M1 / 2: P1 itself at k = 1, P1^2 - M1^2/2 at k = 2
+    offsets = np.concatenate([[0.0], np.cumsum(gaps)])
+    P1 = Polynomial.fromroots(centre + scale * (offsets - offsets[-1] / 2))
+    crit = np.abs(P1(P1.deriv().roots().real))
+    M1 = frac * (crit.min() if len(crit) else 4.0 * scale)
+    P, M = (P1, M1) if k == 1 else (P1 * P1 - M1 * M1 / 2, M1 * M1 / 2)
+    pa = construct_pa_polynomial(solve_R(_pell_union(P1, M1)), k * P1.degree())
+    assert _rel(pa.P, P) <= 1e-10
+    assert pa.M == pytest.approx(M, rel=1e-9)
+    assert certify_structure(pa)["pass"]
 
 
 @pytest.mark.parametrize("r", [0, -1])
