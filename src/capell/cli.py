@@ -260,21 +260,26 @@ def _run_pell(cfg: argparse.Namespace) -> str:
 
 
 def _robinson_instance(cfg: argparse.Namespace) -> "_robinson.RobinsonInstance":
-    if cfg.preset == "x2m6":
-        return _robinson.preset_x2m6()
-    if cfg.preset == "x2m5":
-        return _robinson.preset_x2m5()
-    if cfg.coeffs and cfg.M:
-        P = _parse_coeffs(cfg.coeffs)
-        M = Fraction(cfg.M)
-        return _robinson.make_instance(_pell.PellAbelDatum.from_exact(P, M))
-    raise ValueError("robinson needs --preset or coeffs + M")
+    """The instance asked for, built only once --n or --degree is within
+    bounds for deg P: building isolates the roots of P^2 - M^2 exactly."""
+    if not (cfg.preset or cfg.coeffs and cfg.M):
+        raise ValueError("robinson needs --preset or coeffs + M")
+    P = None if cfg.preset else _parse_coeffs(cfg.coeffs)
+    r = 2 if P is None else P.degree  # both presets are X^2 - c
+    if cfg.n is not None:
+        if cfg.n < 1:
+            raise ValueError(f"--n must be >= 1, got {cfg.n}")
+        _robinson._check_degree(f"multiplier n = {cfg.n}", cfg.n * r)
+    elif r >= 1:  # from_exact refuses a constant P
+        _robinson._first_multiplier(r, _default(cfg.degree, 16))
+    if P is None:
+        return getattr(_robinson, f"preset_{cfg.preset}")()
+    return _robinson.make_instance(_pell.PellAbelDatum.from_exact(P, Fraction(cfg.M)))
 
 
 def _run_robinson(cfg: argparse.Namespace) -> str:
     inst = _robinson_instance(cfg)
     if cfg.n is not None:
-        _robinson._check_degree(f"multiplier n = {cfg.n}", cfg.n * inst.pa.r)
         P_prime, cert, table = _robinson.generate_at(inst, cfg.n)
     else:
         P_prime, cert, table = _robinson.generate(inst, _default(cfg.degree, 16))
@@ -282,19 +287,19 @@ def _run_robinson(cfg: argparse.Namespace) -> str:
         mu = BandDensity(solve_R(inst.pa.E))
         lines = ["n,degree,kolmogorov_distance"]
 
-        def row(n, c_n, t_n):
-            m = _robinson.root_measure_from_certificate(inst, n, t_n, c_n)
+        def row(n, cert, table):
+            m = _robinson.root_measure_from_certificate(inst, n, table, cert)
             d = _robinson.convergence_report([m], mu)[0]
             lines.append(f"{n},{n * inst.pa.r},{d!r}")
 
         n = 2
         while n < cert["n"]:
             try:
-                _, c_n, t_n = _robinson.generate_at(inst, n)
+                _, cert_n, table_n = _robinson.generate_at(inst, n)
             except CertificationError:
                 pass
             else:
-                row(n, c_n, t_n)
+                row(n, cert_n, table_n)
             n *= 2
         row(cert["n"], cert, table)
         return "\n".join(lines) + "\n"

@@ -518,19 +518,18 @@ def _root_bound(p: ExactPoly) -> Fraction:
     return 1 + Fraction(m, abs(p.num[-1]))
 
 
-def _window_bands(window, bound) -> list[tuple[Fraction, Fraction]]:
+def _window(window, bound) -> tuple[Fraction, Fraction]:
+    """The pair ``window`` as Fractions; None means (-bound, bound)."""
     if window is None:
-        return [(-bound, bound)]
-    if isinstance(window, IntervalUnion):
-        return [(Fraction(a), Fraction(b)) for a, b in window.bands]
+        return -bound, bound
     a, b = window
-    return [(Fraction(a), Fraction(b))]
+    return Fraction(a), Fraction(b)
 
 
-def _tolerance(bands, refine: float) -> float:
+def _tolerance(lo: Fraction, hi: Fraction, refine: float) -> float:
     """Width below which isolation stops refining: ``refine`` times the
-    largest |endpoint| of the window's bands."""
-    return refine * float(max(abs(a) for ab in bands for a in ab) or 1)
+    window's largest |endpoint|."""
+    return refine * float(max(abs(lo), abs(hi)) or 1)
 
 
 def _bisect(p: ExactPoly, dp: ExactPoly, a: Fraction, b: Fraction,
@@ -555,25 +554,26 @@ def _bisect(p: ExactPoly, dp: ExactPoly, a: Fraction, b: Fraction,
     return a, b
 
 
-def _refined(p: ExactPoly, iso, refine: float, window=None):
-    """The intervals ``isolate_real_roots(p, window, refine)`` returns,
-    from the result ``iso`` of the same call at a coarser ``refine``.
+def _refined(p: ExactPoly, iso, refine: float):
+    """The intervals ``isolate_real_roots(p, refine=refine)`` returns, from
+    the result ``iso`` of the same call at a coarser ``refine``.
 
     Each interval is where that call's bisection stopped, so bisecting on
     with the same signs reaches the finer intervals of one run to
     ``refine``.
     """
     dp = p.deriv()
-    tol = _tolerance(_window_bands(window, _root_bound(p)), refine)
+    tol = _tolerance(*_window(None, _root_bound(p)), refine)
     return [(a, b) if a == b else _bisect(p, dp, a, b, tol) for a, b in iso]
 
 
 def isolate_real_roots(
     p: ExactPoly,
-    window: IntervalUnion | tuple | None = None,
+    window: tuple | None = None,
     refine: float = 1e-12,
 ):
-    """Disjoint isolating intervals for the real roots of p.
+    """Disjoint isolating intervals for the real roots of p, in the pair
+    ``window`` = (lo, hi) when given (roots in [lo, hi]), else all of them.
 
     Certified Sturm bisection until each segment holds one root, then
     bisection by the exact sign of p.  p must be squarefree: its Sturm chain
@@ -589,31 +589,30 @@ def isolate_real_roots(
     if chain[-1].degree > 0:
         raise NonSquarefreeError("polynomial has a repeated root")
     dp = chain[1]
-    bands = _window_bands(window, _root_bound(p))
-    tol = _tolerance(bands, refine)
+    lo, hi = _window(window, _root_bound(p))
+    tol = _tolerance(lo, hi, refine)
     out: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in bands:
-        # (a, b, k): the Sturm count is over (a, b], and k leaves out a root
-        # at b already emitted as a point of its own
-        segs = [(lo, hi, p.count_roots(lo, hi, chain))]
-        # include a root sitting exactly on the left window edge
-        if p.sign_at(lo) == 0:
-            out.append((lo, lo))
-        while segs:
-            a, b, k = segs.pop()
-            if k <= 0:
-                continue
-            if k == 1:
-                out.append(_bisect(p, dp, a, b, tol))
-                continue
-            mid = (a + b) / 2
-            at_mid = p.sign_at(mid) == 0
-            if at_mid:
-                out.append((mid, mid))
-            # one count per split: the right half holds what the left does not
-            k_left = p.count_roots(a, mid, chain) - at_mid
-            segs.append((a, mid, k_left))
-            segs.append((mid, b, k - at_mid - k_left))
+    # (a, b, k): the Sturm count is over (a, b], and k leaves out a root at b
+    # already emitted as a point of its own
+    segs = [(lo, hi, p.count_roots(lo, hi, chain))]
+    # include a root sitting exactly on the left window edge
+    if p.sign_at(lo) == 0:
+        out.append((lo, lo))
+    while segs:
+        a, b, k = segs.pop()
+        if k <= 0:
+            continue
+        if k == 1:
+            out.append(_bisect(p, dp, a, b, tol))
+            continue
+        mid = (a + b) / 2
+        at_mid = p.sign_at(mid) == 0
+        if at_mid:
+            out.append((mid, mid))
+        # one count per split: the right half holds what the left does not
+        k_left = p.count_roots(a, mid, chain) - at_mid
+        segs.append((a, mid, k_left))
+        segs.append((mid, b, k - at_mid - k_left))
     out.sort(key=lambda ab: ab[0])
     return out
 

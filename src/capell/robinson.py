@@ -9,7 +9,8 @@ in the graded basis {x^j P_k} whose sup norm on E stays strictly below
 2 lam^n — so the corrected polynomial still alternates in sign at the
 extremum points of P_n and keeps all n*r roots, now with integer
 coefficients.  Certificates here are exact: candidate points are rational,
-membership in E is the rational inequality P(x)^2 <= M^2, and signs are
+membership in E is the rational inequality P(x)^2 <= M^2, a Sturm count of
+P^2 - M^2 keeps each band's points inside that band, and signs are
 evaluated in exact arithmetic.
 """
 
@@ -281,73 +282,59 @@ def _rationalize_into_E(inst: RobinsonInstance, x: float, direction: int,
     raise CertificationError(f"no certified rational point near {x}")
 
 
+def _level_roots(pa: PellAbelDatum, n: int) -> np.ndarray:
+    """Row k: the r roots of P - M cos(k pi / n), k = 0..n, ascending, by one
+    eigenvalue call on the companion matrices np.roots would build."""
+    c, M, r = pa.P.to_real().coef, float(pa.M), pa.r
+    comp = np.zeros((n + 1, r, r))
+    comp[:, 0, :] = -c[-2::-1]
+    comp[:, 0, -1] = [-(c[0] - M * math.cos(math.pi * k / n)) for k in range(n + 1)]
+    comp[:, np.arange(1, r), np.arange(r - 1)] = 1.0
+    return np.sort(np.linalg.eigvals(comp).real, axis=1)
+
+
 def _certificate(inst: RobinsonInstance, n: int,
                  table: dict[tuple[int, int], Fraction],
                  P_prime: ExactPoly) -> dict:
     """Exact alternating-sign certificate for P'_n.
 
-    Per band: n*r_j + 1 rational points inside E (membership by the exact
-    inequality P^2 <= M^2) where the signs of P'_n, evaluated exactly,
-    alternate — forcing n*r_j simple roots in the band and n*r in total.
+    ``from_exact`` admits only (P, M) with 2r simple real roots of
+    D = P^2 - M^2, so P maps each band one-to-one onto [-M, M]: the j-th
+    roots of the levels P = M cos(k pi / n), k = 0..n, are the n + 1
+    extremum points of P_n on band j.  Each is rounded to a rational in E
+    (exactly, D <= 0); they must increase, and a Sturm count of D finds
+    2j + 1 or 2j + 2 ends of E at or below the first and the last, so no
+    gap lies between them.  Exact signs of P'_n alternating at the points
+    force n simple roots in every band, n*r in total.
     """
     pa = inst.pa
-    E, M, r = pa.E, float(pa.M), pa.r
-    coef = pa.P.to_real().coef
-    scale = max(abs(e) for e in E.endpoints)
-    # extrema of P_n: the levels P(x) = M cos(k pi / n), solved once for
-    # all bands (shifting a coefficient copy costs less than Polynomial
-    # subtraction, which runs once per level)
-    level_roots = []
-    for k in range(n * max(pa.r_j) + 1):
-        shifted = coef.copy()
-        shifted[0] -= M * math.cos(math.pi * k / n)
-        level_roots.append(np.roots(shifted[::-1]))
+    chain = pa.D.sturm_chain()
+    level_roots = _level_roots(pa, n)
     bands_out = []
     intervals: list[tuple[Fraction, Fraction]] = []
-    total = 0
-    for j, (u, v) in enumerate(E.bands):
-        nj = n * pa.r_j[j]
-        spacing = (v - u) / max(nj, 1)
-        pts: list[float] = []
-        for rts in level_roots[:nj + 1]:
-            for z in rts:
-                if abs(z.imag) < 1e-8 * scale and u - 1e-9 * scale <= z.real <= v + 1e-9 * scale:
-                    pts.append(float(z.real))
-        pts = sorted(pts)
-        # dedupe: neighboring levels can share no roots, but guard anyway
-        dedup = [pts[0]]
-        for x in pts[1:]:
-            if x - dedup[-1] > 0.25 * spacing / max(n, 1):
-                dedup.append(x)
-        if len(dedup) != nj + 1:
-            raise CertificationError(
-                f"band {j}: located {len(dedup)} extremum points, need {nj + 1}"
-            )
-        xi_list = []
-        for i, x in enumerate(dedup):
-            direction = 1 if i == 0 else (-1 if i == len(dedup) - 1 else 0)
-            xi_list.append(_rationalize_into_E(inst, x, direction, spacing))
+    for j, (u, v) in enumerate(pa.E.bands):
+        spacing = (v - u) / n
+        xi_list = [_rationalize_into_E(inst, x, 1 if i == 0 else (-1 if i == n else 0), spacing)
+                   for i, x in enumerate(np.sort(level_roots[:, j]))]
+        if not (all(a < b for a, b in zip(xi_list, xi_list[1:]))
+                and all((pa.D.count_roots(None, x, chain) + 1) // 2 == j + 1
+                        for x in (xi_list[0], xi_list[-1]))):
+            raise CertificationError(f"band {j}: the points are not increasing inside band {j}")
         signs = [P_prime.sign_at(xi) for xi in xi_list]
-        for a, b in zip(signs[:-1], signs[1:]):
-            if a * b != -1:
-                raise CertificationError(
-                    f"band {j}: exact signs do not alternate ({signs})"
-                )
+        if any(a * b != -1 for a, b in zip(signs, signs[1:])):
+            raise CertificationError(f"band {j}: exact signs do not alternate ({signs})")
         intervals.extend(zip(xi_list[:-1], xi_list[1:]))
-        total += nj
         bands_out.append({
             "band": [u, v],
-            "count": nj,
+            "count": n,
             "points": [str(x) for x in xi_list],
             "signs": signs,
         })
-    if total != n * r:
-        raise CertificationError(f"certified {total} roots, degree is {n * r}")
     sup_C = _sup_on_bands(inst, table, n)
     lamf = float(inst.lam)
     return {
         "n": n,
-        "degree": n * r,
+        "degree": n * pa.r,
         "bands": bands_out,
         "isolating_intervals": [(str(a), str(b)) for a, b in intervals],
         "correction_sup": sup_C,
@@ -381,6 +368,16 @@ def _check_degree(asked: str, degree: int, max_degree: int = _MAX_DEGREE) -> Non
         )
 
 
+def _first_multiplier(r: int, degree_target: int, max_degree: int = _MAX_DEGREE) -> int:
+    """The smallest n >= 1 with n*r >= degree_target, r = deg P; a target
+    below 1, or an n*r above ``max_degree``, raises ValueError."""
+    if degree_target < 1:
+        raise ValueError(f"target degree must be >= 1, got {degree_target}")
+    n = max(1, -(-degree_target // r))
+    _check_degree(f"target degree {degree_target}", n * r, max_degree)
+    return n
+
+
 def generate(inst: RobinsonInstance, degree_target: int, max_degree: int = _MAX_DEGREE):
     """Smallest admissible multiplier n with n*r >= degree_target; returns
     (P'_n monic integer, certificate, c-table) as ``generate_at(inst, n)``
@@ -388,11 +385,8 @@ def generate(inst: RobinsonInstance, degree_target: int, max_degree: int = _MAX_
     M = Fraction(inst.pa.M)
     if not M > 2:
         raise ValueError("need M > 2")
-    if degree_target < 1:
-        raise ValueError(f"target degree must be >= 1, got {degree_target}")
     r = inst.pa.r
-    n = max(1, -(-degree_target // r))
-    _check_degree(f"target degree {degree_target}", n * r, max_degree)
+    n = _first_multiplier(r, degree_target, max_degree)
     tried = []
     while n * r <= max_degree:
         try:

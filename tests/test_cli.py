@@ -2,14 +2,17 @@ import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import capell.capacity
 import capell.cli
 from capell.cli import dump_problem, load_problem, main
-from capell.core import make_interval_union
+from capell.core import ExactPoly, make_interval_union
+from capell.pellabel import PellAbelDatum
 
+GOLDEN = Path(__file__).parent / "golden"
 PAIR_BANDS = json.dumps([[-math.sqrt(8), -math.sqrt(2)], [math.sqrt(2), math.sqrt(8)]])
 
 
@@ -214,6 +217,8 @@ def test_robinson_problem_file(capsys, tmp_path):
     (["5", "0", "1"], 3, "2 deg P = 4"),
     # the compositions of a non-monic P are not monic
     (["-6", "0", "2"], 5, "monic"),
+    # a constant P has no multiplier to check before from_exact refuses it
+    (["5"], 3, "degree >= 1"),
 ])
 def test_robinson_rejects_bad_pell_polynomial(capsys, tmp_path, coeffs, M, message):
     prob = tmp_path / "prob.json"
@@ -231,11 +236,33 @@ def test_robinson_rejects_degree_above_cap(capsys):
         assert "max_degree = 512" in capsys.readouterr().err
 
 
-def test_robinson_degree_512_certificate_redecided(capsys):
-    rep = run_json(capsys, ["robinson", "--preset", "x2m6", "--degree", "512"])
+@pytest.mark.parametrize("argv", [
+    ["--preset", "x2m6", "--n", "0"],
+    ["--preset", "x2m6", "--degree", "0"],
+    ["--preset", "x2m6", "--n", "1000"],
+    ["--problem", str(GOLDEN / "quartic_m5_problem.json"), "--degree", "2000"],
+], ids=["n-0", "degree-0", "n-1000", "problem-degree-2000"])
+def test_robinson_bounds_checked_before_building(capsys, monkeypatch, argv):
+    # building the instance isolates the roots of P^2 - M^2 exactly
+    calls = []
+    from_exact = PellAbelDatum.from_exact
+    monkeypatch.setattr(PellAbelDatum, "from_exact",
+                        classmethod(lambda cls, P, M: calls.append(P) or from_exact(P, M)))
+    assert main(["robinson", *argv]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+
+
+def _recheck_certificate(rep, P_coeffs, M):
+    """Re-decide a robinson JSON certificate from the output alone, in exact
+    arithmetic: P'_n monic integer, and in each band increasing rational
+    points of E = {P^2 <= M^2}, with no root of P^2 - M^2 strictly between
+    the first and the last, where the exact signs of P'_n alternate."""
     coeffs = [int(c) for c in rep["P_coeffs"]]
     d = len(coeffs) - 1
-    assert d == rep["degree"] == 512 and coeffs[-1] == 1
+    assert d == rep["degree"] == rep["certificate"]["degree"] and coeffs[-1] == 1
+    P = ExactPoly.from_list(P_coeffs)
+    D = P * P - ExactPoly((Fraction(M) ** 2,))
 
     def sign(x):
         # sign of b^d P'(a/b) = sum c_k a^k b^(d-k), by Horner in integers
@@ -249,17 +276,39 @@ def test_robinson_degree_512_certificate_redecided(capsys):
     total, last = 0, None
     for band in rep["certificate"]["bands"]:
         xs = [Fraction(s) for s in band["points"]]
-        # inside E = {(x^2 - 6)^2 <= 4^2}, increasing, and past the last band
-        assert all((x * x - 6) ** 2 <= 16 for x in xs)
+        assert all(D.sign_at(x) <= 0 for x in xs)
         assert all(u < v for u, v in zip(xs, xs[1:]))
         assert last is None or last < xs[0]
+        # no end of E in (first, last): the points span no gap
+        assert D.count_roots(xs[0], xs[-1]) - (D.sign_at(xs[-1]) == 0) == 0
         signs = [sign(x) for x in xs]
         assert signs == band["signs"]
         assert all(s * t == -1 for s, t in zip(signs, signs[1:]))
         assert band["count"] == len(xs) - 1
         total += band["count"]
         last = xs[-1]
-    assert total == 512
+    assert total == d
+
+
+def test_robinson_degree_512_certificate_redecided(capsys):
+    rep = run_json(capsys, ["robinson", "--preset", "x2m6", "--degree", "512"])
+    assert rep["degree"] == 512
+    _recheck_certificate(rep, [-6, 0, 1], 4)
+
+
+def _problem(name):
+    prob = json.loads((GOLDEN / name).read_text())
+    return prob["coeffs"], prob["M"]
+
+
+@pytest.mark.parametrize("golden,P_coeffs,M", [
+    ("x2m6_d64.json", [-6, 0, 1], 4),
+    ("x2m5_d16.json", [-5, 0, 1], 3),
+    ("cubic_m5.json", *_problem("cubic_m5_problem.json")),
+    ("quartic_m5.json", *_problem("quartic_m5_problem.json")),
+])
+def test_robinson_golden_certificate_redecided(golden, P_coeffs, M):
+    _recheck_certificate(json.loads((GOLDEN / golden).read_text()), P_coeffs, M)
 
 
 def test_robinson_degree_512_csv(capsys):

@@ -5,7 +5,8 @@ the code behind them; a change that keeps behaviour must keep every byte.
 
 ``robinson`` cases: integer lam (x2m6), half-integer lam with the correction
 sweep (x2m5), and a three-band problem file with odd M, whose table skips an
-inadmissible n and ends off the powers of two.  The other subcommands run on
+inadmissible n and ends off the powers of two; JSON only, a four-band quartic
+problem file with odd M and seven correction terms at degree 128.  The other subcommands run on
 [-2, 2] and on the README's two-band pair, which exercises the band profiles
 and the Pell synthesis; on the pair the gap-root warm-up alone meets the
 tolerance, so no Newton step is taken.  ``cap`` on the 64-band pullback of
@@ -75,6 +76,7 @@ CLI_CASES = [
     ("pell_rationalize.json", ["pell", "rationalize", "--bands", PAIR, "--m-prime", "5/2"]),
     ("weil_lift.json", ["weil", "lift", "--q", "2", "--coeffs", "[-5,0,1]"]),
     ("weil_bound.json", ["weil", "bound", "--q", "2", "--bands", "[[-2.8284271247,2.8284271247]]"]),
+    ("quartic_m5.json", ["robinson", "--problem", str(GOLDEN / "quartic_m5_problem.json")]),
 ]
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from capell import robinson
 from capell.abel import BandDensity, solve_R
 from capell.core import CertificationError, ExactPoly, make_interval_union
 from capell.pellabel import PellAbelDatum, construct_pa_polynomial, rationalize
@@ -252,6 +253,23 @@ def test_correction_rejects_inadmissible(i5):
         correction_Cn(i5, 6)    # top coefficients not integral
     with pytest.raises(CertificationError):
         generate_at(i5, 6)
+
+
+def test_certificate_rejects_points_spanning_a_gap(i6, monkeypatch):
+    # band 0's root of the level P = 0 swapped for its mirror in band 1:
+    # every point stays in E, but band 0's points now span the gap
+    # (-sqrt 2, sqrt 2), which the exact span decision refuses
+    level_roots = robinson._level_roots
+
+    def straddle(pa, n):
+        rts = level_roots(pa, n)
+        rts[n // 2, 0] = rts[n // 2, 1]
+        return rts
+
+    monkeypatch.setattr(robinson, "_level_roots", straddle)
+    with pytest.raises(CertificationError, match="band 0: the points are not increasing "
+                                                 "inside band 0"):
+        generate_at(i6, 8)
 
 
 # -- the search front end ----------------------------------------------------------
