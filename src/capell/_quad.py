@@ -2,11 +2,11 @@
 
 The recurring integral here is  int_u^v f(x) / sqrt((x-u)(v-x)) dx  with f
 smooth: substituting x = m + rho*cos(theta) (m midpoint, rho half-width)
-turns the weight into d(theta), so n-point Chebyshev nodes
-
-    x_k = m + rho*cos((2k-1)pi/(2n)),    weight pi/n
-
-integrate it with spectral accuracy.  Densities that blow up like an inverse
+turns the weight into d(theta), and n nodes uniform in theta integrate it
+with spectral accuracy, at a rate set by f's nearest singularity.  A branch
+point at distance d beyond an end sits at imaginary theta ~ sqrt(2d/rho),
+so ``graded_nodes`` takes theta = mu sinh(u) from each end with
+Gauss-Legendre in u.  Densities that blow up like an inverse
 square root at band edges become smooth profiles q(theta), which is how
 ``ThetaDensity`` stores them; the 2-D logarithmic energy then has an exact
 expansion per band,
@@ -21,6 +21,7 @@ log|2 cos s - 2 cos t| = -2 sum_k cos(ks) cos(kt) / k.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,8 +29,8 @@ import numpy as np
 from .core import IntervalUnion, QuadratureError, _unit_map
 
 __all__ = [
-    "cheb_nodes",
     "gauss_legendre",
+    "graded_nodes",
     "adaptive_double",
     "log_abs_sum",
     "ThetaDensity",
@@ -46,10 +47,20 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-def cheb_nodes(n: int) -> np.ndarray:
-    """cos((2k-1)pi/(2n)), k = 1..n, in (-1, 1)."""
-    k = np.arange(1, n + 1)
-    return np.cos((2 * k - 1) * np.pi / (2 * n))
+def graded_nodes(lo, hi, d_lo, d_hi, n: int):
+    """n nodes on each interval [lo_i, hi_i] for the weight 1/sqrt((x-lo)(hi-x))
+    and the logs of their weights, both (len(lo), n): x = mid + half cos(theta),
+    and on each half theta = mu sinh(u) from its end (Johnston-Elliott), n/2
+    Gauss-Legendre nodes in u, mu = sqrt(2 min(d/half, 1)) for d (d_lo, d_hi)
+    the distance from that end to the nearest branch point outside."""
+    mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+    t, w = gauss_legendre(n // 2)
+    mu = np.sqrt(2.0 * np.minimum(np.stack([d_hi, d_lo], axis=-1) / half[:, None], 1.0))[..., None]
+    U = np.arcsinh(0.5 * np.pi / mu)
+    u = 0.5 * U * (t + 1.0)
+    c = np.cos(mu * np.sinh(u)) * np.array([[1.0], [-1.0]])
+    x = (mid[:, None, None] + half[:, None, None] * c).reshape(len(lo), n)
+    return x, np.log(0.5 * U * w * mu * np.cosh(u)).reshape(len(lo), n)
 
 
 def adaptive_double(
@@ -81,8 +92,9 @@ def log_abs_sum(x: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """sum_p log|x - p| for each entry of x (log-space product over pts)."""
     if len(pts) == 0:
         return np.zeros_like(np.asarray(x, dtype=float))
-    d = np.abs(x[..., None] - pts)
-    return np.sum(np.log(d), axis=-1)
+    d = x[..., None] - pts
+    np.abs(d, out=d)
+    return np.sum(np.log(d, out=d), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +108,9 @@ class ThetaDensity:
     Band j is parameterized by x = m_j + rho_j cos(theta), theta in [0, pi],
     and carries mass q_j(theta) d(theta).  ``profiles[j]`` maps a theta array
     to q values; profiles should be smooth even when the x-space density has
-    inverse-square-root edge blowups.
+    inverse-square-root edge blowups.  The profiles are sampled on nsamples
+    angles per band on first use of a mass, the CDF, an integral or the
+    energy (``_grid``); ``density`` reads the profiles alone.
     """
 
     def __init__(
@@ -111,12 +125,17 @@ class ThetaDensity:
         self.profiles = list(profiles)
         self.n = int(nsamples)
         self._theta = (np.arange(self.n) + 0.5) * np.pi / self.n
-        self._qs = [np.asarray(p(self._theta), dtype=float) for p in self.profiles]
-        h = np.pi / self.n
-        self._masses = np.array([h * q.sum() for q in self._qs])
-        # cumulative mass C_j(theta) on the edge grid k*pi/n, k = 0..n
-        self._cum = [np.concatenate(([0.0], h * np.cumsum(q))) for q in self._qs]
         self._cos_cache: dict[int, np.ndarray] = {}
+
+    def _sample(self):
+        """The profiles q_j on the angle grid, the band masses, and the
+        cumulative masses C_j(theta) on the edge grid k pi/n, k = 0..n."""
+        qs = [np.asarray(p(self._theta), dtype=float) for p in self.profiles]
+        h = np.pi / self.n
+        cum = [np.concatenate(([0.0], h * np.cumsum(q))) for q in qs]
+        return qs, np.array([h * q.sum() for q in qs]), cum
+
+    _grid = cached_property(lambda self: self._sample())  # (qs, masses, cum) on first use
 
     # -- geometry ------------------------------------------------------------
 
@@ -128,11 +147,11 @@ class ThetaDensity:
 
     @property
     def band_masses(self) -> np.ndarray:
-        return self._masses.copy()
+        return self._grid[1].copy()
 
     @property
     def total_mass(self) -> float:
-        return float(self._masses.sum())
+        return float(self._grid[1].sum())
 
     def density(self, x) -> np.ndarray:
         """Pointwise x-space density; 0 off the union, inf at band edges."""
@@ -152,8 +171,9 @@ class ThetaDensity:
     def cdf(self, x) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(xs)
+        _, masses, cum = self._grid
         edges = np.linspace(0.0, np.pi, self.n + 1)
-        left_mass = np.concatenate(([0.0], np.cumsum(self._masses)))
+        left_mass = np.concatenate(([0.0], np.cumsum(masses)))
         for j, (u, v) in enumerate(self.E.bands):
             m, rho = _unit_map(u, v)
             sel = xs >= u
@@ -162,23 +182,24 @@ class ThetaDensity:
             out[below] = np.maximum(out[below], left_mass[j + 1])
             if np.any(mid):
                 th = np.arccos(np.clip((xs[mid] - m) / rho, -1.0, 1.0))
-                cth = np.interp(th, edges, self._cum[j])
-                out[mid] = left_mass[j] + (self._masses[j] - cth)
+                cth = np.interp(th, edges, cum[j])
+                out[mid] = left_mass[j] + (masses[j] - cth)
         return out if np.ndim(x) else float(out[0])
 
     def quantile(self, p) -> np.ndarray:
         """Inverse CDF; gap plateaus resolve to the left band edge."""
         ps = np.atleast_1d(np.asarray(p, dtype=float))
+        _, masses, cum = self._grid
         xs_all, fs_all = [], []
         offset = 0.0
         for j, (u, v) in enumerate(self.E.bands):
             m, rho = _unit_map(u, v)
             th = np.linspace(np.pi, 0.0, self.n + 1)
             xg = m + rho * np.cos(th)
-            fg = offset + (self._masses[j] - np.interp(th, np.linspace(0, np.pi, self.n + 1), self._cum[j]))
+            fg = offset + (masses[j] - np.interp(th, np.linspace(0, np.pi, self.n + 1), cum[j]))
             xs_all.append(xg)
             fs_all.append(fg)
-            offset += self._masses[j]
+            offset += masses[j]
         xs_cat = np.concatenate(xs_all)
         fs_cat = np.concatenate(fs_all)
         out = np.interp(ps * self.total_mass, fs_cat, xs_cat)
@@ -193,7 +214,7 @@ class ThetaDensity:
         for j in range(self.E.n_bands):
             m, rho = _unit_map(*self.E.bands[j])
             w = m + rho * np.cos(self._theta)
-            tot += h * float(np.sum(np.asarray(fn(w)) * self._qs[j]))
+            tot += h * float(np.sum(np.asarray(fn(w)) * self._grid[0][j]))
         return tot
 
     def cos_coeffs(self, j: int, kmax: int | None = None) -> np.ndarray:
@@ -208,19 +229,19 @@ class ThetaDensity:
         step = 256
         for k0 in range(0, kmax + 1, step):
             ks = np.arange(k0, min(kmax + 1, k0 + step))
-            out[k0 : k0 + len(ks)] = np.cos(np.outer(ks, self._theta)) @ self._qs[j]
+            out[k0 : k0 + len(ks)] = np.cos(np.outer(ks, self._theta)) @ self._grid[0][j]
         out *= h
         self._cos_cache[j] = out
         return out
 
     def energy(self, cross_nodes: int = 1024) -> float:
         """I = double integral of log|x - y| against the density squared."""
-        total = 0.0
+        total, masses = 0.0, self._grid[1]
         for j in range(self.E.n_bands):
             _, rho = _unit_map(*self.E.bands[j])
             a = self.cos_coeffs(j)
             k = np.arange(1, len(a))
-            total += self._masses[j] ** 2 * math.log(rho / 2.0) - 2.0 * float(
+            total += masses[j] ** 2 * math.log(rho / 2.0) - 2.0 * float(
                 np.sum(a[1:] ** 2 / k)
             )
         nb = self.E.n_bands
@@ -257,7 +278,7 @@ class ThetaDensity:
                 thz = self._theta_of(j, zc.real)
                 a = self.cos_coeffs(j)
                 k = np.arange(1, len(a))
-                total += self._masses[j] * math.log(rho / 2.0) - 2.0 * float(
+                total += self._grid[1][j] * math.log(rho / 2.0) - 2.0 * float(
                     np.sum(a[1:] / k * np.cos(k * thz))
                 )
                 continue

@@ -16,14 +16,17 @@ limit of ``abel_capacity``: a union far from 0 or at the float ends solves
 like the same union at 0.
 
 The solver parameterizes R by its gap roots z (one per gap), which stays
-well conditioned with hundreds of bands.  Gap i carries n Chebyshev nodes
-X_ik (``_quad``), and one kernel, w_ik prod_{j != i} |X_ik - z_j| with w the
-1/sqrt(D) cofactor weight, summed in log space and centred per row, gives
-the residuals F_i = int R/sqrt(D), their scales W_i and the Jacobian.  A
-Jacobi warm-up moves each z_i to its row's centre of mass; Newton then stops
-at max|F|/W < 1e-13 or when a step fails to halve it.  The roots are
-re-checked on 2n nodes, to 1e-10; if they fail, that grid is the next solve
-grid, n = 64 up to 1024.  Band masses double their nodes until they settle.
+well conditioned with hundreds of bands.  Every gap and band integral runs
+on ``_quad.graded_nodes``, whose theta = mu sinh(u) at each end makes a
+band or gap end at distance d cost log(1/d) nodes, not 1/sqrt(d).  Gap i
+carries n nodes X_ik, and one kernel, w_ik prod_{j != i} |X_ik - z_j| with
+w the node weight over sqrt of D's cofactor, summed in log space and
+centred per row, gives the residuals F_i = int R/sqrt(D), their scales W_i
+and the Jacobian.  A Jacobi warm-up moves each z_i to its row's centre of
+mass; Newton then stops at max|F|/W < 1e-13 or when a step fails to halve
+it.  The roots are re-checked on 2n nodes, to 1e-10, and one more Newton
+runs on that grid; if they fail, it is the next solve grid, n = 32 up to
+512.  Band masses double their nodes from 32 until they settle.
 
 On band j, x = m_j + rho_j cos(theta) turns |R|/sqrt|D| into a smooth
 profile pi q_j(theta).  ``_band_profile`` is the one copy of it: the band
@@ -47,7 +50,7 @@ from .core import (
     QuadratureError,
     _unit_map,
 )
-from ._quad import ThetaDensity, adaptive_double, cheb_nodes, gauss_legendre, log_abs_sum
+from ._quad import ThetaDensity, adaptive_double, gauss_legendre, graded_nodes, log_abs_sum
 
 __all__ = [
     "AbelDatum",
@@ -103,32 +106,36 @@ class AbelDatum:
 # ---------------------------------------------------------------------------
 
 
+def _log_weight(x: np.ndarray, e: np.ndarray, own, z=()) -> np.ndarray:
+    """log(|R(x)| / sqrt|D(x) / ((x - e_o)(x - e_{o+1}))|) on rows x (m, n)
+    of an interval with ends e_o, e_{o+1}, o = own[row]; R has roots z.
+    Rows go in blocks, so no log tensor passes 2^20 entries."""
+    k, out = np.arange(len(e) - 2), np.empty_like(x)
+    step = max(1, (1 << 20) // (x.shape[1] * (len(e) + len(z))))
+    for r in range(0, len(x), step):
+        others = e[k + 2 * (k >= np.asarray(own)[r:r + step, None])][:, None, :]
+        out[r:r + step] = log_abs_sum(x[r:r + step], z) - 0.5 * log_abs_sum(x[r:r + step], others)
+    return out
+
+
 def _band_profile(e: np.ndarray, z: np.ndarray, j: int):
     """theta -> pi q_j(theta) = |R| / sqrt(|D| / ((x-a_j)(b_j-x))) at
     x = m_j + rho_j cos(theta) on band j, R monic with roots z; it has
     degree 0 in x, so it is the same on E and on E mapped onto [-1, 1]."""
     m, rho = _unit_map(e[2 * j], e[2 * j + 1])
-    others = np.delete(e, (2 * j, 2 * j + 1))
-
-    def q(theta: np.ndarray) -> np.ndarray:
-        x = m + rho * np.cos(theta)
-        return np.exp(log_abs_sum(x, z) - 0.5 * log_abs_sum(x, others))
-
-    return q
+    return lambda theta: np.exp(_log_weight((m + rho * np.cos(theta))[None], e, [2 * j], z)[0])
 
 
-def _gap_nodes(e: np.ndarray, i: int, n: int):
-    """n Chebyshev nodes on gap i and the log of the weight 1/sqrt of D's
-    cofactor |D / ((x-b_i)(a_{i+1}-x))| there."""
-    mid, half = _unit_map(e[2 * i + 1], e[2 * i + 2])
-    x = mid + half * cheb_nodes(n)
-    return x, -0.5 * log_abs_sum(x, np.delete(e, (2 * i + 1, 2 * i + 2)))
-
-
-def _gap_grid(e: np.ndarray, n: int):
-    """``_gap_nodes`` stacked over the gaps: X and log w, both (g, n)."""
-    X, logw = zip(*(_gap_nodes(e, i, n) for i in range(len(e) // 2 - 1)))
-    return np.array(X), np.array(logw)
+def _gap_nodes(e: np.ndarray, n: int, gaps=slice(None)):
+    """``graded_nodes`` X on the gaps (all, or those indexed) and log w, w
+    the node weight over sqrt of D's cofactor |D / ((x-b_i)(a_{i+1}-x))|,
+    both (gaps, n), built for all gaps at once.  A gap end's nearest branch
+    point outside is the far end of the band beside it.  ``solve_R`` solves
+    on n = 32 and re-checks on 64."""
+    width = e[1::2] - e[::2]
+    i = np.arange(len(e) // 2 - 1)[gaps]
+    X, logq = graded_nodes(e[2 * i + 1], e[2 * i + 2], width[i], width[i + 1], n)
+    return X, logq + _log_weight(X, e, 2 * i + 1)
 
 
 def _kernel(X: np.ndarray, logw: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -146,20 +153,20 @@ def _kernel(X: np.ndarray, logw: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _residual(z, X, logw, jac=False):
     """F_i = int over gap i of R/sqrt(D), its scale W_i (the same with |R|)
     and, if asked, J = dF/dz, up to the row factors of ``_kernel``."""
-    g, h = len(z), np.pi / X.shape[1]
+    g = len(z)
     core = _kernel(X, logw, z)
     dx = X - z[:, None]
     # sign of prod_{j != i} (x - z_j) on gap i: the g - 1 - i roots above
     sig = (-1.0) ** (g - 1 - np.arange(g))
-    F = h * sig * (dx * core).sum(axis=1)
-    W = h * (np.abs(dx) * core).sum(axis=1)
+    F = sig * (dx * core).sum(axis=1)
+    W = (np.abs(dx) * core).sum(axis=1)
     if not jac:
         return F, W, None
-    # J[i, l] = -h sig_i sum_k dx_ik core_ik / (X_ik - z_l); at l = i this
-    # is -h sig_i sum_k core_ik
+    # J[i, l] = -sig_i sum_k dx_ik core_ik / (X_ik - z_l); at l = i this
+    # is -sig_i sum_k core_ik
     Q = X[:, :, None] - z
     np.reciprocal(Q, out=Q)
-    return F, W, -h * sig[:, None] * np.einsum("ik,ikl->il", dx * core, Q)
+    return F, W, -sig[:, None] * np.einsum("ik,ikl->il", dx * core, Q)
 
 
 def _newton(z, X, logw, lo, hi, tol=1e-13, iters=40):
@@ -185,12 +192,14 @@ def _newton(z, X, logw, lo, hi, tol=1e-13, iters=40):
 
 
 def _band_etas(e: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """eta_j = int over band j of |R|/sqrt|D|, on n Chebyshev nodes: the
-    profile at theta_k = (k + 1/2) pi / n, whose cosines are cheb_nodes(n)."""
-    h = np.pi / n
-    theta = (np.arange(n) + 0.5) * np.pi / n
-    return np.array([h * float(np.sum(_band_profile(e, z, j)(theta)))
-                     for j in range(len(e) // 2)])
+    """eta_j = int over band j of |R|/sqrt|D| on n ``graded_nodes`` per band,
+    all bands at once.  A band end is graded for the gap beside it: that
+    gap's root, always nearer than its far end."""
+    lo, hi = e[::2], e[1::2]
+    d_lo = np.concatenate(([np.inf], lo[1:] - z))
+    d_hi = np.concatenate((z - hi[:-1], [np.inf]))
+    x, logq = graded_nodes(lo, hi, d_lo, d_hi, n)
+    return np.exp(logq + _log_weight(x, e, np.arange(0, len(e), 2), z)).sum(axis=1)
 
 
 _TAIL_TERMS = 64
@@ -241,22 +250,24 @@ def solve_R(E: IntervalUnion) -> AbelDatum:
     z = 0.5 * lo + 0.5 * hi
     if len(z):
         pad = 1e-9 * (hi - lo)
-        X, logw = _gap_grid(e, 64)
+        X, logw = _gap_nodes(e, 32)
         for _ in range(12):  # Jacobi warm-up: z_i <- centre of mass of row i
             core = _kernel(X, logw, z)
             z = (X * core).sum(axis=1) / core.sum(axis=1)
-        for n in (64, 128, 256, 512, 1024):
+        for n in (32, 64, 128, 256, 512):
             z = _newton(z, X, logw, lo + pad, hi - pad)
             # re-check on the doubled grid, the next solve grid if z fails
-            X, logw = _gap_grid(e, 2 * n)
+            X, logw = _gap_nodes(e, 2 * n)
             F, W, _ = _residual(z, X, logw)
             if np.max(np.abs(F) / W) < 1e-10:
+                # one more Newton on that grid: the re-check's 1e-10 is loose
+                z = _newton(z, X, logw, lo + pad, hi - pad)
                 break
         else:
-            raise QuadratureError("gap conditions: no stable solution below 2048 nodes")
+            raise QuadratureError("gap conditions: no stable solution below 1024 nodes")
 
-    eta, _, _ = adaptive_double(lambda n: _band_etas(e, z, n), 1e-9, n0=128,
-                                nmax=1 << 14, context="band masses")
+    eta, _, _ = adaptive_double(lambda n: _band_etas(e, z, n), 1e-9, n0=32,
+                                nmax=1 << 10, context="band masses")
     omega = eta / math.pi
     if abs(float(omega.sum()) - 1.0) > 1e-8:
         raise QuadratureError(f"band masses sum to {omega.sum()}, not 1")
@@ -278,8 +289,8 @@ def gap_integral(datum: AbelDatum, gap_index: int) -> float:
     z = np.asarray(datum.unit_roots)
 
     def one(n: int) -> float:
-        x, logw = _gap_nodes(e, gap_index - 1, n)
-        return np.pi / n * float(np.sum(np.prod(x[:, None] - z, axis=1) * np.exp(logw)))
+        x, logw = _gap_nodes(e, n, [gap_index - 1])
+        return float(np.sum(np.prod(x[0, :, None] - z, axis=1) * np.exp(logw[0])))
 
     val, _, _ = adaptive_double(one, 1e-11, n0=32, context="gap integral")
     return val
@@ -316,14 +327,20 @@ class BandDensity(ThetaDensity):
         self._z = np.asarray(datum.unit_roots)
         profiles = [_band_profile(self._e, self._z, j) for j in range(E.n_bands)]
         super().__init__(E, [lambda theta, q=q: q(theta) / np.pi for q in profiles], nsamples)
-        if np.max(np.abs(self.band_masses - np.asarray(datum.omega))) > 1e-8:
+
+    def _sample(self):
+        grid = super()._sample()
+        if np.max(np.abs(grid[1] - np.asarray(self.datum.omega))) > 1e-8:
             raise QuadratureError("band masses do not match the period data")
+        return grid
 
     def density(self, x) -> np.ndarray:
         """|R(x)| / (pi sqrt|D(x)|) for x strictly inside the bands, taken at
         x' = (x - mid) / half on E mapped onto [-1, 1] and divided by half."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        inside = np.any([(xs > u) & (xs < v) for u, v in self.E.bands], axis=0)
+        ends = np.asarray(self.E.endpoints)
+        k = np.searchsorted(ends, xs, side="right")
+        inside = (k % 2 == 1) & (xs > ends[k - 1])
         xx = (xs[inside] - self._mid) / self._half
         out = np.zeros_like(xs)
         q = np.exp(log_abs_sum(xx, self._z) - 0.5 * log_abs_sum(xx, self._e))

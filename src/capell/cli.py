@@ -182,11 +182,9 @@ def _run_eqm(cfg: argparse.Namespace) -> str:
         "cap": abel_capacity(datum),
         "samples_per_band": samples,
     }
-    rows: list[tuple[float, float]] = []
-    for (u, v) in E.bands:
-        xs = 2.0 * np.linspace(0.5 * u, 0.5 * v, samples + 2)[1:-1]  # v - u may overflow
-        qs = mu.density(xs)
-        rows.extend((float(x), float(d)) for x, d in zip(xs, qs))
+    xs = np.concatenate([2.0 * np.linspace(0.5 * u, 0.5 * v, samples + 2)[1:-1]  # v - u may overflow
+                         for u, v in E.bands])
+    rows = list(zip(xs.tolist(), mu.density(xs).tolist()))
     if (cfg.format or "csv") == "json":
         return _dump_json({**header, "rows": rows})
     lines = ["# " + json.dumps(_jsonify(header), sort_keys=True), "x,density"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,13 +8,17 @@ import pytest
 from capell.abel import (
     BandDensity,
     _cached_density,
+    _gap_nodes,
+    _log_weight,
+    _unit_frame,
     abel_capacity,
     equilibrium_potential,
     gap_integral,
     resultant_positivity,
     solve_R,
 )
-from capell.core import ExactPoly, make_interval_union
+from capell._quad import log_abs_sum
+from capell.core import ExactPoly, QuadratureError, make_interval_union
 
 X = ExactPoly.x()
 I22 = make_interval_union([(-2, 2)])
@@ -95,6 +100,24 @@ def test_band_masses_equal_omega():
     assert mu.total_mass == pytest.approx(1.0, abs=1e-9)
 
 
+def test_density_grid_is_sampled_on_first_use(monkeypatch):
+    import capell.abel as abel
+
+    d = solve_R(PAIR)
+    calls = []
+    log_weight = abel._log_weight
+    monkeypatch.setattr(abel, "_log_weight", lambda *a: calls.append(1) or log_weight(*a))
+    mu = BandDensity(d)
+    assert mu.density(0.5 * (math.sqrt(2) + math.sqrt(8))) > 0
+    assert not calls
+    mu.cdf(0.0)
+    assert calls
+    # the mass check runs with the grid it checks
+    bad = BandDensity(dataclasses.replace(d, omega=(d.omega[0] + 1e-6, d.omega[1])))
+    with pytest.raises(QuadratureError, match="period data"):
+        bad.cdf(0.0)
+
+
 def test_density_vanishes_nowhere_inside():
     mu = BandDensity(solve_R(PAIR))
     xs = np.linspace(math.sqrt(2) + 1e-3, math.sqrt(8) - 1e-3, 40)
@@ -150,6 +173,41 @@ def test_gap_integral_antisymmetric_case():
     d = solve_R(PAIR)
     # R odd, gap symmetric about 0: the principal integral cancels
     assert gap_integral(d, 1) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_gap_integrals_of_a_64_band_union_vanish():
+    # the pullback of [-4, 4] by six quadratics x^2 - c, as in the benchmark
+    bands = [(-4.0, 4.0)]
+    for ratio in (1.3, 1.6, 1.45, 1.35, 1.55, 1.4):
+        c = bands[-1][1] * ratio
+        right = [(math.sqrt(a + c), math.sqrt(b + c)) for a, b in bands]
+        bands = [(-b, -a) for a, b in reversed(right)] + right
+    d = solve_R(make_interval_union(bands))
+    e, _, _ = _unit_frame(d.E)
+    z = np.asarray(d.unit_roots)
+    for i in range(d.E.g):
+        x, logw = _gap_nodes(e, 64, [i])
+        scale = float(np.sum(np.abs(np.prod(x[0, :, None] - z, axis=1)) * np.exp(logw[0])))
+        assert abs(gap_integral(d, i + 1)) <= 1e-10 * scale
+
+
+def test_log_weights_match_the_per_interval_loop():
+    # all rows at once, in blocks, against one np.delete per row
+    rng = np.random.default_rng(5)
+    e = np.sort(rng.uniform(-1, 1, 512))
+    z = 0.5 * (e[1:-1:2] + e[2::2])
+    own = np.arange(1, 510, 2)
+    x = 0.5 * (e[own] + e[own + 1])[:, None] + rng.uniform(-0.4, 0.4, (255, 64)) * (e[own + 1] - e[own])[:, None]
+    loop = np.array([log_abs_sum(xi, z) - 0.5 * log_abs_sum(xi, np.delete(e, (o, o + 1)))
+                     for xi, o in zip(x, own)])
+    assert np.array_equal(_log_weight(x, e, own, z), loop)
+
+
+def test_density_is_zero_off_the_open_bands():
+    mu = BandDensity(solve_R(UNION))
+    xs = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, np.nan])
+    loop = np.any([(xs > u) & (xs < v) for u, v in UNION.bands], axis=0)
+    assert np.array_equal(mu.density(xs) > 0, loop)
 
 
 def test_gap_integral_requires_valid_index():

@@ -5,8 +5,8 @@ import pytest
 
 from capell._quad import (
     ThetaDensity,
-    cheb_nodes,
     gauss_legendre,
+    graded_nodes,
     log_abs_sum,
     uniform_density,
 )
@@ -25,10 +25,11 @@ def test_gauss_legendre_cached_and_exact():
     assert (w * x**22).sum() == pytest.approx(2.0 / 23.0, rel=1e-13)
 
 
-def singular_integral(f, u, v, n):
-    # int_u^v f(x) / sqrt((x-u)(v-x)) dx on the band nodes, weight pi/n each
-    x = (u + v) / 2 + (v - u) / 2 * cheb_nodes(n)
-    return float(np.pi / n * np.sum(f(x)))
+def singular_integral(f, u, v, n, d=math.inf):
+    # int_u^v f(x) / sqrt((x-u)(v-x)) dx on n graded nodes, graded at v for
+    # a branch point at distance d beyond it
+    x, logw = graded_nodes(np.array([u]), np.array([v]), np.array([math.inf]), np.array([d]), n)
+    return float(np.sum(f(x[0]) * np.exp(logw[0])))
 
 
 def test_singular_integral_constant():
@@ -43,11 +44,26 @@ def test_singular_integral_poly_weight():
     assert val == pytest.approx(math.pi, rel=1e-13)
 
 
-def test_cheb_nodes_interlace():
-    t = cheb_nodes(16)
-    assert len(t) == 16
-    assert np.all(np.diff(t) < 0)  # cos of increasing angles
-    assert -1 < t[-1] and t[0] < 1
+def _ellipe(m):
+    """Complete elliptic integral E(m) of the second kind, by the AGM."""
+    a, b, c2, s, p = 1.0, math.sqrt(1.0 - m), m, 0.5 * m, 0.5
+    while c2 > 1e-32:
+        a, b, c2 = 0.5 * (a + b), math.sqrt(a * b), (0.5 * (a - b)) ** 2
+        p *= 2
+        s += p * c2
+    return math.pi / (2 * a) * (1.0 - s)
+
+
+def test_graded_nodes_reach_a_close_branch_point():
+    # sqrt(1 + d - x) has its branch point d beyond 1; the integral is
+    # 2 sqrt(2 + d) E(2 / (2 + d)).  64 graded nodes reach rounding at every
+    # d, where a rule uniform in theta needs ~1/sqrt(d) nodes
+    for d in (1.0, 1e-4, 1e-8, 1e-12):
+        exact = 2 * math.sqrt(2 + d) * _ellipe(2 / (2 + d))
+        got = singular_integral(lambda x: np.sqrt(1.0 + d - x), -1.0, 1.0, 64, d)
+        assert got == pytest.approx(exact, rel=1e-13)
+    x, _ = graded_nodes(np.array([-1.0]), np.array([1.0]), np.array([1e-8]), np.array([1e-8]), 32)
+    assert np.all(np.abs(x) < 1) and 1 - np.abs(x).max() < 1e-9
 
 
 def test_log_abs_sum():

@@ -124,7 +124,7 @@ def _ladder_critical_points(k: int, c: float = 3.0) -> np.ndarray:
     return np.sort(out)
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 9))
 def test_pell_ladder_has_capacity_one_and_equal_masses(k, monkeypatch):
     rep = capacity(_pell_ladder(k))
     assert rep.value == pytest.approx(1.0, rel=1e-12)
@@ -139,13 +139,13 @@ def test_pell_ladder_has_capacity_one_and_equal_masses(k, monkeypatch):
     assert len(solves) <= 8
 
 
-@pytest.mark.parametrize("delta", [1e-5, 1e-6])
+@pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-8, 1e-10, 3e-12])
 def test_near_touching_bands_keep_unit_mass(capsys, delta):
     rep = run_cap(capsys, [[0, 1], [1 + delta, 2]])
     assert sum(rep["diagnostics"]["omega"]) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("delta", [1e-5, 1e-6])
+@pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-8, 1e-10, 3e-12])
 def test_near_touching_symmetric_pair_matches_closed_form(capsys, delta):
     bands = [[-1, -delta / 2], [delta / 2, 1]]
     closed = run_cap(capsys, bands, "--method", "closed_form")["value"]
