@@ -22,11 +22,12 @@ band or gap end at distance d cost log(1/d) nodes, not 1/sqrt(d).  Gap i
 carries n nodes X_ik, and one kernel, w_ik prod_{j != i} |X_ik - z_j| with
 w the node weight over sqrt of D's cofactor, summed in log space and
 centred per row, gives the residuals F_i = int R/sqrt(D), their scales W_i
-and the Jacobian.  A Jacobi warm-up moves each z_i to its row's centre of
-mass; Newton then stops at max|F|/W < 1e-13 or when a step fails to halve
-it.  The roots are re-checked on 2n nodes, to 1e-10, and one more Newton
-runs on that grid; if they fail, it is the next solve grid, n = 32 up to
-512.  Band masses double their nodes from 32 until they settle.
+and the Jacobian J = dF/dz.  The gap conditions are linear in R: with
+R = prod(x - y)(1 + sum_l c_l/(x - y_l)) for any y, one per gap, they read
+J c = F at y, so each grid costs one solve.  It runs from the gap midpoints
+on 32 nodes; the roots are re-checked on 2n nodes, to 1e-10, without J, and
+one more solve on that grid ends it, or it is the next solve grid, n = 32 up
+to 512.  Band masses double their nodes from 32 until they settle.
 
 On band j, x = m_j + rho_j cos(theta) turns |R|/sqrt|D| into a smooth
 profile pi q_j(theta).  ``_band_profile`` is the one copy of it: the band
@@ -44,12 +45,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .core import (
-    ExactPoly,
-    IntervalUnion,
-    QuadratureError,
-    _unit_map,
-)
+from .core import ExactPoly, IntervalUnion, QuadratureError, _unit_map
 from ._quad import ThetaDensity, adaptive_double, gauss_legendre, graded_nodes, log_abs_sum
 
 __all__ = [
@@ -109,9 +105,9 @@ class AbelDatum:
 def _log_weight(x: np.ndarray, e: np.ndarray, own, z=()) -> np.ndarray:
     """log(|R(x)| / sqrt|D(x) / ((x - e_o)(x - e_{o+1}))|) on rows x (m, n)
     of an interval with ends e_o, e_{o+1}, o = own[row]; R has roots z.
-    Rows go in blocks, so no log tensor passes 2^20 entries."""
+    Rows go in blocks, so no log tensor passes 2^18 entries."""
     k, out = np.arange(len(e) - 2), np.empty_like(x)
-    step = max(1, (1 << 20) // (x.shape[1] * (len(e) + len(z))))
+    step = max(1, (1 << 18) // (x.shape[1] * (len(e) + len(z))))
     for r in range(0, len(x), step):
         others = e[k + 2 * (k >= np.asarray(own)[r:r + step, None])][:, None, :]
         out[r:r + step] = log_abs_sum(x[r:r + step], z) - 0.5 * log_abs_sum(x[r:r + step], others)
@@ -141,8 +137,8 @@ def _gap_nodes(e: np.ndarray, n: int, gaps=slice(None)):
 def _kernel(X: np.ndarray, logw: np.ndarray, z: np.ndarray) -> np.ndarray:
     """core[i, k] = w_ik prod_{j != i} |X_ik - z_j| over its row maximum, so
     no product under- or overflows; F_i, W_i and row i of J share that
-    factor, which leaves the Newton step and F/W alone.  The log is taken
-    in place: one (g, n, g) tensor is alive at a time."""
+    factor, which cancels in J c = F and in F/W.  The log is taken in place:
+    one (g, n, g) tensor is alive at a time."""
     L = X[:, :, None] - z
     np.abs(L, out=L)
     np.log(L, out=L)
@@ -169,25 +165,27 @@ def _residual(z, X, logw, jac=False):
     return F, W, -sig[:, None] * np.einsum("ik,ikl->il", dx * core, Q)
 
 
-def _newton(z, X, logw, lo, hi, tol=1e-13, iters=40):
-    """Newton on the gap conditions, clipped into [lo, hi].  It stops once
-    max|F|/W is below tol or a step fails to halve it; a step that raises
-    it is not taken."""
-    F, W, J = _residual(z, X, logw, jac=True)
-    r = float(np.max(np.abs(F) / W))
-    cond = 0.0 if r < tol else float(np.linalg.cond(J))
-    if not cond <= 1e13:
-        raise QuadratureError(f"gap-root system ill conditioned (cond ~ {cond:.2e})")
-    for _ in range(iters):
-        if r < tol:
+def _solve_grid(y, X, logw, lo, hi):
+    """R's gap roots from one solve of J c = F at y on the grid X.  R's root
+    in gap i is that of (x - y_i)(1 + sum_{l != i} c_l/(x - y_l)) + c_i, by
+    Newton from y_i - c_i for all gaps at once, to 1e-14 of the gap plus
+    1e-15, a few ulps on [-1, 1], where rounding stops the steps."""
+    F, _, J = _residual(y, X, logw, jac=True)
+    c = np.linalg.solve(J, F)
+    if not np.all(np.isfinite(c)):
+        raise QuadratureError("gap conditions: the linear solve is not finite")
+    z, tol = y - c, 1e-14 * (hi - lo) + 1e-15
+    for _ in range(8):
+        d = z[:, None] - y
+        np.fill_diagonal(d, np.inf)
+        q = c / d
+        s = 1.0 + q.sum(axis=1)
+        step = ((z - y) * s + c) / (s - (z - y) * (q / d).sum(axis=1))
+        z = z - step
+        if not np.max(np.abs(step) - tol) > 0:
             break
-        z_new = np.clip(z + np.linalg.solve(J, -F), lo, hi)
-        F, W, J = _residual(z_new, X, logw, jac=True)
-        r, r_old = float(np.max(np.abs(F) / W)), r
-        if r <= r_old:
-            z = z_new
-        if not r <= 0.5 * r_old:
-            break
+    if not np.all((lo < z) & (z < hi)):
+        raise QuadratureError("gap conditions: a root of R is not inside its gap")
     return z
 
 
@@ -247,24 +245,24 @@ def solve_R(E: IntervalUnion) -> AbelDatum:
     the full datum; v(E) = v(E') + log half."""
     e, _, half = _unit_frame(E)
     lo, hi = e[1:-1].reshape(-1, 2).T
-    z = 0.5 * lo + 0.5 * hi
+    z, n = 0.5 * lo + 0.5 * hi, 32
     if len(z):
-        pad = 1e-9 * (hi - lo)
-        X, logw = _gap_nodes(e, 32)
-        for _ in range(12):  # Jacobi warm-up: z_i <- centre of mass of row i
-            core = _kernel(X, logw, z)
-            z = (X * core).sum(axis=1) / core.sum(axis=1)
-        for n in (32, 64, 128, 256, 512):
-            z = _newton(z, X, logw, lo + pad, hi - pad)
-            # re-check on the doubled grid, the next solve grid if z fails
-            X, logw = _gap_nodes(e, 2 * n)
-            F, W, _ = _residual(z, X, logw)
-            if np.max(np.abs(F) / W) < 1e-10:
-                # one more Newton on that grid: the re-check's 1e-10 is loose
-                z = _newton(z, X, logw, lo + pad, hi - pad)
-                break
-        else:
-            raise QuadratureError("gap conditions: no stable solution below 1024 nodes")
+        try:
+            X, logw = _gap_nodes(e, n)
+            while True:
+                z = _solve_grid(z, X, logw, lo, hi)
+                # re-check on the doubled grid, the next solve grid if z fails
+                n *= 2
+                X, logw = _gap_nodes(e, n)
+                F, W, _ = _residual(z, X, logw)
+                if np.max(np.abs(F) / W) < 1e-10:
+                    # one more solve on that grid: the re-check's 1e-10 is loose
+                    z = _solve_grid(z, X, logw, lo, hi)
+                    break
+                if n == 1024:
+                    raise QuadratureError("gap conditions: no stable solution below 1024 nodes")
+        except MemoryError:
+            raise QuadratureError(f"gap conditions: out of memory at {n} nodes on {len(z)} gaps")
 
     eta, _, _ = adaptive_double(lambda n: _band_etas(e, z, n), 1e-9, n0=32,
                                 nmax=1 << 10, context="band masses")

@@ -1,15 +1,20 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import capell.abel
 from capell.abel import (
     BandDensity,
     _cached_density,
     _gap_nodes,
     _log_weight,
+    _solve_grid,
     _unit_frame,
     abel_capacity,
     equilibrium_potential,
@@ -18,6 +23,7 @@ from capell.abel import (
     solve_R,
 )
 from capell._quad import log_abs_sum
+from capell.cli import main
 from capell.core import ExactPoly, QuadratureError, make_interval_union
 
 X = ExactPoly.x()
@@ -189,6 +195,60 @@ def test_gap_integrals_of_a_64_band_union_vanish():
         x, logw = _gap_nodes(e, 64, [i])
         scale = float(np.sum(np.abs(np.prod(x[0, :, None] - z, axis=1)) * np.exp(logw[0])))
         assert abs(gap_integral(d, i + 1)) <= 1e-10 * scale
+
+
+# 2-8 bands: 2m endpoints as running sums of steps in [0.05, 3]
+_UNIONS = st.integers(2, 8).flatmap(
+    lambda m: st.lists(st.floats(0.05, 3.0), min_size=2 * m, max_size=2 * m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_UNIONS)
+def test_gap_conditions_are_linear_in_R(steps):
+    # one grid, two sets of points y: the same R, so the same roots
+    ends = np.cumsum(steps)
+    e, _, _ = _unit_frame(make_interval_union(list(zip(ends[::2], ends[1::2]))))
+    lo, hi = e[1:-1].reshape(-1, 2).T
+    X, logw = _gap_nodes(e, 64)
+    mid = _solve_grid(0.5 * lo + 0.5 * hi, X, logw, lo, hi)
+    quarter = _solve_grid(lo + 0.25 * (hi - lo), X, logw, lo, hi)
+    assert np.all(np.abs(mid - quarter) <= 1e-12 * (hi - lo))
+
+
+THREE = "[[0,1],[2,3],[3.5,4]]"
+
+
+def _nan_solve(solve):
+    return lambda a, b: np.full_like(b, np.nan)
+
+
+def _root_outside_solve(solve):
+    # c_0 + 10 puts gap 0's root near y_0 - 10, off E mapped onto [-1, 1]
+    def bad(a, b):
+        c = solve(a, b)
+        c[0] += 10.0
+        return c
+    return bad
+
+
+@pytest.mark.parametrize("bad,message", [
+    (_nan_solve, "gap conditions: the linear solve is not finite"),
+    (_root_outside_solve, "gap conditions: a root of R is not inside its gap"),
+], ids=["nan", "root-outside"])
+def test_a_bad_linear_solve_exits_4_naming_the_stage(capsys, monkeypatch, bad, message):
+    monkeypatch.setattr(np.linalg, "solve", bad(np.linalg.solve))
+    with pytest.raises(QuadratureError, match=f"^{message}$"):
+        solve_R(make_interval_union(json.loads(THREE)))
+    assert main(["cap", "--bands", THREE]) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_out_of_memory_in_the_gap_conditions_exits_4(capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(capell.abel, "_residual", out_of_memory)
+    assert main(["cap", "--bands", THREE]) == 4
+    assert "gap conditions: out of memory at 32 nodes on 2 gaps" in capsys.readouterr().err
 
 
 def test_log_weights_match_the_per_interval_loop():

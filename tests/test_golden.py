@@ -8,10 +8,9 @@ sweep (x2m5), and a three-band problem file with odd M, whose table skips an
 inadmissible n and ends off the powers of two; JSON only, a four-band quartic
 problem file with odd M and seven correction terms at degree 128.  The other subcommands run on
 [-2, 2] and on the README's two-band pair, which exercises the band profiles
-and the Pell synthesis; on the pair the gap-root warm-up alone meets the
-tolerance, so no Newton step is taken.  ``cap`` on the 64-band pullback of
-[-2, 2] by six compositions of x^2 - 3 takes Newton steps and the fine-grid
-re-check on many gaps.
+and the Pell synthesis.  ``cap`` on the 64-band pullback of [-2, 2] by six
+compositions of x^2 - 3 solves the gap conditions and re-checks them on the
+fine grid on many gaps.
 
 The comparison is byte-exact.  On a mismatch the message names the first
 differing number and its relative change, the figure to state when a golden

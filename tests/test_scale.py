@@ -135,8 +135,8 @@ def test_pell_ladder_has_capacity_one_and_equal_masses(k, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
     roots = solve_R(_pell_ladder(k)).gap_roots
     assert np.allclose(roots, _ladder_critical_points(k), rtol=0, atol=1e-10)
-    # Newton stops once a step no longer halves the residual
-    assert len(solves) <= 8
+    # one solve per solve grid: on 32 nodes, and on the 64-node re-check grid
+    assert len(solves) <= 2
 
 
 @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-8, 1e-10, 3e-12])
