@@ -56,7 +56,8 @@ class RobinsonInstance:
     the smallest integer with lam^ell (lam - 1) >= A/2, the number of top
     basis elements the correction must not touch.  ``ladder`` holds the
     compositions P_0, P_1, ... built so far; every use of the instance
-    extends and shares it.
+    extends and shares it.  ``sturm`` holds the Sturm chain of
+    D = P^2 - M^2 once a certificate has needed it.
     """
 
     pa: PellAbelDatum
@@ -65,6 +66,8 @@ class RobinsonInstance:
     ell: int
     ladder: list[ExactPoly] = field(default_factory=list, init=False, repr=False,
                                     compare=False)
+    sturm: list[ExactPoly] = field(default_factory=list, init=False, repr=False,
+                                   compare=False)
 
 
 def make_instance(pa: PellAbelDatum) -> RobinsonInstance:
@@ -212,34 +215,44 @@ def _band_samples(E: IntervalUnion, per_band: int = 512) -> np.ndarray:
 def _eval_structured(inst: RobinsonInstance, n: int,
                      table: dict[tuple[int, int], Fraction],
                      x: np.ndarray, want: str = "P'"):
-    """Float evaluation of C_n or P'_n = P_n - C_n through the scalar
-    recurrence p_{k+1} = P(x) p_k - lam^2 p_{k-1}.
+    """Float evaluation of C_n, or of P'_n = P_n - C_n and its derivative,
+    through the scalar recurrence p_{k+1} = P(x) p_k - lam^2 p_{k-1} and,
+    for P'_n, p'_{k+1} = P'(x) p_k + P(x) p'_k - lam^2 p'_{k-1}.
 
     On E the recurrence magnitudes stay of order lam^k, so this is stable
     where a power-basis evaluation of the huge integer coefficients would
-    cancel catastrophically.
+    cancel catastrophically.  Returns the array C_n(x) for want="C_n", else
+    the pair (P'_n(x), P'_n'(x)).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     P = inst.pa.P
+    deriv = want != "C_n"
     lam2 = np.full_like(x, float(inst.lam) ** 2)  # array * array skips a scalar cast
-    # polyval on P's float coefficients: this runs about 45 times per CSV
-    # row, where building a Polynomial on each call costs more
-    px = np.polynomial.polynomial.polyval(x, [c / P.den for c in P.num])
+    # polyval on P's float coefficients: building a Polynomial on each call
+    # costs more
+    coef = [c / P.den for c in P.num]
+    px = np.polynomial.polynomial.polyval(x, coef)
+    dpx = np.polynomial.polynomial.polyval(x, coef[1:] * np.arange(1, len(coef))) if deriv else None
     by_k: dict[int, list[tuple[int, float]]] = {}
     for (j, k), c in table.items():
         by_k.setdefault(k, []).append((j, float(c)))
-    corr = np.zeros_like(x)
-    p_prev = np.full_like(x, 2.0)
-    p_cur = px.copy()
+    corr, dcorr = np.zeros_like(x), np.zeros_like(x)
+    p_prev, dp_prev = np.full_like(x, 2.0), np.zeros_like(x)
+    p_cur, dp_cur = px.copy(), dpx
     for k in range(0, n + 1):
-        pk = p_prev if k == 0 else p_cur
+        pk, dpk = (p_prev, dp_prev) if k == 0 else (p_cur, dp_cur)
         for j, c in by_k.get(k, ()):  # corrections use k < n - ell only
-            corr += c * x**j * pk
+            xj = x**j
+            corr += c * xj * pk
+            if deriv:
+                dcorr += c * (xj * dpk + j * x**(j - 1) * pk) if j else c * dpk
         if k >= 1 and k < n:
+            if deriv:
+                dp_prev, dp_cur = dp_cur, dpx * p_cur + px * dp_cur - lam2 * dp_prev
             p_prev, p_cur = p_cur, px * p_cur - lam2 * p_prev
-    if want == "C_n":
+    if not deriv:
         return corr
-    return (p_cur if n >= 1 else p_prev) - corr
+    return (p_cur - corr, dp_cur - dcorr) if n >= 1 else (p_prev - corr, dp_prev - dcorr)
 
 
 def _sup_on_bands(inst: RobinsonInstance, table, n: int) -> float:
@@ -308,7 +321,9 @@ def _certificate(inst: RobinsonInstance, n: int,
     force n simple roots in every band, n*r in total.
     """
     pa = inst.pa
-    chain = pa.D.sturm_chain()
+    if not inst.sturm:
+        inst.sturm.extend(pa.D.sturm_chain())
+    chain = inst.sturm
     level_roots = _level_roots(pa, n)
     bands_out = []
     intervals: list[tuple[Fraction, Fraction]] = []
@@ -409,30 +424,49 @@ def generate(inst: RobinsonInstance, degree_target: int, max_degree: int = _MAX_
 
 def root_measure_from_certificate(inst: RobinsonInstance, n: int,
                                   table: dict, cert: dict) -> np.ndarray:
-    """The sorted roots of P'_n, by bisection inside the certified isolating
-    intervals, evaluated through the stable recurrence.  Their root measure
-    gives each root the weight 1/(n r).
+    """The sorted roots of P'_n, by Newton's method inside the certified
+    isolating intervals, evaluated through the stable recurrence.  Their
+    root measure gives each root the weight 1/(n r).
 
-    All intervals bisect together, one recurrence evaluation per step on the
-    vector of live midpoints.  Each interval takes at most 200 steps and
-    stops on its own once b - a < 1e-14 max(1, |m|), m its last midpoint;
-    its root is the midpoint of its final interval.
+    The seeds are the roots of the uncorrected P_n = 2 lam^n T_n(P/M), the
+    level roots of P = M cos((k - 1/2) pi / n): rows 1, 3, ..., 2n - 1 of
+    ``_level_roots(pa, 2n)``.  Each root keeps its certified interval
+    [a, b] as a bracket, moved to every iterate by the sign of P'_n there
+    against the certificate's exact sign at a.  A Newton step that leaves
+    the bracket is replaced by the bracket's midpoint.  All live roots step
+    together, one recurrence evaluation per step; a root stops, at the
+    Newton update, once its step is at most 1e-14 max(1, |x|), and every
+    root stops after at most 64 steps.
     """
-    a = np.array([float(Fraction(s)) for s, _ in cert["isolating_intervals"]])
-    b = np.array([float(Fraction(s)) for _, s in cert["isolating_intervals"]])
-    fa = _eval_structured(inst, n, table, a)
-    live = np.arange(len(a))
-    for _ in range(200):
+    iv = cert["isolating_intervals"]
+    a = np.array([_as_float(s) for s, _ in iv])
+    b = np.array([_as_float(s) for _, s in iv])
+    sa = np.array([s for band in cert["bands"] for s in band["signs"][:-1]])
+    x = np.sort(_level_roots(inst.pa, 2 * n)[1::2], axis=None)
+    out = ~((a < x) & (x < b))
+    x[out] = 0.5 * (a[out] + b[out])
+    live = np.arange(len(x))
+    for _ in range(64):
         if not len(live):
             break
-        m = 0.5 * (a[live] + b[live])
-        fm = _eval_structured(inst, n, table, m)
-        left = fa[live] * fm <= 0
-        b[live[left]] = m[left]
-        right = live[~left]
-        a[right], fa[right] = m[~left], fm[~left]
-        live = live[b[live] - a[live] >= 1e-14 * np.maximum(1.0, np.abs(m))]
-    return np.sort(0.5 * (a + b))
+        xl = x[live]
+        f, d = _eval_structured(inst, n, table, xl)
+        on_a, on_b = np.sign(f) == sa[live], np.sign(f) == -sa[live]
+        a[live[on_a]], b[live[on_b]] = xl[on_a], xl[on_b]
+        step = np.divide(f, d, out=np.full_like(f, np.inf), where=d != 0)
+        xn = xl - step
+        done = np.abs(step) <= 1e-14 * np.maximum(1.0, np.abs(xl))
+        out = ~done & ~((a[live] < xn) & (xn < b[live]))
+        xn[out] = 0.5 * (a[live[out]] + b[live[out]])
+        x[live] = xn
+        live = live[~done]
+    return np.sort(x)
+
+
+def _as_float(s: str) -> float:
+    """The rational "p/q" or "p", correctly rounded (int / int is)."""
+    p, _, q = s.partition("/")
+    return int(p) / int(q or 1)
 
 
 def convergence_report(roots_sequence: Sequence[np.ndarray],

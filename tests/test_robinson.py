@@ -1,8 +1,13 @@
+import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from capell import robinson
 from capell.abel import BandDensity, solve_R
@@ -22,6 +27,8 @@ from capell.robinson import (
     _eval_structured,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
+EPS = np.finfo(float).eps
 PAIR = make_interval_union([(-math.sqrt(8), -math.sqrt(2)), (math.sqrt(2), math.sqrt(8))])
 
 
@@ -193,31 +200,171 @@ def test_root_measure_weights(i6):
     assert convergence_report([xs], mu_E) == [ks]
 
 
-def _scalar_bisection_roots(inst, n, table, cert):
-    """Reference: one interval at a time, one evaluation per step."""
-    roots = []
-    for a_s, b_s in cert["isolating_intervals"]:
-        a, b = float(Fraction(a_s)), float(Fraction(b_s))
-        fa = float(_eval_structured(inst, n, table, np.array([a]))[0])
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = float(_eval_structured(inst, n, table, np.array([m]))[0])
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-            if b - a < 1e-14 * max(1.0, abs(m)):
-                break
-        roots.append(0.5 * (a + b))
-    return roots
+# -- root measures: seeded Newton inside the certified intervals -------------------
 
 
-@pytest.mark.parametrize("preset,n", [("i6", 16), ("i5", 32)])
-def test_root_measure_matches_scalar_bisection(request, preset, n):
-    inst = request.getfixturevalue(preset)
-    _, cert, table = generate_at(inst, n)
+def _floats_apart(x):
+    """The floats 2 ulps below and above x."""
+    lo = hi = x
+    for _ in range(2):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+def _assert_certified_roots(P_prime, xs, cert, window):
+    """Every root lies inside its certified isolating interval, and the exact
+    sign of P'_n changes between the two ends of window(x)."""
+    assert len(xs) == len(cert["isolating_intervals"])
+    for x, (a, b) in zip(xs, cert["isolating_intervals"]):
+        assert Fraction(a) < x < Fraction(b)
+        lo, hi = window(x)
+        assert P_prime.sign_at(Fraction(lo)) * P_prime.sign_at(Fraction(hi)) == -1, x
+
+
+_PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944")
+
+
+def _x2m6_roots(n):
+    """The roots of P_n for P = X^2 - 6, M = 4, ascending, to 40 digits:
+    P(x) = 4 cos((k - 1/2) pi / n), so x = +-sqrt(6 + 4 cos((k - 1/2) pi / n))."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        pos = []
+        for k in range(1, n + 1):
+            t = (k - Decimal("0.5")) * _PI / n
+            cos, term, m = Decimal(0), Decimal(1), 0  # Taylor series of cos t
+            while cos + term != cos:
+                cos, m = cos + term, m + 2
+                term *= -t * t / (m * (m - 1))
+            pos.append((6 + 4 * cos).sqrt())
+        return sorted([-r for r in pos] + pos)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_root_measure_x2m6_within_two_ulps_of_closed_form(i6, n):
+    _, cert, table = generate_at(i6, n)
+    xs = root_measure_from_certificate(i6, n, table, cert)
+    for x, exact in zip(xs, _x2m6_roots(n), strict=True):
+        assert abs(Decimal(x) - exact) <= 2 * Decimal(math.ulp(x)), (x, exact)
+
+
+def _cubic_m5():
+    prob = json.loads((GOLDEN / "cubic_m5_problem.json").read_text())
+    inst = make_instance(PellAbelDatum.from_exact(
+        ExactPoly.from_list([int(c) for c in prob["coeffs"]]), prob["M"]))
+    P_prime, cert, table = generate(inst, prob["degree"])
+    return inst, P_prime, cert, table
+
+
+@pytest.mark.parametrize("case", ["x2m5_n32", "cubic_m5"])
+def test_root_measure_certified_to_two_ulps(i5, case):
+    # the corrected P'_n, whose roots have no closed form: the exact sign of
+    # P'_n changes between the floats 2 ulps either side of every root
+    if case == "x2m5_n32":
+        inst, (P_prime, cert, table) = i5, generate_at(i5, 32)
+    else:
+        inst, P_prime, cert, table = _cubic_m5()
+    assert table
+    xs = root_measure_from_certificate(inst, cert["n"], table, cert)
+    _assert_certified_roots(P_prime, xs, cert, _floats_apart)
+
+
+@pytest.mark.parametrize("placement", ["outside", "at_left_ends"])
+def test_root_measure_midpoint_fallback(i5, monkeypatch, placement):
+    # seeds far outside their intervals start from the midpoints; seeds a
+    # hair inside the left ends, where P'_n is flat, take Newton steps out
+    # of the bracket, which become midpoints.  Either way Newton reaches
+    # the seeded roots, after more evaluations.
+    P_prime, cert, table = generate_at(i5, 32)
+    seeded = root_measure_from_certificate(i5, 32, table, cert)
+    left = np.array([float(Fraction(a)) for a, _ in cert["isolating_intervals"]])
+    calls = []
+    evaluate = robinson._eval_structured
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    def seeds(pa, m):
+        rows = np.full((m + 1, pa.r), 1e6)
+        if placement == "at_left_ends":
+            rows[1::2] = (left + 1e-9).reshape(rows[1::2].shape)
+        return rows
+
+    monkeypatch.setattr(robinson, "_eval_structured", counted)
+    root_measure_from_certificate(i5, 32, table, cert)
+    seeded_calls = len(calls)
+    monkeypatch.setattr(robinson, "_level_roots", seeds)
+    calls.clear()
+    xs = root_measure_from_certificate(i5, 32, table, cert)
+    assert len(calls) > seeded_calls
+    # the last Newton update starts from another iterate: one rounding apart
+    assert all(abs(x - y) <= math.ulp(y) for x, y in zip(xs, seeded, strict=True))
+    _assert_certified_roots(P_prime, xs, cert, _floats_apart)
+
+
+def test_eval_structured_derivative():
+    # value and derivative of P_n - sum c x^j P_k against exact evaluation,
+    # with the cubic's correction table (terms x^0 P_k) and two made-up
+    # terms x^1 P_3 and x^2 P_5
+    inst, _, cert, table = _cubic_m5()
+    n = cert["n"]
+    table = {**table, (1, 3): Fraction(1, 4), (2, 5): Fraction(-3, 8)}
+    X = ExactPoly.x()
+    P_prime = compose_Pn(inst, n)
+    for (j, k), c in table.items():
+        term = ExactPoly((2,)) if k == 0 else compose_Pn(inst, k)
+        for _ in range(j):
+            term = term * X
+        P_prime = P_prime - term * c
+    dP = P_prime.deriv()
+    xs = np.array([float(Fraction(a) + Fraction(b)) / 2 for a, b in cert["isolating_intervals"]])
+    f, d = _eval_structured(inst, n, table, xs)
+    amp = 2 * float(inst.lam) ** n
+    for x, fx, dx in zip(xs, f, d):
+        assert fx == pytest.approx(float(P_prime(Fraction(x))), abs=1e-12 * amp)
+        assert dx == pytest.approx(float(dP(Fraction(x))), rel=1e-10)
+
+
+def _integer_pell_P(r, a, b, gaps, s):
+    """Monic integer P of degree r shaped like the robinson-cert benchmark's
+    problems: X^2 + aX + b, or (X - a)(X - x2)(X - x3) + s with gaps of 3
+    to 5 between the three roots."""
+    if r == 2:
+        return [b, a, 1]
+    x1, x2 = a, a + gaps[0]
+    x3 = x2 + gaps[1]
+    return [s - x1 * x2 * x3, x1 * x2 + x1 * x3 + x2 * x3, -(x1 + x2 + x3), 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(4, 7), st.integers(-6, 6), st.integers(-20, 10),
+       st.tuples(st.integers(3, 5), st.integers(3, 5)), st.integers(-2, 2), st.data())
+def test_root_measure_certified_property(r, M, a, b, gaps, s, data):
+    cs = _integer_pell_P(r, a, b, gaps, s)
+    try:
+        inst = make_instance(PellAbelDatum.from_exact(ExactPoly.from_list(cs), M))
+    except ValueError:  # P^2 - M^2 without 2r simple real roots
+        assume(False)
+    admissible = [n for n in range(inst.ell + 1, 17) if certify_integrality(inst, n)]
+    assume(admissible)
+    n = data.draw(st.sampled_from(admissible))
+    try:
+        P_prime, cert, table = generate_at(inst, n)
+    except CertificationError:
+        assume(False)
     xs = root_measure_from_certificate(inst, n, table, cert)
-    assert xs.tolist() == _scalar_bisection_roots(inst, n, table, cert)
+    dP = [k * c for k, c in enumerate(cs)][1:]
+
+    def window(x):
+        # 2 ulps at the stop rule's scale max(1, |x|), plus the root shift
+        # that the rounding of P's Horner value, below r eps sum |c_k x^k|,
+        # can cause
+        w = 2 * math.ulp(max(1.0, abs(x))) + r * EPS * sum(
+            abs(c * x**k) for k, c in enumerate(cs)) / abs(np.polyval(dP[::-1], x))
+        return x - w, x + w
+
+    _assert_certified_roots(P_prime, xs, cert, window)
 
 
 # -- fractional lam: the correction machinery ---------------------------------------
