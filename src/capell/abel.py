@@ -319,18 +319,16 @@ class BandDensity(ThetaDensity):
 
     def __init__(self, datum: AbelDatum):
         self.datum = datum
-        E = datum.E
-        nsamples = 4096 if E.n_bands <= 16 else (1024 if E.n_bands <= 64 else 256)
-        self._e, self._mid, self._half = _unit_frame(E)
+        self._e, self._mid, self._half = _unit_frame(datum.E)
         self._z = np.asarray(datum.unit_roots)
-        profiles = [_band_profile(self._e, self._z, j) for j in range(E.n_bands)]
-        super().__init__(E, [lambda theta, q=q: q(theta) / np.pi for q in profiles], nsamples)
+        profiles = [_band_profile(self._e, self._z, j) for j in range(datum.E.n_bands)]
+        super().__init__(datum.E, [lambda theta, q=q: q(theta) / np.pi for q in profiles])
 
-    def _sample(self):
-        grid = super()._sample()
-        if np.max(np.abs(grid[1] - np.asarray(self.datum.omega))) > 1e-8:
+    def _coefficients(self):
+        series = super()._coefficients()
+        if max(abs(a[0] - w) for a, w in zip(series, self.datum.omega)) > 1e-8:
             raise QuadratureError("band masses do not match the period data")
-        return grid
+        return series
 
     def density(self, x) -> np.ndarray:
         """|R(x)| / (pi sqrt|D(x)|) for x strictly inside the bands, taken at

@@ -361,7 +361,7 @@ def _preimage_bands(f: Polynomial, K: IntervalUnion) -> list[tuple[float, float]
     return out
 
 
-def pullback_density(f: Polynomial, nu, nsamples: int = 4096) -> ThetaDensity:
+def pullback_density(f: Polynomial, nu) -> ThetaDensity:
     """Canonical lift of a density under a monic polynomial.
 
     The lift of nu along f has pointwise density nu(f(x)) |f'(x)| / deg f on
@@ -378,7 +378,7 @@ def pullback_density(f: Polynomial, nu, nsamples: int = 4096) -> ThetaDensity:
     def dens(x: np.ndarray) -> np.ndarray:
         return nu.density(f(x)) * np.abs(fp(x)) / d
 
-    return density_from_callable(Epre, dens, nsamples)
+    return density_from_callable(Epre, dens)
 
 
 def energy(mu) -> float:

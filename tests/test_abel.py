@@ -139,6 +139,31 @@ def test_cdf_and_quantile():
     )
 
 
+# CDF of [[0, 1], [1 + delta, 2]]: each reference is scipy.integrate.quad
+# (epsabs 1e-17, epsrel 1e-15) of BandDensity's profile q_j in theta from
+# theta_x to pi, split at theta = 1e-6, 1e-5, ..., 0.1, 1, 2, 3 and pi - 1e-2,
+# pi - 1e-4, pi - 1e-6, plus band 0's whole mass on band 1
+CDF_REFERENCE = {
+    1e-2: [(0.001, 0.014236614601370476), (0.3, 0.25318734178208774),
+           (0.999, 0.5005358589530536), (0.999999999, 0.5015905793089278),
+           (1.0, 0.5015915859057888), (1.02, 0.506093598969718),
+           (1.5, 0.6666597050039388), (1.7, 0.7468126002205441),
+           (1.999, 0.9857633836159445), (1.9999999, 0.9998576457017458)],
+    1e-4: [(0.001, 0.014236437424046143), (0.3, 0.25318331151253237),
+           (0.999, 0.49968206921597985), (0.999999999, 0.5000158148354195),
+           (1.0, 0.5000159154943457), (1.0002, 0.5000609313105849),
+           (1.5, 0.6666666659774366), (1.7, 0.7468166884874098),
+           (1.999, 0.9857635625759535), (1.9999999, 0.9998576474899898)],
+}
+
+
+@pytest.mark.parametrize("delta", sorted(CDF_REFERENCE))
+def test_cdf_next_to_a_small_gap_matches_quadrature(delta):
+    mu = BandDensity(solve_R(make_interval_union([(0, 1), (1 + delta, 2)])))
+    x, ref = np.array(CDF_REFERENCE[delta]).T
+    assert np.max(np.abs(mu.cdf(x) - ref)) <= 1e-13
+
+
 # -- potential: Frostman dichotomy ---------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from capell._quad import (
     log_abs_sum,
     uniform_density,
 )
-from capell.core import make_interval_union
+from capell.core import QuadratureError, make_interval_union
 
 
 def arcsine_22():
@@ -95,6 +96,12 @@ def test_arcsine_potential_inside_and_outside():
     for z in (2.5, -3.0, 10.0):
         expect = math.log((abs(z) + math.sqrt(z * z - 4.0)) / 2.0)
         assert mu.potential(z) == pytest.approx(expect, rel=1e-10)
+    # and off the real line, where the same formula holds
+    for z in (1 + 1j, -3 + 0.5j, 0.3j):
+        expect = math.log(abs(z + cmath.sqrt(z - 2) * cmath.sqrt(z + 2))) - math.log(2.0)
+        assert mu.potential(z) == pytest.approx(expect, abs=1e-12)
+    zs = np.array([1 + 1j, 0.3j, 0.7])
+    assert np.allclose(mu.potential(zs), [mu.potential(z) for z in zs], rtol=0, atol=1e-15)
 
 
 def test_arcsine_cdf_quantile_round_trip():
@@ -106,12 +113,27 @@ def test_arcsine_cdf_quantile_round_trip():
 
 
 def test_uniform_density_energy():
-    # normalized Lebesgue on [0, 1]: energy log 1 - 3/2
+    # normalized Lebesgue on [0, 1]: energy log 1 - 3/2; the sin(theta)
+    # profile's series is exact, so only its tail past 4096 terms is missed
     mu = uniform_density(make_interval_union([(0, 1)]))
-    # the flat profile is not of equilibrium type, so the theta grid is
-    # second-order rather than spectral: ~2.5e-8 at the default resolution
-    assert mu.total_mass == pytest.approx(1.0, abs=1e-7)
-    assert mu.energy() == pytest.approx(-1.5, abs=1e-6)
+    assert mu.total_mass == pytest.approx(1.0, abs=1e-15)
+    assert mu.energy() == pytest.approx(-1.5, abs=1e-13)
+
+
+def test_uniform_energy_of_the_readme_pair_closed_form():
+    # [-b, -a] u [a, b], l = b - a, L = 2l: each band's own term is
+    # (1/4)(log l - 3/2), and the two cross terms add
+    # 2 [G(2b) - 2 G(a + b) + G(2a)] / L^2 with G(t) = t^2 log(t) / 2 - 3 t^2 / 4
+    # (G'' = log); evaluated in 40-digit decimal arithmetic
+    a, b = 1.4142135624, 2.8284271247
+    mu = uniform_density(make_interval_union([(-b, -a), (a, b)]))
+    assert mu.energy() == pytest.approx(0.14114291628532818, abs=1e-13)
+
+
+def test_non_finite_energy_names_the_stage():
+    mu = ThetaDensity(make_interval_union([(0, 1)]), [lambda th: np.full_like(th, np.nan)])
+    with pytest.raises(QuadratureError, match="energy"):
+        mu.energy()
 
 
 def test_uniform_density_two_bands_mass():

@@ -269,6 +269,35 @@ def test_root_measure_certified_to_two_ulps(i5, case):
     _assert_certified_roots(P_prime, xs, cert, _floats_apart)
 
 
+def _pell_cdf(pa, x: float) -> float:
+    """mu_E's CDF on the Pell union E = P^-1([-M, M]) with r bands: the
+    pullback of the arcsine law, (j + arccos(-s P(x) / M) / pi) / r on band j
+    with s = (-1)^(r-1-j), P increasing on the top band.  1 - y is exact, so
+    arccos(y) = 2 asin(sqrt((1 - y) / 2)) loses nothing near the band ends."""
+    r = len(pa.E.bands)
+    j = max(i for i, (u, _) in enumerate(pa.E.bands) if u <= x)
+    y = -(-1) ** (r - 1 - j) * pa.P(Fraction(x)) / Fraction(pa.M)
+    return (j + 2.0 * math.asin(math.sqrt(float((1 - y) / 2))) / math.pi) / r
+
+
+@pytest.mark.parametrize("case", ["x2m6_n32", "x2m5_n32", "cubic_m5", "x2m7_M5_n16",
+                                  "x3m6x1_M4_n12"])
+def test_cdf_matches_the_pell_union_exactly_at_certified_roots(i5, i6, case):
+    if case == "cubic_m5":
+        inst, _, cert, table = _cubic_m5()
+    else:
+        inst, n = {"x2m6_n32": (i6, 32), "x2m5_n32": (i5, 32),
+                   "x2m7_M5_n16": (make_instance(PellAbelDatum.from_exact(
+                       ExactPoly.from_list([-7, 0, 1]), 5)), 16),
+                   "x3m6x1_M4_n12": (make_instance(PellAbelDatum.from_exact(
+                       ExactPoly.from_list([1, -6, 0, 1]), 4)), 12)}[case]
+        _, cert, table = generate_at(inst, n)
+    xs = root_measure_from_certificate(inst, cert["n"], table, cert)
+    got = BandDensity(solve_R(inst.pa.E)).cdf(xs)
+    exact = [_pell_cdf(inst.pa, float(x)) for x in xs]
+    assert np.max(np.abs(got - exact)) <= 1e-11
+
+
 @pytest.mark.parametrize("placement", ["outside", "at_left_ends"])
 def test_root_measure_midpoint_fallback(i5, monkeypatch, placement):
     # seeds far outside their intervals start from the midpoints; seeds a

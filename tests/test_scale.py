@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capell._quad import uniform_density
 from capell.abel import solve_R
 from capell.capacity import capacity
 from capell.cli import main
@@ -213,3 +214,30 @@ def test_eqm_density_near_the_float_ends(capsys, samples):
     rows = _eqm_rows(capsys, "[[-1e308,1e308]]", samples)
     assert len(rows) == samples
     _assert_arcsine(rows, 1e308)
+
+
+# log(2e308) - 3/2, and the uniform energy of [[-10,-1],[1,10]] (closed form,
+# as in test_quad's README pair) plus log(1e307)
+@pytest.mark.parametrize("bands,exact", [("[[-1e308,1e308]]", 708.38935582272602),
+                                         ("[[-1e308,-1e307],[1e307,1e308]]", 708.40820757279887)])
+def test_uniform_energy_at_the_float_ends(capsys, bands, exact):
+    # |E| overflows to inf on both: the band weights are rho_j / sum(rho)
+    rc = main(["energy", "--bands", bands, "--density", "uniform"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert json.loads(out)["energy"] == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.2, 1.0), st.floats(0.2, 1.0)), min_size=1, max_size=3),
+       st.integers(-300, 300), st.floats(-3.0, 3.0))
+def test_uniform_energy_scales_with_the_union(steps, k, shift):
+    # energy(sE + t) = energy(E) + log s for the uniform density
+    bands, x = [], 0.0
+    for length, gap in steps:
+        bands.append((x, x + length))
+        x += length + gap
+    ref = uniform_density(make_interval_union(bands)).energy()
+    s = 10.0 ** k
+    moved = make_interval_union([(s * (a + shift), s * (b + shift)) for a, b in bands])
+    assert uniform_density(moved).energy() == pytest.approx(ref + math.log(s), rel=1e-12, abs=1e-12)
