@@ -110,6 +110,7 @@ def capacity_closed_form(shape) -> float:
 
 _FEKETE_RESTARTS = 20
 _FEKETE_SWEEPS = 80
+_FEKETE_NEWTON = 5
 _REMEZ_MAXITER = 200
 _REMEZ_TOL = 1e-12
 
@@ -119,13 +120,12 @@ def _in_bands(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ((x[..., None] >= bands[:, 0]) & (x[..., None] <= bands[:, 1])).any(axis=-1)
 
 
-def _vander_log(x: np.ndarray) -> float:
-    d = np.abs(x[:, None] - x[None, :])
-    iu = np.triu_indices(len(x), 1)
-    vals = d[iu]
-    if np.any(vals == 0.0):
-        return -np.inf
-    return float(np.sum(np.log(vals)))
+def _vander_log(x: np.ndarray):
+    """Log of the Vandermonde product of the points x, or of each row of x;
+    -inf where two points coincide."""
+    iu, ju = np.triu_indices(x.shape[-1], 1)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(x[..., ju] - x[..., iu])).sum(axis=-1)
 
 
 def _critical_points(roots: np.ndarray) -> np.ndarray:
@@ -150,19 +150,74 @@ def _critical_points(roots: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvals(mat), axis=1).real + 0.0
 
 
+def _newton_interior(bands: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Newton steps on the points of each row of y strictly inside a band,
+    the points at a band end held fixed.
+
+    The log Vandermonde product is concave in the free points: its gradient
+    is g_i = sum_(j != i) 1/(x_i - x_j), its Hessian -L, with L the Laplacian
+    weighted by 1/(x_i - x_j)^2, whose free block is positive definite while
+    one point is held.  All rows solve in one call.  A step is scaled down
+    to 0.99 of the distance from each moving point to its band end and to
+    its neighbours, and a row takes it only if it raises the product.
+    """
+    n = y.shape[1]
+    eye, (iu, ju) = np.eye(n), np.triu_indices(n, 1)
+    band = np.searchsorted(bands[:, 0], y, side="right") - 1
+    lo, hi = bands[band, 0], bands[band, 1]
+    free = (lo < y) & (y < hi)
+    free &= ~free.all(axis=1, keepdims=True)  # with none held, L is singular
+    for _ in range(_FEKETE_NEWTON):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = (1.0 - eye) / (y[:, :, None] - y[:, None, :] + eye)
+            w = inv * inv
+            lap = np.where(free[:, :, None] & free[:, None, :],
+                           eye * w.sum(axis=2)[:, :, None] - w, eye)
+            try:
+                s = np.linalg.solve(lap, np.where(free, inv.sum(axis=2), 0.0)[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                break
+            close = s[:, :-1] - s[:, 1:]  # the rate at which each gap closes
+            room = np.hstack([np.where(s != 0.0, (np.where(s > 0.0, hi, lo) - y) / s, np.inf),
+                              np.where(close > 0.0, np.diff(y, axis=1) / close, np.inf)])
+            step = y + np.minimum(1.0, 0.99 * room.min(axis=1))[:, None] * s
+            # the change of the log product, free of the product's own rounding
+            dy = step - y
+            up = np.log1p((dy[:, ju] - dy[:, iu]) / (y[:, ju] - y[:, iu])).sum(axis=1) > 0.0
+        if not up.any():
+            break
+        y[up] = step[up]
+        free &= up[:, None]
+    return y
+
+
 def _polish_coordinates(bands: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cyclic exact coordinate ascent of the Vandermonde product, one start
-    per row of y, the rows in step; a row stops after a sweep that moves
-    none of its points by 1e-12 of the diameter.
+    """Cyclic exact coordinate ascent of the Vandermonde product from the
+    starts in the rows of y; returns the rows kept.
 
     With the other points fixed, point i maximizes |w| for w the monic
     polynomial with the other points as roots: at a band end or at a root of
-    w'.  A candidate equal to another point makes the product zero.
+    w'.  A candidate equal to another point makes the product zero.  Point i
+    moves to the best candidate unless the log of the ratio of the two
+    products, summed from log1p terms, says its own place is as good: the
+    products themselves cannot tell points apart closer than about
+    sqrt(eps), and a root of w' may lie that far off when the points
+    cluster.  The live rows sweep in step.  After a sweep the rows are cut
+    to one per allocation (the band of each sorted point), the one with the
+    largest product: with the allocation fixed the log product is concave,
+    so the starts that share it share its maximum.  The live rows then take
+    Newton steps on their points inside a band (``_newton_interior``), which
+    converge quadratically where the sweeps converge linearly.  A row stops
+    after a sweep that moves none of its points by 1e-12 of the diameter,
+    so its points are confirmed coordinate by coordinate; QuadratureError
+    when the best row has not stopped after 80 sweeps.
     """
     ends = bands.ravel()
-    y, live = np.sort(y, axis=1), np.arange(len(y))
+    tol = 1e-12 * (ends[-1] - ends[0])
+    moved = np.full(len(y), np.inf)
     for _ in range(_FEKETE_SWEEPS):
-        moved = np.zeros(len(live))
+        live = np.flatnonzero(moved >= tol)
+        moved[live] = 0.0
         for i in range(y.shape[1]):
             others = np.delete(y[live], i, axis=1)
             # w has real roots only, so w' does too (Rolle)
@@ -174,11 +229,30 @@ def _polish_coordinates(bands: np.ndarray, y: np.ndarray) -> np.ndarray:
                 logs = np.log(np.abs(diff)).sum(axis=2)
             logs[np.isnan(cand) | (diff == 0.0).any(axis=2)] = -np.inf
             t = cand[np.arange(len(live)), np.argmax(logs, axis=1)]
-            moved = np.maximum(moved, np.abs(t - y[live, i]))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = y[live, i]
+                gain = np.log1p((t - x)[:, None] / (x[:, None] - others)).sum(axis=1)
+            t = np.where(gain <= 0.0, x, t)
+            moved[live] = np.maximum(moved[live], np.abs(t - x))
             y[live, i] = t
-        live = live[moved >= 1e-12 * (ends[-1] - ends[0])]
-        if not len(live):
-            break
+        y = np.sort(y, axis=1)
+        logs, best = _vander_log(y), {}
+        alloc = np.searchsorted(bands[:, 0], y, side="right")
+        for k, key in enumerate(map(tuple, alloc.tolist())):
+            if logs[best.setdefault(key, k)] < logs[k]:
+                best[key] = k
+        keep = sorted(best.values())
+        y, moved = y[keep], moved[keep]
+        live = moved >= tol
+        if not live.any():
+            return y
+        y[live] = _newton_interior(bands, y[live])
+    top = np.argmax(_vander_log(y))
+    if moved[top] >= tol:
+        raise QuadratureError(
+            f"Fekete ascent: no convergence in {_FEKETE_SWEEPS} sweeps (the best start "
+            f"still moves {moved[top] / (ends[-1] - ends[0]):.1e} of the diameter, "
+            f"tol 1e-12)")
     return y
 
 
@@ -190,9 +264,13 @@ def _check_fekete_count(n: int) -> None:
 def fekete_points(E: IntervalUnion, n: int, seed: int = 0) -> np.ndarray:
     """n points of E maximizing the product of pairwise distances.
 
-    Seeded random starts run the exact coordinate ascent: each point in turn
-    moves to the best of its candidates, the band ends and the critical
+    20 seeded random starts run the exact coordinate ascent: each point in
+    turn moves to the best of its candidates, the band ends and the critical
     points inside a band of the polynomial whose roots are the other points.
+    Between sweeps the starts are cut to one per allocation of points to
+    bands, and Newton steps on the points inside a band speed the ascent up
+    (``_polish_coordinates``); the best row is returned once a sweep leaves
+    it in place, and QuadratureError is raised when none does in 80 sweeps.
     The work is done on E mapped affinely onto [-1, 1], so that the result
     follows scaling and translation of E at any magnitude; points at a band
     end come back as that exact end.
@@ -209,7 +287,7 @@ def fekete_points(E: IntervalUnion, n: int, seed: int = 0) -> np.ndarray:
         j = rng.choice(len(bands), size=n, p=weights)
         starts.append(bands[j, 0] + rng.random(n) * lengths[j])
     y = _polish_coordinates(bands, np.array(starts))
-    best_y = y[np.argmax([_vander_log(row) for row in y])]
+    best_y = y[np.argmax(_vander_log(y))]
     exact_ends = dict(zip(bands.ravel().tolist(), np.ravel(E.bands).tolist()))
     return np.sort([exact_ends.get(t, mid + half * t) for t in best_y.tolist()])
 

@@ -295,13 +295,13 @@ def _rationalize_into_E(inst: RobinsonInstance, x: float, direction: int,
     raise CertificationError(f"no certified rational point near {x}")
 
 
-def _level_roots(pa: PellAbelDatum, n: int) -> np.ndarray:
-    """Row k: the r roots of P - M cos(k pi / n), k = 0..n, ascending, by one
+def _level_roots(pa: PellAbelDatum, angles: list[float]) -> np.ndarray:
+    """Row k: the r roots of P - M cos(angles[k]), ascending, by one
     eigenvalue call on the companion matrices np.roots would build."""
     c, M, r = pa.P.to_real().coef, float(pa.M), pa.r
-    comp = np.zeros((n + 1, r, r))
+    comp = np.zeros((len(angles), r, r))
     comp[:, 0, :] = -c[-2::-1]
-    comp[:, 0, -1] = [-(c[0] - M * math.cos(math.pi * k / n)) for k in range(n + 1)]
+    comp[:, 0, -1] = [-(c[0] - M * math.cos(t)) for t in angles]
     comp[:, np.arange(1, r), np.arange(r - 1)] = 1.0
     return np.sort(np.linalg.eigvals(comp).real, axis=1)
 
@@ -324,7 +324,7 @@ def _certificate(inst: RobinsonInstance, n: int,
     if not inst.sturm:
         inst.sturm.extend(pa.D.sturm_chain())
     chain = inst.sturm
-    level_roots = _level_roots(pa, n)
+    level_roots = _level_roots(pa, [math.pi * k / n for k in range(n + 1)])
     bands_out = []
     intervals: list[tuple[Fraction, Fraction]] = []
     for j, (u, v) in enumerate(pa.E.bands):
@@ -429,20 +429,20 @@ def root_measure_from_certificate(inst: RobinsonInstance, n: int,
     root measure gives each root the weight 1/(n r).
 
     The seeds are the roots of the uncorrected P_n = 2 lam^n T_n(P/M), the
-    level roots of P = M cos((k - 1/2) pi / n): rows 1, 3, ..., 2n - 1 of
-    ``_level_roots(pa, 2n)``.  Each root keeps its certified interval
-    [a, b] as a bracket, moved to every iterate by the sign of P'_n there
-    against the certificate's exact sign at a.  A Newton step that leaves
-    the bracket is replaced by the bracket's midpoint.  All live roots step
-    together, one recurrence evaluation per step; a root stops, at the
-    Newton update, once its step is at most 1e-14 max(1, |x|), and every
-    root stops after at most 64 steps.
+    level roots of P = M cos((2k + 1) pi / (2n)), k = 0..n-1.  Each root
+    keeps its certified interval [a, b] as a bracket, moved to every iterate
+    by the sign of P'_n there against the certificate's exact sign at a.  A
+    Newton step that leaves the bracket is replaced by the bracket's
+    midpoint.  All live roots step together, one recurrence evaluation per
+    step; a root stops, at the Newton update, once its step is at most
+    1e-14 max(1, |x|), and every root stops after at most 64 steps.
     """
     iv = cert["isolating_intervals"]
     a = np.array([_as_float(s) for s, _ in iv])
     b = np.array([_as_float(s) for _, s in iv])
     sa = np.array([s for band in cert["bands"] for s in band["signs"][:-1]])
-    x = np.sort(_level_roots(inst.pa, 2 * n)[1::2], axis=None)
+    x = np.sort(_level_roots(inst.pa, [math.pi * (2 * k + 1) / (2 * n) for k in range(n)]),
+                axis=None)
     out = ~((a < x) & (x < b))
     x[out] = 0.5 * (a[out] + b[out])
     live = np.arange(len(x))

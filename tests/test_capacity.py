@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Legendre, Polynomial
 
+import capell.capacity
 from capell.capacity import (
     _critical_points,
     capacity,
@@ -116,6 +117,57 @@ def test_fekete_readme_pair_interior_point():
     assert pts[4] == pytest.approx(2.28355746341470191, abs=1e-14)
     assert pts[1] == pytest.approx(-2.28355746341470191, abs=1e-14)
 
+
+@st.composite
+def _band_unions(draw):
+    """1-4 bands with ends on a grid of 1/1000, scaled by 10^-300..10^300
+    and shifted by up to three times the scale."""
+    k = draw(st.integers(1, 4))
+    ends = sorted(draw(st.lists(st.integers(0, 1000), min_size=2 * k, max_size=2 * k,
+                                unique=True)))
+    scale, shift = 10.0 ** draw(st.integers(-300, 300)), draw(st.integers(-3000, 3000))
+    return [(scale * ((a + shift) / 1000), scale * ((b + shift) / 1000))
+            for a, b in zip(ends[::2], ends[1::2])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_band_unions(), st.integers(2, 12))
+@example([(-1.0, -0.99), (0.99, 1.0)], 12)
+def test_fekete_points_are_stationary_inside_the_bands(bands, n):
+    # every point lies in E, and a point inside a band is a critical point of
+    # the log product in its own coordinate, to 1e-8 of the sum of the sizes
+    # of its terms; the linear ascent stopped 1.3e-6 off that on the
+    # example, after its 80 sweeps
+    E = make_interval_union(bands)
+    x = fekete_points(E, n)
+    assert all(E.contains(v) for v in x)
+    inside = np.array([any(a < v < b for a, b in E.bands) for v in x])
+    d = x[:, None] - x[None, :]
+    np.fill_diagonal(d, np.inf)
+    g, size = (1.0 / d).sum(axis=1), np.abs(1.0 / d).sum(axis=1)
+    assert np.all(np.abs(g[inside]) <= 1e-8 * size[inside])
+
+
+def test_fekete_ascent_budget(monkeypatch):
+    # one _critical_points call per point and sweep: [-2, 2] at n = 6 took
+    # 21 sweeps (126 calls) while the ascent converged linearly
+    calls = []
+    inner = capell.capacity._critical_points
+
+    def counted(roots):
+        calls.append(len(roots))
+        return inner(roots)
+
+    monkeypatch.setattr(capell.capacity, "_critical_points", counted)
+    fekete_points(I22, 6)
+    assert len(calls) <= 42
+
+
+def test_fekete_no_convergence_raises(monkeypatch):
+    # one sweep cannot confirm a random start
+    monkeypatch.setattr(capell.capacity, "_FEKETE_SWEEPS", 1)
+    with pytest.raises(QuadratureError, match="Fekete ascent: no convergence in 1 sweeps"):
+        fekete_points(make_interval_union([(-1.0, -0.99), (0.99, 1.0)]), 12)
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 11), st.integers(1, 20), st.integers(0, 2**32 - 1))

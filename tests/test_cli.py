@@ -90,6 +90,56 @@ def test_fekete_optimizes_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+# Unions of perfbench's cap-routes shape family (CapRoutes.instance drawn
+# from random.Random(29), the first four of one band and of two), with
+# d_2..d_6 as `cap --method fekete --n 6` printed them when the ascent was
+# the linear coordinate ascent alone, before the cut to one start per
+# allocation and the Newton steps on the free points.
+FEKETE_REFERENCE = [
+    ([[-4.291373594326807, 2.4413554743834656]],
+     [6.732729068710273, 4.241353538453589, 3.4431317141536657,
+      3.044829750241709, 2.803676403839488]),
+    ([[-3.5339823870786504, 2.740934701228842]],
+     [6.274917088307492, 3.952950062951828, 3.209005710751858,
+      2.837787476043308, 2.6130320702043335]),
+    ([[-1.4958574980352597, 4.82271845297004]],
+     [6.3185759510053, 3.9804534230155473, 3.2313329443631607,
+      2.857531892111051, 2.631212710166987]),
+    ([[-2.110351242972215, 4.9224731168419815]],
+     [7.032824359814196, 4.430401725571671, 3.596601073090164,
+      3.1805457520198277, 2.9286435721281388]),
+    ([[-2.2438767690403383, -1.5442422306943886], [-0.32998642027051345, 0.36964811807543624]],
+     [2.6135248871157746, 1.5182325950117836, 1.3361408321493518,
+      1.1024562267753009, 1.0588731407263605]),
+    ([[-3.1807853001792052, -2.4362523121424218], [-1.206932330920809, -0.46239934288402573]],
+     [2.7183859572951796, 1.586730929617871, 1.390151900645539,
+      1.1514474228320588, 1.1054108916054308]),
+    ([[-3.5020964758755224, -2.8032725588310314], [-1.5273853467400875, -0.8285614296955963]],
+     [2.673535046179926, 1.5452036966972023, 1.3659667846087604,
+      1.1228130282931448, 1.0788211277199347]),
+    ([[1.5670704905210657, 2.221625549784029], [3.4460603542758332, 4.100615413538796]],
+     [2.5335449230177307, 1.460605988319461, 1.2939006160290887,
+      1.0617008802420185, 1.0202430857721854]),
+]
+
+
+@pytest.mark.parametrize("bands, d_n", FEKETE_REFERENCE)
+def test_cap_fekete_matches_the_coordinate_ascent(capsys, bands, d_n):
+    rep = run_json(capsys, ["cap", "--bands", json.dumps(bands), "--method", "fekete",
+                            "--n", "6"])
+    assert rep["diagnostics"]["n"] == [2, 3, 4, 5, 6]
+    for got, want in zip(rep["diagnostics"]["d_n"], d_n, strict=True):
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_fekete_no_convergence_exits_4(capsys, monkeypatch):
+    # one sweep cannot confirm a random start
+    monkeypatch.setattr(capell.capacity, "_FEKETE_SWEEPS", 1)
+    assert main(["fekete", "--bands", "[[-2,2]]", "--n", "6"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("quadrature failure: Fekete ascent: no convergence in 1 sweeps")
+
+
 def test_energy_uniform_and_equilibrium(capsys):
     rep = run_json(capsys, ["energy", "--bands", "[[0,1]]", "--density", "uniform"])
     assert rep["energy"] == pytest.approx(-1.5, abs=1e-6)

@@ -314,10 +314,10 @@ def test_root_measure_midpoint_fallback(i5, monkeypatch, placement):
         calls.append(1)
         return evaluate(*args, **kwargs)
 
-    def seeds(pa, m):
-        rows = np.full((m + 1, pa.r), 1e6)
+    def seeds(pa, angles):
+        rows = np.full((len(angles), pa.r), 1e6)
         if placement == "at_left_ends":
-            rows[1::2] = (left + 1e-9).reshape(rows[1::2].shape)
+            rows[:] = (left + 1e-9).reshape(rows.shape)
         return rows
 
     monkeypatch.setattr(robinson, "_eval_structured", counted)
@@ -437,9 +437,10 @@ def test_certificate_rejects_points_spanning_a_gap(i6, monkeypatch):
     # (-sqrt 2, sqrt 2), which the exact span decision refuses
     level_roots = robinson._level_roots
 
-    def straddle(pa, n):
-        rts = level_roots(pa, n)
-        rts[n // 2, 0] = rts[n // 2, 1]
+    def straddle(pa, angles):
+        rts = level_roots(pa, angles)
+        k = len(angles) // 2  # the level P = 0
+        rts[k, 0] = rts[k, 1]
         return rts
 
     monkeypatch.setattr(robinson, "_level_roots", straddle)
