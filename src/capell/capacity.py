@@ -4,7 +4,7 @@ Four routes are implemented and cross-checkable:
 
 * closed forms for intervals, symmetric pairs, circles, and circular arcs;
 * the transfinite-diameter oracle: n points maximizing the Vandermonde
-  product (small n only), by exact coordinate ascent;
+  product (n <= 64), by exact coordinate ascent;
 * the Chebyshev route: a Remez exchange in barycentric form brackets the
   least sup norm t_n(E) of a monic polynomial, cap ~ (t_n/2)^(1/n); the
   bracket meets a relative tolerance or ``QuadratureError`` is raised (CLI
@@ -128,26 +128,25 @@ def _vander_log(x: np.ndarray):
         return np.log(np.abs(x[..., ju] - x[..., iu])).sum(axis=-1)
 
 
-def _critical_points(roots: np.ndarray) -> np.ndarray:
-    """Row k: the real parts of the roots of w', w monic with roots roots[k],
-    bit for bit as Polynomial.fromroots(roots[k]).deriv().roots() (numpy's
-    pairwise products and companion matrix), all rows in one eigvals call."""
-    coefs = []
-    for row in np.stack([-np.sort(roots + 0.0, axis=1), np.ones(roots.shape)], axis=2):
-        p = list(row)  # the linear factors (-x, 1)
-        while len(p) > 1:
-            m, odd = divmod(len(p), 2)
-            tmp = [np.convolve(p[i], p[i + m]) for i in range(m)]
-            if odd:
-                tmp[0] = np.convolve(tmp[0], p[-1])
-            p = tmp
-        coefs.append(p[0][1:] * np.arange(1.0, len(p[0])))
-    c = np.array(coefs)
-    d = c.shape[1] - 1
-    mat = np.zeros((len(c), d, d))
-    mat[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    mat[:, :, -1:] -= (c[:, :-1] / c[:, -1:])[:, :, None]
-    return np.sort(np.linalg.eigvals(mat), axis=1).real + 0.0
+def _critical_points(y: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """Row k: the m - 1 roots of sum_j w[k, j] / (x - y[k, j]) in ascending
+    order, for positive weights (all ones when w is None: the critical points
+    of the polynomial with roots y[k]), all rows in one eigvalsh call.
+
+    With v = sqrt(w)/|sqrt(w)|, det [[x - diag(y), v], [v^T, 0]] is
+    -prod(x - y_j) sum v_j^2/(x - y_j): the roots are the eigenvalues of
+    Q^T diag(y) Q, Q columns 2..m of the Householder reflector taking v to
+    -e_1 (u = v + e_1, free of cancellation).  Backward stable, so a root is
+    off by a few eps of max|y|; a repeated point comes back as a root.
+    """
+    v = np.sqrt(np.ones_like(y) if w is None else w)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    u = v.copy()
+    u[..., 0] += 1.0
+    q = np.eye(y.shape[-1])[:, 1:] - u[..., :, None] * (v[..., None, 1:] / u[..., None, :1])
+    x = np.linalg.eigvalsh(np.swapaxes(q, -1, -2) @ (y[..., :, None] * q))
+    ys = np.sort(y, axis=-1)
+    return np.clip(x, ys[..., :-1], ys[..., 1:])  # interlacing, to the last bit
 
 
 def _newton_interior(bands: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -197,12 +196,13 @@ def _polish_coordinates(bands: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     With the other points fixed, point i maximizes |w| for w the monic
     polynomial with the other points as roots: at a band end or at a root of
-    w'.  A candidate equal to another point makes the product zero.  Point i
-    moves to the best candidate unless the log of the ratio of the two
-    products, summed from log1p terms, says its own place is as good: the
-    products themselves cannot tell points apart closer than about
-    sqrt(eps), and a root of w' may lie that far off when the points
-    cluster.  The live rows sweep in step.  After a sweep the rows are cut
+    w', which the live rows get from one ``_critical_points`` call, each
+    root within a few eps of its true place however the points cluster.  A
+    candidate equal to another point makes the product zero.  Point i moves
+    to the best candidate unless the log of the ratio of the two products,
+    summed from log1p terms, says its own place is as good: the products
+    themselves cannot tell points apart closer than about sqrt(eps).  The
+    live rows sweep in step.  After a sweep the rows are cut
     to one per allocation (the band of each sorted point), the one with the
     largest product: with the allocation fixed the log product is concave,
     so the starts that share it share its maximum.  The live rows then take
@@ -257,8 +257,8 @@ def _polish_coordinates(bands: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _check_fekete_count(n: int) -> None:
-    if not 2 <= n <= 12:
-        raise ValueError(f"point count must be between 2 and 12, got {n}")
+    if not 2 <= n <= 64:
+        raise ValueError(f"point count must be between 2 and 64, got {n}")
 
 
 def fekete_points(E: IntervalUnion, n: int, seed: int = 0) -> np.ndarray:
@@ -271,9 +271,12 @@ def fekete_points(E: IntervalUnion, n: int, seed: int = 0) -> np.ndarray:
     bands, and Newton steps on the points inside a band speed the ascent up
     (``_polish_coordinates``); the best row is returned once a sweep leaves
     it in place, and QuadratureError is raised when none does in 80 sweeps.
-    The work is done on E mapped affinely onto [-1, 1], so that the result
-    follows scaling and translation of E at any magnitude; points at a band
-    end come back as that exact end.
+    Rows whose log products lie within 1e-13 of the best, such as the two
+    mirror images on a symmetric union, are ties, and the one with the
+    lowest point sum is returned.  2 <= n <= 64.  The work is done on E
+    mapped affinely onto [-1, 1], so that the result follows scaling and
+    translation of E at any magnitude; points at a band end come back as
+    that exact end.
     """
     _check_fekete_count(n)
     mid, half = _unit_map(*E.hull)
@@ -287,7 +290,9 @@ def fekete_points(E: IntervalUnion, n: int, seed: int = 0) -> np.ndarray:
         j = rng.choice(len(bands), size=n, p=weights)
         starts.append(bands[j, 0] + rng.random(n) * lengths[j])
     y = _polish_coordinates(bands, np.array(starts))
-    best_y = y[np.argmax(_vander_log(y))]
+    logs = _vander_log(y)
+    tied = np.flatnonzero(logs >= logs.max() - 1e-13)  # such as two mirror images
+    best_y = y[tied[np.argmin(y[tied].sum(axis=1))]]
     exact_ends = dict(zip(bands.ravel().tolist(), np.ravel(E.bands).tolist()))
     return np.sort([exact_ends.get(t, mid + half * t) for t in best_y.tolist()])
 
@@ -352,19 +357,18 @@ def chebyshev_constant(E: IntervalUnion, n: int) -> tuple[float, float]:
     the bands.  The polynomial p levelled on it (p = +-h there) is held in
     barycentric form: |h| = 1/sum|w_i| from the reference's weights, p/|h|
     by the second barycentric formula.  Candidates are the band ends and the
-    real critical points of each band's degree-n Chebyshev series of p/|h|,
-    so t_n = |h| max_E |p/h| is the sup of p on E.  Both ends are formed in
-    logs; QuadratureError when they are not within 1e-12 relative after 200
-    exchanges, or lie outside the float range.
+    critical points of p inside a band, so t_n = |h| max_E |p/h| is the sup
+    of p on E.  p alternates in sign on the sorted reference, so its n roots
+    are real, those of the formula's numerator sum a_i/(x - ref_i), a_i > 0;
+    by Rolle its critical points are the roots of sum 1/(x - root_k).  Both
+    ends are formed in logs; QuadratureError when they are not within 1e-12
+    relative after 200 exchanges, or lie outside the float range.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    cheb = np.polynomial.chebyshev
     mid, half = _unit_map(*E.hull)
     bands = (np.asarray(E.bands, dtype=float) - mid) / half
     bmid, bhalf = bands.mean(axis=1), 0.5 * (bands[:, 1] - bands[:, 0])
-    nodes = np.cos(np.pi * (np.arange(n + 1) + 0.5) / (n + 1))
-    to_series = np.linalg.inv(cheb.chebvander(nodes, n))
     grid = (bmid[:, None] + bhalf[:, None] * np.cos(np.pi * np.arange(n + 1) / n)).ravel()
     ref, logd = [grid[0]], np.zeros_like(grid)
     with np.errstate(divide="ignore"):
@@ -377,11 +381,9 @@ def chebyshev_constant(E: IntervalUnion, n: int) -> tuple[float, float]:
         top = lw.max()
         a = np.exp(lw - top)
         log_h = -top - math.log(a.sum())
-        coef = to_series @ _bary(ref, a, s, (bmid + np.outer(nodes, bhalf)).ravel()
-                                 ).reshape(n + 1, -1)
-        crit = [m + r * t for m, r, c in zip(bmid, bhalf, coef.T)
-                for t in cheb.chebroots(cheb.chebder(c)).real if abs(t) <= 1.0]
-        cx = np.sort(np.concatenate([bands.ravel(), crit]))
+        # the roots of p, then its critical points
+        crit = _critical_points(_critical_points(ref[None], a[None]))[0]
+        cx = np.sort(np.concatenate([bands.ravel(), crit[_in_bands(bands, crit)]]))
         ce = _bary(ref, a, s, cx)
         norm = max(1.0, float(np.max(np.abs(ce))))  # |p/h| = 1 on the reference
         if norm - 1.0 <= _REMEZ_TOL * norm:

@@ -321,10 +321,14 @@ def _run_weil(cfg: argparse.Namespace) -> str:
             raise ValueError("weil lift needs --coeffs")
         P_I = _parse_coeffs(cfg.coeffs)
         # weil_lift raises unless every root of the lift has modulus sqrt(q)
-        # exactly; the float root moduli are a diagnostic only
+        # exactly; the float root moduli are a diagnostic only, null when a
+        # coefficient lies outside the float range
         lifted = _weil.weil_lift(P_I, cfg.q)
-        roots = np.roots([float(c) for c in lifted.coeffs[::-1]])
-        err = float(np.max(np.abs(np.abs(roots) - math.sqrt(cfg.q))))
+        try:
+            roots = np.roots([float(c) for c in lifted.coeffs[::-1]])
+            err = float(np.max(np.abs(np.abs(roots) - math.sqrt(cfg.q))))
+        except OverflowError:
+            err = None
         return _dump_json({
             "q": cfg.q,
             "input": P_I,

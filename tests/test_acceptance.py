@@ -17,7 +17,12 @@ from capell.abel import (
     resultant_positivity,
     solve_R,
 )
-from capell.capacity import capacity, fekete_diameter, pullback_density
+from capell.capacity import (
+    capacity,
+    chebyshev_constant,
+    fekete_diameter,
+    pullback_density,
+)
 from capell.core import ExactPoly, make_interval_union
 from capell.pellabel import (
     PellAbelDatum,
@@ -229,3 +234,15 @@ def test_10_property_suites():
     report(10, "resultants, preimage energy halving, diameter monotonicity", ok,
            f"coprime_hits={hits} halving_err={halving_err:.1e} "
            f"d_n=[{ds[0]:.4f}..{ds[-1]:.4f}]")
+
+
+def test_11_remez_on_many_bands():
+    # 32 bands at degree 256: with a Chebyshev series per band and its
+    # companion eigenvalues for the critical points this took over 20 s
+    t0 = time.perf_counter()
+    t_n, lower = chebyshev_constant(cantor_union(5), 256)
+    dt = time.perf_counter() - t0
+    err = abs(t_n / 2.739804710052221e-167 - 1.0)
+    ok = dt < 2.0 and err <= 1e-12 and 0.0 <= t_n - lower <= 1e-12 * t_n
+    report(11, "Remez on 32 Cantor bands at n = 256 under 2 s", ok,
+           f"t_n={t_n:.15e} rel_err={err:.1e} {dt:.2f}s")

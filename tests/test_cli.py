@@ -462,13 +462,13 @@ def test_problem_value_outside_the_flag_choices_exits_2(capsys, tmp_path, monkey
     assert solves == []
 
 
-@pytest.mark.parametrize("n", ["1", "13"])
+@pytest.mark.parametrize("n", ["1", "65"])
 def test_cap_fekete_count_checked_before_work(capsys, n):
     t0 = time.perf_counter()
     rc = main(["cap", "--bands", "[[-2,2]]", "--method", "fekete", "--n", n])
     assert time.perf_counter() - t0 < 1.0
     assert rc == 2
-    assert "between 2 and 12" in capsys.readouterr().err
+    assert "between 2 and 64" in capsys.readouterr().err
 
 
 # -- weil --------------------------------------------------------------------------
@@ -480,6 +480,16 @@ def test_weil_lift(capsys):
     assert rep["moduli_ok"] is True
     assert rep["pushforward_ok"] is True
     assert rep["max_modulus_error"] <= 1e-10 * math.sqrt(2)
+
+
+def test_weil_lift_beyond_the_float_range(capsys):
+    # q^2 = 10^400 is a coefficient of the lift: the float diagnostic is
+    # null, and the exact checks still decide
+    rep = run_json(capsys, ["weil", "lift", "--q", str(10**200), "--coeffs",
+                            json.dumps([str(-10**200), "0", "1"])])
+    assert rep["lifted"] == [str(10**400), "0", str(10**200), "0", "1"]
+    assert rep["max_modulus_error"] is None
+    assert rep["moduli_ok"] is True and rep["pushforward_ok"] is True
 
 
 def test_weil_lift_moduli_are_exact(capsys):
