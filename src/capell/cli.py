@@ -276,18 +276,23 @@ def _robinson_instance(cfg: argparse.Namespace) -> "_robinson.RobinsonInstance":
 
 
 def _run_robinson(cfg: argparse.Namespace) -> str:
+    """The certified P'_n at --n, or at the least admissible n for --degree.
+
+    JSON prints P'_n and its certificate.  CSV prints, for n = 2, 4, 8, ...
+    below the final n where n is admissible and then the final n, the
+    Kolmogorov distance of P'_n's root measure to E's equilibrium measure,
+    in the closed form of the exact Pell datum (``PellAbelDatum.cdf``)."""
     inst = _robinson_instance(cfg)
     if cfg.n is not None:
         P_prime, cert, table = _robinson.generate_at(inst, cfg.n)
     else:
         P_prime, cert, table = _robinson.generate(inst, _default(cfg.degree, 16))
     if (cfg.format or "json") == "csv":
-        mu = BandDensity(solve_R(inst.pa.E))
         lines = ["n,degree,kolmogorov_distance"]
 
         def row(n, cert, table):
             m = _robinson.root_measure_from_certificate(inst, n, table, cert)
-            d = _robinson.convergence_report([m], mu)[0]
+            d = _robinson.convergence_report([m], inst.pa)[0]
             lines.append(f"{n},{n * inst.pa.r},{d!r}")
 
         n = 2

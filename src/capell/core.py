@@ -526,14 +526,14 @@ def _window(window, bound) -> tuple[Fraction, Fraction]:
     return Fraction(a), Fraction(b)
 
 
-def _tolerance(lo: Fraction, hi: Fraction, refine: float) -> float:
+def _tolerance(lo: Fraction, hi: Fraction, refine: float) -> Fraction:
     """Width below which isolation stops refining: ``refine`` times the
-    window's largest |endpoint|."""
-    return refine * float(max(abs(lo), abs(hi)) or 1)
+    window's largest |endpoint|, exact, so no window is too wide for it."""
+    return Fraction(refine) * (max(abs(lo), abs(hi)) or 1)
 
 
 def _bisect(p: ExactPoly, dp: ExactPoly, a: Fraction, b: Fraction,
-            tol: float) -> tuple[Fraction, Fraction]:
+            tol: Fraction) -> tuple[Fraction, Fraction]:
     """Halve (a, b], which holds one simple root of p and no other, by the
     exact sign of p at the midpoint until b - a <= tol.
 
@@ -542,7 +542,7 @@ def _bisect(p: ExactPoly, dp: ExactPoly, a: Fraction, b: Fraction,
     ``dp`` is p' or a positive multiple.  A midpoint root ends the search.
     """
     s_a = p.sign_at(a) or dp.sign_at(a)
-    while float(b - a) > tol:
+    while b - a > tol:
         mid = (a + b) / 2
         s_mid = p.sign_at(mid)
         if s_mid == 0:
@@ -552,19 +552,6 @@ def _bisect(p: ExactPoly, dp: ExactPoly, a: Fraction, b: Fraction,
         else:
             a = mid
     return a, b
-
-
-def _refined(p: ExactPoly, iso, refine: float):
-    """The intervals ``isolate_real_roots(p, refine=refine)`` returns, from
-    the result ``iso`` of the same call at a coarser ``refine``.
-
-    Each interval is where that call's bisection stopped, so bisecting on
-    with the same signs reaches the finer intervals of one run to
-    ``refine``.
-    """
-    dp = p.deriv()
-    tol = _tolerance(*_window(None, _root_bound(p)), refine)
-    return [(a, b) if a == b else _bisect(p, dp, a, b, tol) for a, b in iso]
 
 
 def isolate_real_roots(

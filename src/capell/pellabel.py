@@ -27,12 +27,9 @@ from .core import (
     CertificationError,
     ExactPoly,
     IntervalUnion,
-    NonSquarefreeError,
     QuadratureError,
-    _refined,
     _unit_map,
     isolate_real_roots,
-    make_interval_union,
 )
 from .abel import AbelDatum, _exp_series, _unit_frame
 
@@ -54,10 +51,11 @@ class PellAbelDatum:
     M: float | Fraction
     r: int
     r_j: tuple[int, ...]
-    # certified bound on |x| over E: the outer endpoints of from_exact's
-    # isolation of D at refine 1e-9 (None for a datum built otherwise)
-    x_bound: Fraction | None = field(default=None, init=False, repr=False,
-                                     compare=False)
+    # set by from_exact only (None for a datum built otherwise): the exact
+    # cell [lo, hi] around each of E's 2r ends that holds its root of D and
+    # no other
+    _cells: tuple[tuple[Fraction, Fraction], ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r < 1 or any(k < 1 for k in self.r_j):
@@ -73,8 +71,16 @@ class PellAbelDatum:
 
         E has r = deg P bands, one root of P each, exactly when D = P^2 - M^2
         has 2r simple real roots; any other (P, M), and a P that is not monic,
-        raises ValueError.  One isolation of D stops at refine 1e-9, where
-        ``x_bound`` is read, and bisects on to 1e-14 for the bands of E.
+        raises ValueError.  Each of E's 2r ends is the float its root rounds
+        to.  The float roots of P - M and P + M are the seeds; each seed's
+        cell, the exact midpoints to its float neighbours, holds that root
+        when D is squarefree with 2r real roots (its Sturm chain) and the
+        exact signs of D at the ends of the 2r disjoint cells are nonzero and
+        opposite.  A seed whose cell fails moves a few floats toward the
+        sign change; when that fails too (near-touching bands, coefficients
+        outside the float range) the roots are isolated by Sturm bisection
+        and bisected on until each rounds to one float.  Either way the
+        datum keeps the 2r cells: ``x_bound`` and ``_in_band`` read them.
         """
         M = Fraction(M)
         if P.degree < 1 or not P.is_monic:
@@ -83,23 +89,160 @@ class PellAbelDatum:
             raise ValueError("M must be positive")
         r = P.degree
         D = P * P - ExactPoly((M * M,))
-        try:
-            outer = isolate_real_roots(D, refine=1e-9)
-        except NonSquarefreeError:
+        chain = D.sturm_chain()
+        if chain[-1].degree > 0:
             raise ValueError(
                 f"P^2 - M^2 has a repeated root: bands of {{|P| <= {M}}} touch"
-            ) from None
-        if len(outer) != 2 * r:
+            )
+        count = D.count_roots(None, None, chain)
+        if count != 2 * r:
             raise ValueError(
-                f"P^2 - M^2 has {len(outer)} real roots, need 2 deg P = {2 * r}: "
+                f"P^2 - M^2 has {count} real roots, need 2 deg P = {2 * r}: "
                 f"{{|P| <= {M}}} is not a union of {r} bands"
             )
-        iso = _refined(D, outer, 1e-14)
-        bands = [(float(iso[2 * i][0]), float(iso[2 * i + 1][1])) for i in range(r)]
-        datum = cls(E=make_interval_union(bands), P=P, Q=ExactPoly((1,)),
+        ends = _certified_ends(D, _seeds(P, M)) or _rounded_roots(D)
+        if any(a >= b for a, b in zip(ends, ends[1:])):
+            raise ValueError(f"the bands of {{|P| <= {M}}} are not apart in floats")
+        bands = tuple((ends[2 * i], ends[2 * i + 1]) for i in range(r))
+        datum = cls(E=IntervalUnion(bands), P=P, Q=ExactPoly((1,)),
                     D=D, M=M, r=r, r_j=tuple([1] * r))
-        object.__setattr__(datum, "x_bound", max(abs(outer[0][0]), abs(outer[-1][1])))
+        object.__setattr__(datum, "_cells", tuple(_cell(x) for x in ends))
         return datum
+
+    @property
+    def x_bound(self) -> Fraction | None:
+        """A certified bound on |x| over E: the larger |end| of the two outer
+        cells (None for a datum not built by ``from_exact``)."""
+        if self._cells is None:
+            return None
+        return max(abs(self._cells[0][0]), abs(self._cells[-1][1]))
+
+    def _in_band(self, j: int, x: Fraction, in_E: bool = False) -> bool:
+        """Whether the rational x lies in band j, by exact comparisons with
+        the cells ``from_exact`` certified around the band's ends a_j, b_j.
+
+        x from the top of a_j's cell to the bottom of b_j's lies in the
+        band.  A point of E (``in_E``: D(x) <= 0, which the caller has
+        checked) lies in band j anywhere from a_j's cell to b_j's: each cell
+        holds its end's root alone, and D > 0 on the cell's side away from
+        the band.
+        """
+        (a_lo, a_hi), (b_lo, b_hi) = self._cells[2 * j], self._cells[2 * j + 1]
+        return a_lo <= x <= b_hi if in_E else a_hi <= x <= b_lo
+
+    def cdf(self, x):
+        """The distribution function of E's equilibrium measure, for a datum
+        with one root of P per band (every datum ``from_exact`` builds).
+
+        mu_E is the pullback of the arcsine law on [-M, M] by P, so on band j
+        it is (j + theta / pi) / r with theta = arccos(y) =
+        2 asin(sqrt((1 - y) / 2)), y = -(-1)^(r-1-j) P(x) / M: the half-angle
+        form loses nothing next to the band ends.  It is j / r on the gap
+        after band j - 1, 0 below E and 1 above.  P runs in floats.
+        """
+        if any(k != 1 for k in self.r_j):
+            raise ValueError("the closed-form cdf needs one root of P per band")
+        x = np.asarray(x, dtype=float)
+        k = np.searchsorted(np.asarray(self.E.endpoints), x, side="right")
+        j = np.minimum(k // 2, self.r - 1)
+        y = np.where((self.r - 1 - j) % 2, 1.0, -1.0) * _as_real(self.P)(x) / float(self.M)
+        theta = 2.0 * np.arcsin(np.sqrt(np.clip(0.5 - 0.5 * y, 0.0, 1.0)))
+        return np.where(k % 2, (j + theta / math.pi) / self.r, (k // 2) / self.r)
+
+
+def _cell(x: float) -> tuple[Fraction, Fraction]:
+    """The exact midpoints from x to its float neighbours: every real
+    strictly between them rounds to x."""
+    f = Fraction(x)
+    return ((f + Fraction(math.nextafter(x, -math.inf))) / 2,
+            (f + Fraction(math.nextafter(x, math.inf))) / 2)
+
+
+def _seeds(P: ExactPoly, M: Fraction) -> list[float]:
+    """Float guesses for E's ends, sorted: the real parts of the roots of
+    P - M and P + M by np.roots, from coefficients of size |P|, not |P|^2,
+    each moved by one Newton step whose residual P(x) -+ M is exact.  Empty
+    when a coefficient or M lies outside the float range."""
+    try:
+        Pf = P.to_real()
+        c, dPf = Pf.coef[::-1], Pf.deriv()
+        out = []
+        for level in (M, -M):
+            with np.errstate(all="ignore"):
+                rts = np.roots(np.r_[c[:-1], c[-1] - float(level)]).real.tolist()
+            for x in rts:
+                d = float(dPf(x))
+                if math.isfinite(x) and math.isfinite(d) and d:
+                    x -= float(P(Fraction(x)) - level) / d
+                out.append(x)
+    except (OverflowError, np.linalg.LinAlgError, ValueError):
+        return []
+    return sorted(out)
+
+
+def _certified_ends(D: ExactPoly, seeds: list[float]) -> list[float] | None:
+    """The floats that D's 2r real roots round to, or None.
+
+    D is squarefree with 2r real roots, positive leading coefficient and
+    even degree, so its sign is + just left of every even-indexed root and
+    - just left of every odd-indexed one.  Seed i's cell must show that
+    change with nonzero exact signs at both ends; a cell with both signs on
+    one side moves one float toward the change, up to four times.  2r
+    disjoint cells each holding a sign change hold all 2r roots, one each,
+    strictly inside, where it rounds to the cell's float.
+    """
+    if len(seeds) != D.degree:
+        return None
+    ends = []
+    for i, x in enumerate(seeds):
+        left = 1 if i % 2 == 0 else -1
+        for _ in range(5):
+            if not math.isfinite(x) or abs(x) == sys.float_info.max:
+                return None
+            lo, hi = _cell(x)
+            s_lo, s_hi = D.sign_at(lo), D.sign_at(hi)
+            if s_lo == left and s_hi == -left:
+                break
+            if s_lo == s_hi and s_lo:
+                x = math.nextafter(x, math.inf if s_lo == left else -math.inf)
+            else:
+                return None
+        else:
+            return None
+        ends.append(x)
+    return ends if all(a < b for a, b in zip(ends, ends[1:])) else None
+
+
+def _rounded_roots(D: ExactPoly) -> list[float]:
+    """The floats that the real roots of the squarefree D round to, by Sturm
+    isolation at refine 1e-9 and then bisection by exact signs until both
+    ends of each interval round to one float.  Once they round to two
+    neighbouring floats, the sign at the tie point between them decides."""
+    dp = D.deriv()
+    out = []
+    for a, b in isolate_real_roots(D, refine=1e-9):
+        s_a = D.sign_at(a) or dp.sign_at(a)  # D's sign on (a, root)
+        try:
+            while a != b and float(a) != float(b):
+                fa = float(a)
+                up = math.nextafter(fa, math.inf)
+                if float(b) == up:
+                    t = _cell(fa)[1]
+                    s = D.sign_at(t)
+                    a = b = t if s == 0 else Fraction(up if s == s_a else fa)
+                    break
+                mid = (a + b) / 2
+                s = D.sign_at(mid)
+                if s == 0:
+                    a = b = mid
+                elif s == s_a:
+                    a = mid
+                else:
+                    b = mid
+            out.append(float(a))
+        except OverflowError:
+            raise ValueError("an end of E lies outside the float range") from None
+    return out
 
 
 def detect_pell_abel(datum: AbelDatum, max_denominator: int = 64, tol: float = 1e-9):

@@ -29,7 +29,6 @@ from .core import (
     IntervalUnion,
     _unit_map,
 )
-from .abel import BandDensity
 from .pellabel import PellAbelDatum
 
 __all__ = [
@@ -56,8 +55,7 @@ class RobinsonInstance:
     the smallest integer with lam^ell (lam - 1) >= A/2, the number of top
     basis elements the correction must not touch.  ``ladder`` holds the
     compositions P_0, P_1, ... built so far; every use of the instance
-    extends and shares it.  ``sturm`` holds the Sturm chain of
-    D = P^2 - M^2 once a certificate has needed it.
+    extends and shares it.
     """
 
     pa: PellAbelDatum
@@ -66,8 +64,6 @@ class RobinsonInstance:
     ell: int
     ladder: list[ExactPoly] = field(default_factory=list, init=False, repr=False,
                                     compare=False)
-    sturm: list[ExactPoly] = field(default_factory=list, init=False, repr=False,
-                                   compare=False)
 
 
 def make_instance(pa: PellAbelDatum) -> RobinsonInstance:
@@ -78,7 +74,7 @@ def make_instance(pa: PellAbelDatum) -> RobinsonInstance:
         raise ValueError("need M > 2 (capacity > 1)")
     lam = M / 2
 
-    # certified |x| bound on E = {P^2 <= M^2} from the outer isolation bounds
+    # certified |x| bound on E = {P^2 <= M^2}: the outer ends' cells
     B = pa.x_bound
     A = sum((B**k for k in range(pa.r)), Fraction(0))
 
@@ -191,17 +187,16 @@ def correction_Cn(inst: RobinsonInstance, n: int) -> tuple[ExactPoly, ExactPoly]
 
     Every correction coefficient lies in [-1/2, 1/2), so on E the correction
     is below A lam^(n-ell) / (lam - 1) <= 2 lam^n; the sup is re-measured
-    numerically and must come out strictly smaller than 2 lam^n.
+    numerically, in units of lam^n, and must come out strictly below 2.
     """
     Pn = compose_Pn(inst, n)
     table, P_prime = _correct(inst, n, Pn)
     C_n = Pn - P_prime
 
     sup_C = _sup_on_bands(inst, table, n)
-    threshold = 2.0 * float(inst.lam) ** n
-    if table and not sup_C < threshold:
+    if table and not sup_C < 2.0:
         raise CertificationError(
-            f"correction sup {sup_C} reaches the oscillation amplitude {threshold}"
+            f"correction sup {sup_C} lam^n reaches the oscillation amplitude 2 lam^n"
         )
     return C_n, P_prime
 
@@ -216,46 +211,51 @@ def _eval_structured(inst: RobinsonInstance, n: int,
                      table: dict[tuple[int, int], Fraction],
                      x: np.ndarray, want: str = "P'"):
     """Float evaluation of C_n, or of P'_n = P_n - C_n and its derivative,
-    through the scalar recurrence p_{k+1} = P(x) p_k - lam^2 p_{k-1} and,
-    for P'_n, p'_{k+1} = P'(x) p_k + P(x) p'_k - lam^2 p'_{k-1}.
+    each divided by lam^n, through the scalar recurrence
+    q_{k+1} = (P(x)/lam) q_k - q_{k-1} for q_k = p_k / lam^k and, for P'_n,
+    q'_{k+1} = (P'(x)/lam) q_k + (P(x)/lam) q'_k - q'_{k-1}.
 
-    On E the recurrence magnitudes stay of order lam^k, so this is stable
-    where a power-basis evaluation of the huge integer coefficients would
-    cancel catastrophically.  Returns the array C_n(x) for want="C_n", else
-    the pair (P'_n(x), P'_n'(x)).
+    On E every |q_k| <= 2, so nothing overflows however large lam^n is, and
+    the recurrence is stable where a power-basis evaluation of the huge
+    integer coefficients would cancel catastrophically.  A term c x^j p_k
+    of C_n enters as c lam^(k-n) x^j q_k.  Returns the array C_n(x) / lam^n
+    for want="C_n", else the pair (P'_n(x) / lam^n, P'_n'(x) / lam^n), whose
+    signs and ratio are those of P'_n and P'_n'.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     P = inst.pa.P
     deriv = want != "C_n"
-    lam2 = np.full_like(x, float(inst.lam) ** 2)  # array * array skips a scalar cast
+    lam = float(inst.lam)
     # polyval on P's float coefficients: building a Polynomial on each call
     # costs more
     coef = [c / P.den for c in P.num]
-    px = np.polynomial.polynomial.polyval(x, coef)
-    dpx = np.polynomial.polynomial.polyval(x, coef[1:] * np.arange(1, len(coef))) if deriv else None
+    px = np.polynomial.polynomial.polyval(x, coef) / lam
+    dpx = (np.polynomial.polynomial.polyval(x, coef[1:] * np.arange(1, len(coef))) / lam
+           if deriv else None)
     by_k: dict[int, list[tuple[int, float]]] = {}
     for (j, k), c in table.items():
-        by_k.setdefault(k, []).append((j, float(c)))
+        by_k.setdefault(k, []).append((j, float(c) * lam ** (k - n)))
     corr, dcorr = np.zeros_like(x), np.zeros_like(x)
-    p_prev, dp_prev = np.full_like(x, 2.0), np.zeros_like(x)
-    p_cur, dp_cur = px.copy(), dpx
+    q_prev, dq_prev = np.full_like(x, 2.0), np.zeros_like(x)
+    q_cur, dq_cur = px.copy(), dpx
     for k in range(0, n + 1):
-        pk, dpk = (p_prev, dp_prev) if k == 0 else (p_cur, dp_cur)
+        qk, dqk = (q_prev, dq_prev) if k == 0 else (q_cur, dq_cur)
         for j, c in by_k.get(k, ()):  # corrections use k < n - ell only
             xj = x**j
-            corr += c * xj * pk
+            corr += c * xj * qk
             if deriv:
-                dcorr += c * (xj * dpk + j * x**(j - 1) * pk) if j else c * dpk
+                dcorr += c * (xj * dqk + j * x**(j - 1) * qk) if j else c * dqk
         if k >= 1 and k < n:
             if deriv:
-                dp_prev, dp_cur = dp_cur, dpx * p_cur + px * dp_cur - lam2 * dp_prev
-            p_prev, p_cur = p_cur, px * p_cur - lam2 * p_prev
+                dq_prev, dq_cur = dq_cur, dpx * q_cur + px * dq_cur - dq_prev
+            q_prev, q_cur = q_cur, px * q_cur - q_prev
     if not deriv:
         return corr
-    return (p_cur - corr, dp_cur - dcorr) if n >= 1 else (p_prev - corr, dp_prev - dcorr)
+    return (q_cur - corr, dq_cur - dcorr) if n >= 1 else (q_prev - corr, dq_prev - dcorr)
 
 
 def _sup_on_bands(inst: RobinsonInstance, table, n: int) -> float:
+    """sup |C_n| / lam^n over samples of E's bands."""
     if not table:
         return 0.0
     xs = _band_samples(inst.pa.E)
@@ -267,31 +267,27 @@ def _sup_on_bands(inst: RobinsonInstance, table, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+# the dyadic grid on which certificate points are rational
+_GRID = 1 << 24
+
+
 def _rationalize_into_E(inst: RobinsonInstance, x: float, direction: int,
                         spacing: float) -> Fraction:
-    """A rational point certified inside E = {P^2 <= M^2} near x.
+    """A rational point certified inside E = {P^2 <= M^2} near the band end x.
 
-    Interior points round onto a dyadic grid (refining on the rare miss);
-    band-edge points walk inward in doubling grid steps, so the total shift
+    From x's grid point the point walks inward (direction 1 from a band's
+    left end, -1 from its right) in doubling grid steps, so the total shift
     stays of the order of the rounding error — far below the distance to
     the nearest zero of the composition — and never disturbs the sign.
     """
     D = inst.pa.D  # P^2 - M^2
-    den = 1 << 24
-    if direction == 0:
-        for _ in range(6):
-            xi = Fraction(round(x * den), den)
-            if D.sign_at(xi) <= 0:
-                return xi
-            den <<= 8
-    else:
-        base = round(x * den)
-        j = 0
-        while j <= 0.25 * spacing * den:
-            xi = Fraction(base + direction * j, den)
-            if D.sign_at(xi) <= 0:
-                return xi
-            j = 1 if j == 0 else 2 * j
+    base = round(x * _GRID)
+    j = 0
+    while j <= 0.25 * spacing * _GRID:
+        xi = Fraction(base + direction * j, _GRID)
+        if D.sign_at(xi) <= 0:
+            return xi
+        j = 1 if j == 0 else 2 * j
     raise CertificationError(f"no certified rational point near {x}")
 
 
@@ -306,6 +302,38 @@ def _level_roots(pa: PellAbelDatum, angles: list[float]) -> np.ndarray:
     return np.sort(np.linalg.eigvals(comp).real, axis=1)
 
 
+def _band_points(inst: RobinsonInstance, j: int, xs: list[float],
+                 spacing: float) -> list[Fraction]:
+    """Band j's certificate points from its float level roots xs, each
+    certified in band j, or CertificationError.
+
+    Every point rounds onto the grid.  A first or last point that the
+    datum's end cells do not place inside band j walks inward into E
+    (D = P^2 - M^2 <= 0, exactly), where the cells decide its band
+    (``PellAbelDatum._in_band``).  The points between them lie in band j
+    when all are strictly increasing.
+    """
+    pa = inst.pa
+    pts = [Fraction(round(x * _GRID), _GRID) for x in xs]
+    ok = True
+    for i, direction in ((0, 1), (-1, -1)):
+        if not pa._in_band(j, pts[i]):
+            pts[i] = _rationalize_into_E(inst, xs[i], direction, spacing)
+            ok = ok and pa._in_band(j, pts[i], in_E=True)
+    if not (ok and all(a < b for a, b in zip(pts, pts[1:]))):
+        raise CertificationError(f"band {j}: the points are not increasing inside band {j}")
+    return pts
+
+
+def _float_or_none(value) -> float | None:
+    """value(), or None when it lies outside the float range."""
+    try:
+        out = value()
+    except OverflowError:
+        return None
+    return out if math.isfinite(out) else None
+
+
 def _certificate(inst: RobinsonInstance, n: int,
                  table: dict[tuple[int, int], Fraction],
                  P_prime: ExactPoly) -> dict:
@@ -314,27 +342,19 @@ def _certificate(inst: RobinsonInstance, n: int,
     ``from_exact`` admits only (P, M) with 2r simple real roots of
     D = P^2 - M^2, so P maps each band one-to-one onto [-M, M]: the j-th
     roots of the levels P = M cos(k pi / n), k = 0..n, are the n + 1
-    extremum points of P_n on band j.  Each is rounded to a rational in E
-    (exactly, D <= 0); they must increase, and a Sturm count of D finds
-    2j + 1 or 2j + 2 ends of E at or below the first and the last, so no
-    gap lies between them.  Exact signs of P'_n alternating at the points
-    force n simple roots in every band, n*r in total.
+    extremum points of P_n on band j.  Each is rounded to a rational
+    certified in band j (``_band_points``).  Exact signs of P'_n
+    alternating at the points force n simple roots in every band, and the
+    counts must add up to the degree n r.  ``amplitude`` (2 lam^n),
+    ``correction_bound`` and ``correction_sup`` are floats, null when
+    outside the float range.
     """
     pa = inst.pa
-    if not inst.sturm:
-        inst.sturm.extend(pa.D.sturm_chain())
-    chain = inst.sturm
     level_roots = _level_roots(pa, [math.pi * k / n for k in range(n + 1)])
     bands_out = []
     intervals: list[tuple[Fraction, Fraction]] = []
     for j, (u, v) in enumerate(pa.E.bands):
-        spacing = (v - u) / n
-        xi_list = [_rationalize_into_E(inst, x, 1 if i == 0 else (-1 if i == n else 0), spacing)
-                   for i, x in enumerate(np.sort(level_roots[:, j]))]
-        if not (all(a < b for a, b in zip(xi_list, xi_list[1:]))
-                and all((pa.D.count_roots(None, x, chain) + 1) // 2 == j + 1
-                        for x in (xi_list[0], xi_list[-1]))):
-            raise CertificationError(f"band {j}: the points are not increasing inside band {j}")
+        xi_list = _band_points(inst, j, np.sort(level_roots[:, j]).tolist(), (v - u) / n)
         signs = [P_prime.sign_at(xi) for xi in xi_list]
         if any(a * b != -1 for a, b in zip(signs, signs[1:])):
             raise CertificationError(f"band {j}: exact signs do not alternate ({signs})")
@@ -345,6 +365,9 @@ def _certificate(inst: RobinsonInstance, n: int,
             "points": [str(x) for x in xi_list],
             "signs": signs,
         })
+    if len(intervals) != n * pa.r:
+        raise CertificationError(
+            f"the bands certify {len(intervals)} roots, not the degree {n * pa.r}")
     sup_C = _sup_on_bands(inst, table, n)
     lamf = float(inst.lam)
     return {
@@ -352,10 +375,11 @@ def _certificate(inst: RobinsonInstance, n: int,
         "degree": n * pa.r,
         "bands": bands_out,
         "isolating_intervals": [(str(a), str(b)) for a, b in intervals],
-        "correction_sup": sup_C,
-        "correction_bound": float(inst.A) * lamf ** (n - inst.ell) / (lamf - 1.0)
+        "correction_sup": _float_or_none(lambda: sup_C * lamf**n) if table else 0.0,
+        "correction_bound": _float_or_none(
+            lambda: float(inst.A) * lamf ** (n - inst.ell) / (lamf - 1.0))
         if inst.ell <= n else None,
-        "amplitude": 2.0 * lamf**n,
+        "amplitude": _float_or_none(lambda: 2.0 * lamf**n),
         "correction_terms": len(table),
     }
 
@@ -469,10 +493,11 @@ def _as_float(s: str) -> float:
     return int(p) / int(q or 1)
 
 
-def convergence_report(roots_sequence: Sequence[np.ndarray],
-                       mu_E: BandDensity) -> list[float]:
+def convergence_report(roots_sequence: Sequence[np.ndarray], mu_E) -> list[float]:
     """Kolmogorov (sup-CDF) distance to mu_E of the root measure of each
-    sorted root array, weight 1/N on each of its N roots."""
+    sorted root array, weight 1/N on each of its N roots.  mu_E is anything
+    with a vectorised ``cdf``: a ``BandDensity``, or the exact Pell datum,
+    whose ``cdf`` is the closed form of E's equilibrium measure."""
     out = []
     for x in roots_sequence:
         w = np.full(len(x), 1.0 / len(x))

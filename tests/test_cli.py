@@ -269,6 +269,8 @@ def test_robinson_problem_file(capsys, tmp_path):
     (["-6", "0", "2"], 5, "monic"),
     # a constant P has no multiplier to check before from_exact refuses it
     (["5"], 3, "degree >= 1"),
+    # P^2 - 16 = x^2 (x^2 - 8): the two bands of {|x^2 - 4| <= 4} touch at 0
+    (["-4", "0", "1"], 4, "repeated root"),
 ])
 def test_robinson_rejects_bad_pell_polynomial(capsys, tmp_path, coeffs, M, message):
     prob = tmp_path / "prob.json"
@@ -367,8 +369,8 @@ def test_robinson_degree_512_csv(capsys):
     assert rc == 0
     n_s, deg_s, d_s = lines[-1].split(",")
     assert (n_s, deg_s) == ("256", "512")
-    # 1/(4n) up to the equilibrium CDF's quadrature error
-    assert float(d_s) == pytest.approx(1.0 / 1024, abs=1e-8)
+    # 1/(4n) to rounding: the CSV reads E's closed-form CDF
+    assert float(d_s) == pytest.approx(1.0 / 1024, abs=1e-13)
 
 
 @pytest.mark.parametrize("argv", [

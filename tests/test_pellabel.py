@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Chebyshev, Polynomial
 
+from capell import pellabel
 from capell.abel import abel_capacity, solve_R
 from capell.core import CertificationError, ExactPoly, make_interval_union
 from capell.pellabel import (
@@ -201,3 +203,166 @@ def test_rationalize_interval_degree_two():
     assert E_prime.n_bands == 2
     assert abel_capacity(solve_R(E_prime)) == pytest.approx(
         math.sqrt(3.0 / 4.0), rel=1e-8)
+
+
+# -- the exact datum: E's ends from float seeds ------------------------------------
+
+
+def _ends_by_mpmath(cs, M):
+    """The real roots of P - M and P + M, ascending, to 50 digits."""
+    with mpmath.workdps(50):
+        M = mpmath.mpf(M.numerator) / M.denominator
+        out = []
+        for level in (M, -M):
+            c = [mpmath.mpf(v) for v in cs[::-1]]
+            c[-1] -= level
+            rts = mpmath.polyroots(c, maxsteps=200, extraprec=200) if len(c) > 2 else [-c[1]]
+            out += [mpmath.re(x) for x in rts]
+        return sorted(out)
+
+
+@st.composite
+def _pell_problems(draw):
+    """Monic integer P of degree 1-4 with integer roots 1 to 5 apart, plus a
+    shift s for cubics (the robinson-cert shapes), and M below |P| at every
+    critical point: an integer, or a dyadic rational 10^-d below the least
+    critical value (near-touching bands)."""
+    r = draw(st.integers(1, 4))
+    roots = [draw(st.integers(-6, 6))]
+    for _ in range(r - 1):
+        roots.append(roots[-1] + draw(st.integers(1, 5)))
+    P = Polynomial.fromroots(roots) + (draw(st.integers(-2, 2)) if r == 3 else 0)
+    # the shift keeps P real-rooted while its critical values alternate in sign
+    crit = P(np.sort(P.deriv().roots().real)) if r > 1 else np.array([40.0])
+    assume(np.all(crit * (-1.0) ** np.arange(r - 1, 0, -1) > 0) or r == 1)
+    top = float(np.abs(crit).min())
+    if draw(st.booleans()) and top > 1.5:
+        M = Fraction(draw(st.integers(1, max(1, math.ceil(top) - 1))))
+    else:
+        M = Fraction(top * (1 - 10.0 ** -draw(st.integers(3, 12))))
+    assume(0 < M < top)
+    return [int(round(c)) for c in P.coef], M
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pell_problems())
+def test_seeded_ends_are_correctly_rounded(problem):
+    cs, M = problem
+    pa = PellAbelDatum.from_exact(ExactPoly.from_list(cs), M)
+    roots = _ends_by_mpmath(cs, M)
+    assert pa.E.n_bands == len(cs) - 1
+    assert list(pa.E.endpoints) == [float(x) for x in roots]
+    # each mpf exactly as a rational: its unsigned mantissa times 2^exp
+    exact = [(-1 if x < 0 else 1) * Fraction(int(x.man)) * Fraction(2) ** int(x.exp)
+             for x in roots]
+    assert pa.x_bound >= max(map(abs, exact))
+    assert all(lo <= x <= hi for x, (lo, hi) in zip(exact, pa._cells))
+    # seeds half the union's width off put every cell on one side of its
+    # root: the Sturm fallback gives the same datum, cells and bound
+    width = pa.E.diameter
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pellabel, "_seeds", lambda P, M: [x + width / 2 for x in pa.E.endpoints])
+        assert pellabel._certified_ends(pa.D, pellabel._seeds(pa.P, pa.M)) is None
+        again = PellAbelDatum.from_exact(ExactPoly.from_list(cs), M)
+    assert again == pa
+    assert (again._cells, again.x_bound) == (pa._cells, pa.x_bound)
+
+
+@pytest.mark.parametrize("k", [1, 12, 100, 200, 300])
+def test_fallback_ends_at_every_scale(k):
+    # x^2 - 3 10^k, M = 10^k: from k = 154 the Cauchy window of P^2 - M^2
+    # is outside the float range, and the isolation's stop width must
+    # still be exact
+    P = ExactPoly.from_list([-3 * 10**k, 0, 1])
+    pa = PellAbelDatum.from_exact(P, 10**k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pellabel, "_seeds", lambda P, M: [])
+        again = PellAbelDatum.from_exact(P, 10**k)
+    assert again == pa and again._cells == pa._cells
+    lo, hi = pa._cells[-1]
+    assert lo * lo < 4 * 10**k < hi * hi
+
+
+def test_in_band_reads_the_end_cells():
+    # P = x^2 + 6x, M = 5: P + 5 = (x + 1)(x + 5), so -5 ends band 0 and -1
+    # starts band 1 exactly; a point at an end is placed only as a point of E
+    pa = PellAbelDatum.from_exact(ExactPoly.from_list([0, 6, 1]), 5)
+    assert pa.E.endpoints[1:3] == (-5.0, -1.0)
+    assert pa.x_bound == max(abs(pa._cells[0][0]), abs(pa._cells[-1][1]))
+    for x, band, in_E, inside in [(-5, 0, True, True), (-5, 0, False, False),
+                                   (-5, 1, True, False), (-1, 1, True, True),
+                                   (-6, 0, False, True), (-3, 0, False, False),
+                                   (-3, 1, False, False), (0, 1, False, True)]:
+        assert pa._in_band(band, Fraction(x), in_E=in_E) is inside
+
+
+def test_seeded_ends_need_no_fallback_on_robinson_problems(monkeypatch):
+    # the robinson-cert shapes certify every end from its polished seed
+    calls = []
+    rounded_roots = pellabel._rounded_roots
+    monkeypatch.setattr(pellabel, "_rounded_roots", lambda D: calls.append(D) or rounded_roots(D))
+    for cs, M in [([-6, 0, 1], 4), ([-5, 0, 1], 3), ([1, -12, 0, 1], 5),
+                  ([58, 32, -31, -2, 1], 5), ([-43, 59, -15, 1], 4), ([-782, 268, -29, 1], 6)]:
+        PellAbelDatum.from_exact(ExactPoly.from_list(cs), M)
+    assert calls == []
+
+
+# -- cross-route: solve_R on Pell unions against the closed form ---------------------
+
+
+def _composed_union(cs, M):
+    """{|F| <= M} for F = f_1 o ... o f_m, f_i = x^2 - c_i (f_m applied
+    first), and F's critical points, the preimages of 0 under
+    f_{i+1} o ... o f_m for i < m and 0 itself."""
+    K = [(-M, M)]
+    for c in cs:
+        K = sorted([(-math.sqrt(b + c), -math.sqrt(a + c)) for a, b in K]
+                   + [(math.sqrt(a + c), math.sqrt(b + c)) for a, b in K])
+    crit = [0.0]
+    for i in range(1, len(cs)):
+        level = [0.0]
+        for c in cs[i:]:
+            level = [s * math.sqrt(c + y) for y in level for s in (-1.0, 1.0)]
+        crit += level
+    return make_interval_union(K), np.sort(crit)
+
+
+def _composed_cases():
+    # c_i a ratio in [1.3, 1.6] of the current union's max |x|, as in the
+    # cap-bands benchmark: 2 to 64 bands
+    rng = np.random.default_rng(33)
+    out = []
+    for m in range(1, 7):
+        M = float(rng.uniform(2.5, 6.0))
+        cs, top = [], M
+        for _ in range(m):
+            c = top * float(rng.uniform(1.3, 1.6))
+            cs.append(c)
+            top = math.sqrt(top + c)
+        E, crit = _composed_union(cs, M)
+        out.append(pytest.param(E, crit, M, 2**m, id=f"composed-{2**m}"))
+    return out
+
+
+def _exact_cases():
+    # the robinson-cert classes: r = 2, 3 and M = 4..7
+    out = []
+    for cs, M in [([-11, 5, 1], 4), ([-43, 59, -15, 1], 4), ([-12, 0, 1], 5),
+                  ([-59, 76, -17, 1], 5), ([-10, 0, 1], 6), ([-782, 268, -29, 1], 6),
+                  ([-17, 3, 1], 7), ([30, -11, -4, 1], 7)]:
+        E = PellAbelDatum.from_exact(ExactPoly.from_list(cs), M).E
+        crit = np.sort(Polynomial(cs).deriv().roots().real)
+        out.append(pytest.param(E, crit, M, len(cs) - 1, id=f"P{cs}-M{M}"))
+    return out
+
+
+@pytest.mark.parametrize("E,crit,M,r", _exact_cases() + _composed_cases())
+def test_solve_R_matches_the_closed_form_on_pell_unions(E, crit, M, r):
+    # E = P^-1([-M, M]) with r bands: every band mass is 1/r, v(E) = log(M/2)/r,
+    # and R is P' up to a constant, so the gap roots are P's critical points
+    d = solve_R(E)
+    assert E.n_bands == r
+    assert np.max(np.abs(np.asarray(d.omega) - 1.0 / r)) <= 1e-12
+    assert abs(d.vE - math.log(M / 2) / r) <= 1e-12
+    gaps = np.asarray(E.gaps)
+    assert np.all(np.abs(np.asarray(d.gap_roots) - crit) <= 1e-10 * (gaps[:, 1] - gaps[:, 0]))

@@ -293,9 +293,12 @@ def test_cdf_matches_the_pell_union_exactly_at_certified_roots(i5, i6, case):
                        ExactPoly.from_list([1, -6, 0, 1]), 4)), 12)}[case]
         _, cert, table = generate_at(inst, n)
     xs = root_measure_from_certificate(inst, cert["n"], table, cert)
-    got = BandDensity(solve_R(inst.pa.E)).cdf(xs)
     exact = [_pell_cdf(inst.pa, float(x)) for x in xs]
-    assert np.max(np.abs(got - exact)) <= 1e-11
+    # the integral route on E's correctly rounded ends, and the datum's
+    # closed form in floats
+    got = BandDensity(solve_R(inst.pa.E)).cdf(xs)
+    assert np.max(np.abs(got - exact)) <= 1e-12
+    assert np.max(np.abs(inst.pa.cdf(xs) - exact)) <= 1e-14
 
 
 @pytest.mark.parametrize("placement", ["outside", "at_left_ends"])
@@ -333,7 +336,7 @@ def test_root_measure_midpoint_fallback(i5, monkeypatch, placement):
 
 
 def test_eval_structured_derivative():
-    # value and derivative of P_n - sum c x^j P_k against exact evaluation,
+    # value and derivative of P_n - sum c x^j P_k, over lam^n, against exact evaluation,
     # with the cubic's correction table (terms x^0 P_k) and two made-up
     # terms x^1 P_3 and x^2 P_5
     inst, _, cert, table = _cubic_m5()
@@ -348,11 +351,12 @@ def test_eval_structured_derivative():
         P_prime = P_prime - term * c
     dP = P_prime.deriv()
     xs = np.array([float(Fraction(a) + Fraction(b)) / 2 for a, b in cert["isolating_intervals"]])
+    # both come divided by lam^n, so the amplitude 2 lam^n becomes 2
     f, d = _eval_structured(inst, n, table, xs)
-    amp = 2 * float(inst.lam) ** n
+    scale = inst.lam ** n
     for x, fx, dx in zip(xs, f, d):
-        assert fx == pytest.approx(float(P_prime(Fraction(x))), abs=1e-12 * amp)
-        assert dx == pytest.approx(float(dP(Fraction(x))), rel=1e-10)
+        assert fx == pytest.approx(float(P_prime(Fraction(x)) / scale), abs=1e-12 * 2)
+        assert dx == pytest.approx(float(dP(Fraction(x)) / scale), rel=1e-10)
 
 
 def _integer_pell_P(r, a, b, gaps, s):
@@ -447,6 +451,52 @@ def test_certificate_rejects_points_spanning_a_gap(i6, monkeypatch):
     with pytest.raises(CertificationError, match="band 0: the points are not increasing "
                                                  "inside band 0"):
         generate_at(i6, 8)
+
+
+def test_certificate_refuses_counts_short_of_the_degree():
+    # E with its two bands merged into one: band 0's points still
+    # alternate, but they certify 8 roots of the degree 16
+    pa = PellAbelDatum.from_exact(ExactPoly.from_list([-6, 0, 1]), 4)
+    object.__setattr__(pa, "E", make_interval_union([(pa.E.hull)]))
+    with pytest.raises(CertificationError, match="certify 8 roots, not the degree 16"):
+        generate_at(make_instance(pa), 8)
+
+
+@pytest.mark.parametrize("case", ["x2m6_n32", "x2m5_n32", "cubic_m5", "x2p6x_M5_n32"])
+def test_certificate_band_checks_by_the_end_cells(case, monkeypatch):
+    # the datum's end cells place every point in its band by rational
+    # comparisons, with no Sturm count, also where an end of E is an integer
+    # (x^2 + 6x + 5 = (x + 1)(x + 5)) and a first point sits on it; cells
+    # that place no point in its band refuse the certificate
+    if case == "cubic_m5":
+        inst, P_prime, cert, table = _cubic_m5()
+        n = cert["n"]
+    else:
+        inst = {"x2m6_n32": preset_x2m6, "x2m5_n32": preset_x2m5,
+                "x2p6x_M5_n32": lambda: make_instance(PellAbelDatum.from_exact(
+                    ExactPoly.from_list([0, 6, 1]), 5))}[case]()
+        n = 32
+        P_prime, cert, table = generate_at(inst, n)
+    counts = []
+    count_roots = ExactPoly.count_roots
+    monkeypatch.setattr(ExactPoly, "count_roots",
+                        lambda *a, **k: counts.append(1) or count_roots(*a, **k))
+    assert robinson._certificate(inst, n, table, P_prime) == cert
+    assert counts == []
+    object.__setattr__(inst.pa, "_cells", ((Fraction(0), Fraction(0)),) * (2 * inst.pa.r))
+    with pytest.raises(CertificationError, match="the points are not increasing inside band"):
+        robinson._certificate(inst, n, table, P_prime)
+
+
+def test_x2m6_csv_is_exact_to_rounding(capsys):
+    # even M: P'_n = 2 lam^n T_n(P/M), whose root measure is off mu_E by
+    # exactly 1/(2 degree)
+    from capell.cli import main
+    assert main(["robinson", "--preset", "x2m6", "--degree", "64", "--format", "csv"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(d) for _, d, _ in rows] == [4, 8, 16, 32, 64]
+    for _, degree, dist in rows:
+        assert abs(float(dist) - 1 / (2 * int(degree))) <= 1e-14
 
 
 # -- the search front end ----------------------------------------------------------

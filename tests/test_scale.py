@@ -1,5 +1,6 @@
 """Capacity at every scale: diameters from 1e-300 to the float ends, and
-unions far from the origin compared with their gaps.
+unions far from the origin compared with their gaps.  Robinson's
+construction at every scale: x^2 - 3 10^k with M = 10^k up to k = 100.
 
 The integral route solves on E mapped onto [-1, 1], so cap(sE + t) = |s| cap(E)
 holds to rounding for any s and t the floats can carry; where E + t is exact
@@ -9,6 +10,8 @@ cannot resolve are rejected as bad input.
 
 import json
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from capell.abel import solve_R
 from capell.capacity import capacity
 from capell.cli import main
 from capell.core import make_interval_union
+from test_cli import _recheck_certificate
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -241,3 +245,46 @@ def test_uniform_energy_scales_with_the_union(steps, k, shift):
     s = 10.0 ** k
     moved = make_interval_union([(s * (a + shift), s * (b + shift)) for a, b in bands])
     assert uniform_density(moved).energy() == pytest.approx(ref + math.log(s), rel=1e-12, abs=1e-12)
+
+
+def _rounds_to(f: float, N: int) -> bool:
+    """Whether the float f > 0 is sqrt(N) correctly rounded.  For a square N
+    that is float(sqrt N) (ints round to nearest, ties to even: 2 10^23 is
+    such a tie).  Otherwise sqrt N is irrational, and N lies strictly
+    between the squares of the midpoints from f to its float neighbours."""
+    s = math.isqrt(N)
+    if s * s == N:
+        return f == float(s)
+    lo = (Fraction(f) + Fraction(math.nextafter(f, 0.0))) / 2
+    hi = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+    return lo * lo < N < hi * hi
+
+
+@pytest.mark.parametrize("k", range(1, 101))
+def test_robinson_is_right_at_every_scale(capsys, tmp_path, k):
+    # P = x^2 - 3 10^k and M = 10^k: E = +-[sqrt(2 10^k), sqrt(4 10^k)].  M is
+    # even, so P'_n = P_n = 2 lam^n T_n(P/M) and its root measure lies
+    # exactly 1/(2 degree) from mu_E.  From k = 39, 2 lam^8 is outside the
+    # float range.
+    P, M = [-3 * 10**k, 0, 1], 10**k
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({"coeffs": [str(c) for c in P], "M": M, "degree": 16}))
+    assert main(["robinson", "--problem", str(prob), "--format", "csv"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(d) for _, d, _ in rows] == [4, 8, 16]
+    for _, degree, dist in rows:
+        assert abs(float(dist) - 1 / (2 * int(degree))) <= 1e-14
+    assert main(["robinson", "--problem", str(prob)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["degree"] == 16
+    _recheck_certificate(rep, P, M)
+    (a, b), (c, d) = (band["band"] for band in rep["certificate"]["bands"])
+    assert (a, b) == (-d, -c)
+    assert _rounds_to(c, 2 * 10**k) and _rounds_to(d, 4 * 10**k)
+    amplitude = 2 * Fraction(M, 2) ** 8
+    cert = rep["certificate"]
+    if amplitude > sys.float_info.max:
+        assert cert["amplitude"] is None
+    else:
+        assert cert["amplitude"] == pytest.approx(float(amplitude), rel=1e-14)
+    assert cert["correction_sup"] == 0.0 and cert["correction_terms"] == 0
