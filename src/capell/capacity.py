@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -120,12 +121,37 @@ def _in_bands(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ((x[..., None] >= bands[:, 0]) & (x[..., None] <= bands[:, 1])).any(axis=-1)
 
 
+@lru_cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of n points, read-only (``np.triu_indices``)."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def _vander_log(x: np.ndarray):
     """Log of the Vandermonde product of the points x, or of each row of x;
     -inf where two points coincide."""
-    iu, ju = np.triu_indices(x.shape[-1], 1)
+    iu, ju = _pairs(x.shape[-1])
     with np.errstate(divide="ignore"):
         return np.log(np.abs(x[..., ju] - x[..., iu])).sum(axis=-1)
+
+
+def _householder_basis(w: np.ndarray) -> np.ndarray:
+    """Q for the weights w (see ``_critical_points``), one per row of w."""
+    v = np.sqrt(w)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    u = v.copy()
+    u[..., 0] += 1.0
+    return np.eye(w.shape[-1])[:, 1:] - u[..., :, None] * (v[..., None, 1:] / u[..., None, :1])
+
+
+@lru_cache
+def _unit_basis(m: int) -> np.ndarray:
+    """``_householder_basis`` of m unit weights, built once per m, read-only."""
+    q = _householder_basis(np.ones(m))
+    q.flags.writeable = False
+    return q
 
 
 def _critical_points(y: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -136,14 +162,11 @@ def _critical_points(y: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     With v = sqrt(w)/|sqrt(w)|, det [[x - diag(y), v], [v^T, 0]] is
     -prod(x - y_j) sum v_j^2/(x - y_j): the roots are the eigenvalues of
     Q^T diag(y) Q, Q columns 2..m of the Householder reflector taking v to
-    -e_1 (u = v + e_1, free of cancellation).  Backward stable, so a root is
-    off by a few eps of max|y|; a repeated point comes back as a root.
+    -e_1 (u = v + e_1, free of cancellation); for unit weights Q is built
+    once per m and shared by all rows.  Backward stable, so a root is off by
+    a few eps of max|y|; a repeated point comes back as a root.
     """
-    v = np.sqrt(np.ones_like(y) if w is None else w)
-    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    u = v.copy()
-    u[..., 0] += 1.0
-    q = np.eye(y.shape[-1])[:, 1:] - u[..., :, None] * (v[..., None, 1:] / u[..., None, :1])
+    q = _unit_basis(y.shape[-1]) if w is None else _householder_basis(w)
     x = np.linalg.eigvalsh(np.swapaxes(q, -1, -2) @ (y[..., :, None] * q))
     ys = np.sort(y, axis=-1)
     return np.clip(x, ys[..., :-1], ys[..., 1:])  # interlacing, to the last bit
@@ -161,7 +184,7 @@ def _newton_interior(bands: np.ndarray, y: np.ndarray) -> np.ndarray:
     its neighbours, and a row takes it only if it raises the product.
     """
     n = y.shape[1]
-    eye, (iu, ju) = np.eye(n), np.triu_indices(n, 1)
+    eye, (iu, ju) = np.eye(n), _pairs(n)
     band = np.searchsorted(bands[:, 0], y, side="right") - 1
     lo, hi = bands[band, 0], bands[band, 1]
     free = (lo < y) & (y < hi)
@@ -210,31 +233,33 @@ def _polish_coordinates(bands: np.ndarray, y: np.ndarray) -> np.ndarray:
     converge quadratically where the sweeps converge linearly.  A row stops
     after a sweep that moves none of its points by 1e-12 of the diameter,
     so its points are confirmed coordinate by coordinate; QuadratureError
-    when the best row has not stopped after 80 sweeps.
+    when the best row has not stopped after 80 sweeps.  A sweep works on a
+    compact copy of the live rows, written back at its end.
     """
-    ends = bands.ravel()
+    ends, m = bands.ravel(), y.shape[1]
     tol = 1e-12 * (ends[-1] - ends[0])
+    idx = np.arange(1, m) - np.tri(m, m - 1, -1, dtype=int)  # row i: all but i
     moved = np.full(len(y), np.inf)
     for _ in range(_FEKETE_SWEEPS):
         live = np.flatnonzero(moved >= tol)
-        moved[live] = 0.0
-        for i in range(y.shape[1]):
-            others = np.delete(y[live], i, axis=1)
-            # w has real roots only, so w' does too (Rolle)
-            crit = _critical_points(others)
-            cand = np.hstack([np.broadcast_to(ends, (len(live), len(ends))),
-                              np.where(_in_bands(bands, crit), crit, np.nan)])
-            diff = cand[:, :, None] - others[:, None, :]
-            with np.errstate(divide="ignore"):
+        yl, ml, rows = y[live], np.zeros(len(live)), np.arange(len(live))
+        cand = np.empty((len(live), len(ends) + m - 2))
+        cand[:, :len(ends)] = ends
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(m):
+                others = np.ascontiguousarray(yl[:, idx[i]])
+                # w has real roots only, so w' does too (Rolle)
+                crit = _critical_points(others)
+                cand[:, len(ends):] = np.where(_in_bands(bands, crit), crit, np.nan)
+                diff = cand[:, :, None] - others[:, None, :]
                 logs = np.log(np.abs(diff)).sum(axis=2)
-            logs[np.isnan(cand) | (diff == 0.0).any(axis=2)] = -np.inf
-            t = cand[np.arange(len(live)), np.argmax(logs, axis=1)]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x = y[live, i]
+                logs[np.isnan(cand) | (diff == 0.0).any(axis=2)] = -np.inf
+                t, x = cand[rows, np.argmax(logs, axis=1)], yl[:, i]
                 gain = np.log1p((t - x)[:, None] / (x[:, None] - others)).sum(axis=1)
-            t = np.where(gain <= 0.0, x, t)
-            moved[live] = np.maximum(moved[live], np.abs(t - x))
-            y[live, i] = t
+                t = np.where(gain <= 0.0, x, t)
+                ml = np.maximum(ml, np.abs(t - x))
+                yl[:, i] = t
+        y[live], moved[live] = yl, ml
         y = np.sort(y, axis=1)
         logs, best = _vander_log(y), {}
         alloc = np.searchsorted(bands[:, 0], y, side="right")
@@ -264,7 +289,9 @@ def _check_fekete_count(n: int) -> None:
 def fekete_points(E: IntervalUnion, n: int, seed: int = 0) -> np.ndarray:
     """n points of E maximizing the product of pairwise distances.
 
-    20 seeded random starts run the exact coordinate ascent: each point in
+    20 seeded random starts (one draw u of 20 x 2 x n uniforms: point k of
+    start s lies in the band u[s, 0, k] picks with weight its length, at the
+    fraction u[s, 1, k] of it) run the exact coordinate ascent: each point in
     turn moves to the best of its candidates, the band ends and the critical
     points inside a band of the polynomial whose roots are the other points.
     Between sweeps the starts are cut to one per allocation of points to
@@ -281,15 +308,12 @@ def fekete_points(E: IntervalUnion, n: int, seed: int = 0) -> np.ndarray:
     _check_fekete_count(n)
     mid, half = _unit_map(*E.hull)
     bands = (np.asarray(E.bands, dtype=float) - mid) / half
-    rng = np.random.default_rng(seed)
     lengths = bands[:, 1] - bands[:, 0]
-    weights = lengths / lengths.sum()
-
-    starts = []
-    for _ in range(_FEKETE_RESTARTS):
-        j = rng.choice(len(bands), size=n, p=weights)
-        starts.append(bands[j, 0] + rng.random(n) * lengths[j])
-    y = _polish_coordinates(bands, np.array(starts))
+    cdf = (lengths / lengths.sum()).cumsum()
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random((_FEKETE_RESTARTS, 2, n))
+    j = cdf.searchsorted(u[:, 0], side="right")
+    y = _polish_coordinates(bands, bands[j, 0] + u[:, 1] * lengths[j])
     logs = _vander_log(y)
     tied = np.flatnonzero(logs >= logs.max() - 1e-13)  # such as two mirror images
     best_y = y[tied[np.argmin(y[tied].sum(axis=1))]]

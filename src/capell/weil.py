@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import ExactPoly, IntervalUnion
+from .core import ExactPoly, IntervalUnion, _horner
 from .abel import abel_capacity, solve_R
 
 __all__ = [
@@ -122,12 +122,13 @@ def weil_lift(P_I: ExactPoly, q: int) -> ExactPoly:
 
 
 def pushforward_check(P_C: ExactPoly, P_I: ExactPoly, q: int) -> bool:
-    """True iff P_C(X) = X^d P_I(X + q/X), decided exactly: then the roots
-    z of P_C map by z + q/z onto the roots of P_I, each taken twice.  Both
-    sides have degree 2d, so agreement at x = 1..2d+1 is equality."""
+    """True iff P_C(X) = X^d P_I(X + q/X), decided exactly in integers: then
+    the roots z of P_C map by z + q/z onto the roots of P_I, each taken twice.
+    Both sides have degree 2d, so agreement at x = 1..2d+1 is equality."""
     d = P_I.degree
     return P_C.degree == 2 * d and all(
-        P_C(x) == x**d * P_I(Fraction(x * x + q, x)) for x in range(1, 2 * d + 2))
+        _horner(P_C.num, x, 1) * P_I.den == _horner(P_I.num, x * x + q, x) * P_C.den
+        for x in range(1, 2 * d + 2))
 
 
 def support_capacity_bound(cs: CircleSet) -> tuple[float, float, bool]:

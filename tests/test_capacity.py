@@ -20,7 +20,9 @@ from capell.capacity import (
     fekete_points,
     pullback_density,
 )
-from capell.core import QuadratureError, make_interval_union
+from capell.abel import BandDensity, solve_R
+from capell.core import QuadratureError, _unit_map, make_interval_union
+from capell.robinson import convergence_report
 from capell._quad import ThetaDensity, uniform_density
 
 I22 = make_interval_union([(-2, 2)])
@@ -167,6 +169,69 @@ def test_fekete_ascent_budget(monkeypatch):
     monkeypatch.setattr(capell.capacity, "_critical_points", counted)
     fekete_points(I22, 6)
     assert len(calls) <= 42
+
+
+def _choice_starts(E, n, seed):
+    """The 20 starts as Generator.choice with band-length weights and
+    Generator.random drew them, start by start, on E mapped onto [-1, 1]."""
+    mid, half = _unit_map(*E.hull)
+    bands = (np.asarray(E.bands, dtype=float) - mid) / half
+    rng = np.random.default_rng(seed)
+    lengths = bands[:, 1] - bands[:, 0]
+    weights = lengths / lengths.sum()
+    starts = []
+    for _ in range(20):
+        j = rng.choice(len(bands), size=n, p=weights)
+        starts.append(bands[j, 0] + rng.random(n) * lengths[j])
+    return np.array(starts)
+
+
+@pytest.mark.parametrize("bands", [[(-2.0, 2.0)], [(0.0, 1.0), (2.0, 3.0)],
+                                   [(0.0, 1.0), (1.5, 2.0), (3.0, 4.0)]])
+@pytest.mark.parametrize("n", [2, 6, 13])
+def test_fekete_start_stream_is_pinned(monkeypatch, bands, n):
+    # one draw of 20 x 2 x n uniforms gives the choice-and-random starts bit
+    # for bit, so every seed keeps its result
+    seen = []
+    inner = capell.capacity._polish_coordinates
+
+    def captured(b, y):
+        seen.append(y.copy())
+        return inner(b, y)
+
+    monkeypatch.setattr(capell.capacity, "_polish_coordinates", captured)
+    E = make_interval_union(bands)
+    for seed in range(5):
+        fekete_points(E, n, seed=seed)
+        assert seen[-1].tobytes() == _choice_starts(E, n, seed).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 6, 13, 64])
+def test_unit_basis_is_cached_read_only_and_exact(m):
+    q = capell.capacity._unit_basis(m)
+    assert q is capell.capacity._unit_basis(m)
+    with pytest.raises(ValueError):
+        q[..., :1] = 0.0
+    # the per-row formula of unit weights, every row bit for bit
+    v = np.ones((3, m))
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    u = v.copy()
+    u[..., 0] += 1.0
+    want = np.eye(m)[:, 1:] - u[..., :, None] * (v[..., None, 1:] / u[..., None, :1])
+    assert all(row.tobytes() == q.tobytes() for row in want)
+
+
+@pytest.mark.parametrize("bands", [[(-1.0, 1.0)], PAIR.bands,
+                                   [(0.0, 1.0), (1.5, 2.0), (3.0, 4.0)],
+                                   [(-1.0, -0.5), (0.0, 0.2), (0.7, 1.0), (1.3, 2.0)],
+                                   [(-1.0, -0.99), (0.99, 1.0)]])
+def test_fekete_points_follow_the_band_integral_measure(bands):
+    # the transfinite-diameter route against the band-integral route: the
+    # Kolmogorov distance of n Fekete points to mu_E is at most 2/n
+    E = make_interval_union(bands)
+    ns = (16, 32, 64)
+    ks = convergence_report([fekete_points(E, n) for n in ns], BandDensity(solve_R(E)))
+    assert all(n * k <= 2.0 for n, k in zip(ns, ks)), [n * k for n, k in zip(ns, ks)]
 
 
 def test_fekete_no_convergence_raises(monkeypatch):

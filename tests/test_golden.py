@@ -70,6 +70,7 @@ CLI_CASES = [
     ("energy_uniform.json", ["energy", "--bands", PAIR, "--density", "uniform"]),
     ("energy_equilibrium.json", ["energy", "--bands", PAIR, "--density", "equilibrium"]),
     ("fekete_n6.json", ["fekete", "--bands", PAIR, "--n", "6"]),
+    ("cap_fekete_n6.json", ["cap", "--bands", PAIR, "--method", "fekete", "--n", "6"]),
     ("pell_detect.json", ["pell", "detect", "--bands", PAIR]),
     ("pell_construct_r2.json", ["pell", "construct", "--bands", PAIR, "--r", "2"]),
     ("pell_rationalize.json", ["pell", "rationalize", "--bands", PAIR, "--m-prime", "5/2"]),

@@ -166,6 +166,58 @@ def test_pushforward_spot_check():
     assert not pushforward_check(weil_lift(P_I, 2), P_I, 3)
 
 
+def _pushforward_by_fractions(P_C, P_I, q):
+    """pushforward_check's decision in Fractions: P_C(x) against x^d P_I(x + q/x)."""
+    d = P_I.degree
+    return P_C.degree == 2 * d and all(
+        P_C(x) == x**d * P_I(Fraction(x * x + q, x)) for x in range(1, 2 * d + 2))
+
+
+def _compose(P_I, q):
+    """X^d P_I(X + q/X) for rational P_I, term by term."""
+    d, t, out = P_I.degree, X * X + q, ExactPoly([0])
+    for k, c in enumerate(P_I.coeffs):
+        term = ExactPoly([c])
+        for _ in range(k):
+            term = term * t
+        for _ in range(d - k):
+            term = term * X
+        out = out + term
+    return out
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 1, 2, 3, 7]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_RATIONALS, min_size=1, max_size=7), st.integers(1, 9),
+       st.integers(0, 20), st.sampled_from([-1, 1]), st.lists(_RATIONALS, max_size=15))
+def test_pushforward_check_matches_the_fraction_form(cs, q, k, delta, other):
+    # integer and rational inputs alike: the exact composition passes, the
+    # same with one coefficient off by 1 fails, and on an unrelated P_C the
+    # integer decision is the Fraction one
+    P_I = ExactPoly([*cs, 1 + len(cs)])
+    P_C = _compose(P_I, q)
+    assert pushforward_check(P_C, P_I, q) and _pushforward_by_fractions(P_C, P_I, q)
+    off = list(P_C.coeffs)
+    off[k % len(off)] += delta
+    off = ExactPoly(off)
+    assert not pushforward_check(off, P_I, q) and not _pushforward_by_fractions(off, P_I, q)
+    R = ExactPoly(other or [0])
+    assert pushforward_check(R, P_I, q) == _pushforward_by_fractions(R, P_I, q)
+
+
+def test_pushforward_check_rejects_each_coefficient_off_by_one():
+    P_I = poly_from_int_roots([-2, -1, 0, 1, 3])
+    lift = weil_lift(P_I, 3)
+    assert pushforward_check(lift, P_I, 3)
+    for k in range(len(lift.num)):
+        for delta in (-1, 1):
+            off = list(lift.num)
+            off[k] += delta
+            assert not pushforward_check(ExactPoly(off), P_I, 3)
+
+
 def test_lift_random_instances():
     rng = np.random.default_rng(7)
     interior = {2: [-2, -1, 1, 2], 3: [-3, -2, -1, 1, 2, 3],
