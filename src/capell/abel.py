@@ -22,12 +22,12 @@ band or gap end at distance d cost log(1/d) nodes, not 1/sqrt(d).  Gap i
 carries n nodes X_ik, and one kernel, w_ik prod_{j != i} |X_ik - z_j| with
 w the node weight over sqrt of D's cofactor, summed in log space and
 centred per row, gives the residuals F_i = int R/sqrt(D), their scales W_i
-and the Jacobian J = dF/dz.  The gap conditions are linear in R: with
-R = prod(x - y)(1 + sum_l c_l/(x - y_l)) for any y, one per gap, they read
-J c = F at y, so each grid costs one solve.  It runs from the gap midpoints
-on 32 nodes; the roots are re-checked on 2n nodes, to 1e-10, without J, and
-one more solve on that grid ends it, or it is the next solve grid, n = 32 up
-to 512.  Band masses double their nodes from 32 until they settle.
+and the Jacobian J = dF/dz, in blocks of gap rows, in O(g n) memory.  The
+gap conditions are linear in R: with R = prod(x - y)(1 + sum_l c_l/(x - y_l))
+for any y, one per gap, they read J c = F at y.  Solves start from the gap
+midpoints on 32 nodes; the residual on 2n nodes re-checks the roots to 1e-10
+and is the next solve's, the last once they pass, n = 32 up to 512.  Band
+masses double their nodes from 16 to settle, and are divided by their sum.
 
 On band j, x = m_j + rho_j cos(theta) turns |R|/sqrt|D| into a smooth
 profile pi q_j(theta).  ``_band_profile`` is the one copy of it: the band
@@ -101,13 +101,15 @@ class AbelDatum:
 # the gap-root solver, on E mapped onto [-1, 1]: endpoints e, gap roots z
 # ---------------------------------------------------------------------------
 
+_BLOCK = 1 << 16  # entries per block of rows of a log tensor; a longer row is a block
+
 
 def _log_weight(x: np.ndarray, e: np.ndarray, own, z=()) -> np.ndarray:
     """log(|R(x)| / sqrt|D(x) / ((x - e_o)(x - e_{o+1}))|) on rows x (m, n)
     of an interval with ends e_o, e_{o+1}, o = own[row]; R has roots z.
-    Rows go in blocks, so no log tensor passes 2^18 entries."""
+    Rows go in ``_BLOCK``-sized blocks."""
     k, out = np.arange(len(e) - 2), np.empty_like(x)
-    step = max(1, (1 << 18) // (x.shape[1] * (len(e) + len(z))))
+    step = max(1, _BLOCK // (x.shape[1] * (len(e) + len(z))))
     for r in range(0, len(x), step):
         others = e[k + 2 * (k >= np.asarray(own)[r:r + step, None])][:, None, :]
         out[r:r + step] = log_abs_sum(x[r:r + step], z) - 0.5 * log_abs_sum(x[r:r + step], others)
@@ -134,43 +136,40 @@ def _gap_nodes(e: np.ndarray, n: int, gaps=slice(None)):
     return X, logq + _log_weight(X, e, 2 * i + 1)
 
 
-def _kernel(X: np.ndarray, logw: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """core[i, k] = w_ik prod_{j != i} |X_ik - z_j| over its row maximum, so
-    no product under- or overflows; F_i, W_i and row i of J share that
-    factor, which cancels in J c = F and in F/W.  The log is taken in place:
-    one (g, n, g) tensor is alive at a time."""
-    L = X[:, :, None] - z
-    np.abs(L, out=L)
-    np.log(L, out=L)
-    lw = L.sum(axis=2) - L.diagonal(axis1=0, axis2=2).T + logw
-    return np.exp(lw - lw.max(axis=1, keepdims=True))
-
-
 def _residual(z, X, logw, jac=False):
     """F_i = int over gap i of R/sqrt(D), its scale W_i (the same with |R|)
-    and, if asked, J = dF/dz, up to the row factors of ``_kernel``."""
-    g = len(z)
-    core = _kernel(X, logw, z)
+    and, if asked, J = dF/dz, from core[i, k] = w_ik prod_{j != i} |X_ik - z_j|
+    over its row maximum, so no product under- or overflows; F_i, W_i and row
+    i of J share that factor, which cancels in J c = F and in F/W.  Gap rows
+    go in ``_BLOCK``-sized (rows, n, g) blocks, one buffer for the logs and
+    then for the reciprocals of J."""
+    g, n = X.shape
+    core, J = np.empty_like(X), np.empty((g, g)) if jac else None
     dx = X - z[:, None]
     # sign of prod_{j != i} (x - z_j) on gap i: the g - 1 - i roots above
     sig = (-1.0) ** (g - 1 - np.arange(g))
-    F = sig * (dx * core).sum(axis=1)
-    W = (np.abs(dx) * core).sum(axis=1)
-    if not jac:
-        return F, W, None
-    # J[i, l] = -sig_i sum_k dx_ik core_ik / (X_ik - z_l); at l = i this
-    # is -sig_i sum_k core_ik
-    Q = X[:, :, None] - z
-    np.reciprocal(Q, out=Q)
-    return F, W, -sig[:, None] * np.einsum("ik,ikl->il", dx * core, Q)
+    step = max(1, _BLOCK // (n * g))
+    for r in range(0, g, step):
+        b = slice(r, r + step)
+        L = X[b, :, None] - z
+        np.abs(L, out=L)
+        np.log(L, out=L)
+        lw = L.sum(axis=2) - L.diagonal(r, axis1=0, axis2=2).T + logw[b]
+        core[b] = np.exp(lw - lw.max(axis=1, keepdims=True))
+        if jac:
+            # J[i, l] = -sig_i sum_k dx_ik core_ik / (X_ik - z_l); at l = i
+            # this is -sig_i sum_k core_ik
+            np.reciprocal(np.subtract(X[b, :, None], z, out=L), out=L)
+            J[b] = -sig[b, None] * np.einsum("ik,ikl->il", dx[b] * core[b], L)
+    return sig * (dx * core).sum(axis=1), (np.abs(dx) * core).sum(axis=1), J
 
 
-def _solve_grid(y, X, logw, lo, hi):
-    """R's gap roots from one solve of J c = F at y on the grid X.  R's root
-    in gap i is that of (x - y_i)(1 + sum_{l != i} c_l/(x - y_l)) + c_i, by
-    Newton from y_i - c_i for all gaps at once, to 1e-14 of the gap plus
-    1e-15, a few ulps on [-1, 1], where rounding stops the steps."""
-    F, _, J = _residual(y, X, logw, jac=True)
+def _solve_grid(y, F, J, lo, hi):
+    """R's gap roots from one solve of J c = F, with F and J the
+    ``_residual`` at y on one grid.  R's root in gap i is that of
+    (x - y_i)(1 + sum_{l != i} c_l/(x - y_l)) + c_i, by Newton from y_i - c_i
+    for all gaps at once, to 1e-14 of the gap plus 1e-15, a few ulps on
+    [-1, 1], where rounding stops the steps."""
     c = np.linalg.solve(J, F)
     if not np.all(np.isfinite(c)):
         raise QuadratureError("gap conditions: the linear solve is not finite")
@@ -249,26 +248,27 @@ def solve_R(E: IntervalUnion) -> AbelDatum:
     if len(z):
         try:
             X, logw = _gap_nodes(e, n)
+            F, _, J = _residual(z, X, logw, jac=True)
             while True:
-                z = _solve_grid(z, X, logw, lo, hi)
-                # re-check on the doubled grid, the next solve grid if z fails
+                z = _solve_grid(z, F, J, lo, hi)
+                # re-check on the doubled grid, whose residual the next solve takes
                 n *= 2
                 X, logw = _gap_nodes(e, n)
-                F, W, _ = _residual(z, X, logw)
+                F, W, J = _residual(z, X, logw, jac=True)
                 if np.max(np.abs(F) / W) < 1e-10:
                     # one more solve on that grid: the re-check's 1e-10 is loose
-                    z = _solve_grid(z, X, logw, lo, hi)
+                    z = _solve_grid(z, F, J, lo, hi)
                     break
                 if n == 1024:
                     raise QuadratureError("gap conditions: no stable solution below 1024 nodes")
         except MemoryError:
             raise QuadratureError(f"gap conditions: out of memory at {n} nodes on {len(z)} gaps")
 
-    eta, _, _ = adaptive_double(lambda n: _band_etas(e, z, n), 1e-9, n0=32,
+    eta, _, _ = adaptive_double(lambda n: _band_etas(e, z, n), 1e-9, n0=16,
                                 nmax=1 << 10, context="band masses")
-    omega = eta / math.pi
-    if abs(float(omega.sum()) - 1.0) > 1e-8:
-        raise QuadratureError(f"band masses sum to {omega.sum()}, not 1")
+    if abs(float(eta.sum()) / math.pi - 1.0) > 1e-8:
+        raise QuadratureError(f"band masses sum to {eta.sum() / math.pi}, not 1")
+    omega = eta / eta.sum()
 
     return AbelDatum(
         E=E,

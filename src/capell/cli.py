@@ -182,8 +182,8 @@ def _run_eqm(cfg: argparse.Namespace) -> str:
         "cap": abel_capacity(datum),
         "samples_per_band": samples,
     }
-    xs = np.concatenate([2.0 * np.linspace(0.5 * u, 0.5 * v, samples + 2)[1:-1]  # v - u may overflow
-                         for u, v in E.bands])
+    lo, hi = 0.5 * np.array(E.bands).T  # halved: hi - lo may overflow
+    xs = 2.0 * np.linspace(lo, hi, samples + 2, axis=1)[:, 1:-1].ravel()
     rows = list(zip(xs.tolist(), mu.density(xs).tolist()))
     if (cfg.format or "csv") == "json":
         return _dump_json({**header, "rows": rows})

@@ -14,6 +14,7 @@ from capell.abel import (
     _cached_density,
     _gap_nodes,
     _log_weight,
+    _residual,
     _solve_grid,
     _unit_frame,
     abel_capacity,
@@ -235,9 +236,34 @@ def test_gap_conditions_are_linear_in_R(steps):
     e, _, _ = _unit_frame(make_interval_union(list(zip(ends[::2], ends[1::2]))))
     lo, hi = e[1:-1].reshape(-1, 2).T
     X, logw = _gap_nodes(e, 64)
-    mid = _solve_grid(0.5 * lo + 0.5 * hi, X, logw, lo, hi)
-    quarter = _solve_grid(lo + 0.25 * (hi - lo), X, logw, lo, hi)
+
+    def solve_from(y):
+        F, _, J = _residual(y, X, logw, jac=True)
+        return _solve_grid(y, F, J, lo, hi)
+
+    mid = solve_from(0.5 * lo + 0.5 * hi)
+    quarter = solve_from(lo + 0.25 * (hi - lo))
     assert np.all(np.abs(mid - quarter) <= 1e-12 * (hi - lo))
+
+
+def test_blocked_residual_matches_one_tensor():
+    # 45 gaps on 64 nodes: blocks of 22, 22 and 1 gap rows, against the
+    # whole (g, n, g) tensor at once
+    e, _, _ = _unit_frame(make_interval_union([(4 * j, 4 * j + 1 + j % 3) for j in range(46)]))
+    lo, hi = e[1:-1].reshape(-1, 2).T
+    z = lo + np.random.default_rng(3).uniform(0.1, 0.9, len(lo)) * (hi - lo)
+    X, logw = _gap_nodes(e, 64)
+    L = np.log(np.abs(X[:, :, None] - z))
+    lw = L.sum(axis=2) - L.diagonal(axis1=0, axis2=2).T + logw
+    core = np.exp(lw - lw.max(axis=1, keepdims=True))
+    dx = X - z[:, None]
+    sig = (-1.0) ** (len(z) - 1 - np.arange(len(z)))
+    F, W = sig * (dx * core).sum(axis=1), (np.abs(dx) * core).sum(axis=1)
+    J = -sig[:, None] * np.einsum("ik,ikl->il", dx * core, 1.0 / (X[:, :, None] - z))
+    got = _residual(z, X, logw, jac=True)
+    for a, b in zip(got, (F, W, J)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(_residual(z, X, logw)[0], F)
 
 
 THREE = "[[0,1],[2,3],[3.5,4]]"

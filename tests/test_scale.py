@@ -8,8 +8,11 @@ in floats, E + t maps onto the same unit union bit for bit.  Unions the floats
 cannot resolve are rejected as bad input.
 """
 
+import contextlib
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -18,11 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capell.abel
 from capell._quad import uniform_density
 from capell.abel import solve_R
 from capell.capacity import capacity
 from capell.cli import main
 from capell.core import make_interval_union
+from test_acceptance import cantor_union
 from test_cli import _recheck_certificate
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -35,6 +40,23 @@ def run_cap(capsys, bands, *extra):
     return json.loads(out)
 
 
+@contextlib.contextmanager
+def band_integrals():
+    """Each ``_band_etas`` result, the band integrals eta; the last is the one
+    ``solve_R`` accepted.  omega = eta / sum(eta) sums to 1 whatever eta is,
+    so the unit mass is checked on eta: sum(eta) = pi."""
+    seen, band_etas = [], capell.abel._band_etas
+    capell.abel._band_etas = lambda *a: seen.append(band_etas(*a)) or seen[-1]
+    try:
+        yield seen
+    finally:
+        capell.abel._band_etas = band_etas
+
+
+def assert_unit_mass(eta):
+    assert abs(float(eta.sum()) / math.pi - 1.0) <= 1e-12
+
+
 # [0, s] u [2s, 3s] is the symmetric pair [-1.5s, -0.5s] u [0.5s, 1.5s] moved
 # by 1.5s; its capacity is 0.5 s sqrt(1.5^2 - 0.5^2) = s / sqrt(2)
 SCALE_CASES = [([[0, s], [2 * s, 3 * s]], s / math.sqrt(2))
@@ -44,8 +66,10 @@ SCALE_CASES += [([[0, 1e-300]], 0.25e-300), ([[-1e308, 1e308]], 5e307)]
 
 @pytest.mark.parametrize("bands,exact", SCALE_CASES, ids=[str(b) for b, _ in SCALE_CASES])
 def test_cap_is_exact_at_every_scale(capsys, bands, exact):
-    rep = run_cap(capsys, bands)
+    with band_integrals() as eta:
+        rep = run_cap(capsys, bands)
     assert rep["value"] == pytest.approx(exact, rel=1e-12)
+    assert_unit_mass(eta[-1])
     assert sum(rep["diagnostics"]["omega"]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -62,11 +86,14 @@ def test_capacity_scales_with_the_union(steps, k, sign, shift):
     for length, gap in steps:
         bands.append((x, x + length))
         x += length + gap
-    ref = capacity(make_interval_union(bands))
     s = sign * 10.0 ** k
     moved = make_interval_union([tuple(sorted((s * (a + shift), s * (b + shift))))
                                  for a, b in bands])
-    rep = capacity(moved)
+    with band_integrals() as eta:
+        ref = capacity(make_interval_union(bands))
+        assert_unit_mass(eta[-1])
+        rep = capacity(moved)
+        assert_unit_mass(eta[-1])
     assert rep.value == pytest.approx(abs(s) * ref.value, rel=1e-12)
     assert sum(rep.diagnostics["omega"]) == pytest.approx(1.0, abs=1e-12)
     omega = rep.diagnostics["omega"][::-1] if sign < 0 else rep.diagnostics["omega"]
@@ -144,9 +171,30 @@ def test_pell_ladder_has_capacity_one_and_equal_masses(k, monkeypatch):
     assert len(solves) <= 2
 
 
+def test_cantor_level_10_runs_under_450_mb():
+    # 1,024 bands: the gap rows go in blocks, so memory grows as O(g n), not
+    # O(g^2 n).  Both runs use one BLAS thread, whose solve rounds the same.
+    bands = json.dumps(cantor_union(10).bands)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(capell.abel.__file__))}
+
+    def cap(limit):
+        run = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit},) * 2); "
+               "from capell.cli import main; sys.exit(main(sys.argv[1:]))")
+        child = subprocess.run([sys.executable, "-c", run, "cap", "--bands", bands],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert child.returncode == 0, child.stderr
+        return child.stdout
+
+    assert cap(450 << 20) == cap("resource.RLIM_INFINITY")
+
+
 @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-8, 1e-10, 3e-12])
 def test_near_touching_bands_keep_unit_mass(capsys, delta):
-    rep = run_cap(capsys, [[0, 1], [1 + delta, 2]])
+    with band_integrals() as eta:
+        rep = run_cap(capsys, [[0, 1], [1 + delta, 2]])
+    assert_unit_mass(eta[-1])
+    assert rep["diagnostics"]["omega"] == [x / eta[-1].sum() for x in eta[-1]]
     assert sum(rep["diagnostics"]["omega"]) == pytest.approx(1.0, abs=1e-12)
 
 
