@@ -326,14 +326,16 @@ def _run_weil(cfg: argparse.Namespace) -> str:
             raise ValueError("weil lift needs --coeffs")
         P_I = _parse_coeffs(cfg.coeffs)
         # weil_lift raises unless every root of the lift has modulus sqrt(q)
-        # exactly; the float root moduli are a diagnostic only, null when a
-        # coefficient lies outside the float range
+        # exactly; the float moduli are a diagnostic only: those of the
+        # roots sqrt(q) (b +- sqrt(b^2 - 4))/2 of X^2 - aX + q, b = a/sqrt(q),
+        # over the float roots a of the input; null when q, an input
+        # coefficient or a float root is outside the float range
         lifted = _weil.weil_lift(P_I, cfg.q)
-        try:
-            roots = np.roots([float(c) for c in lifted.coeffs[::-1]])
-            err = float(np.max(np.abs(np.abs(roots) - math.sqrt(cfg.q))))
-        except OverflowError:
-            err = None
+        a, err = _weil._float_roots(P_I), None
+        if a is not None and cfg.q <= sys.float_info.max:
+            r = math.sqrt(cfg.q)
+            s = np.sqrt((a / r) ** 2 - 4 + 0j)
+            err = r * float(np.max(np.abs(np.abs(np.r_[a / r + s, a / r - s]) / 2 - 1)))
         return _dump_json({
             "q": cfg.q,
             "input": P_I,

@@ -513,9 +513,15 @@ class ExactPoly:
 
 
 def _root_bound(p: ExactPoly) -> Fraction:
-    """1 + max |c_k| / |lead| over the lower coefficients (Cauchy)."""
-    m = max((abs(c) for c in p.num[:-1]), default=0)
-    return 1 + Fraction(m, abs(p.num[-1]))
+    """2^m, the least power of two >= 1 with (2^(m-1))^k |c_d| >= |c_(d-k)|
+    for every k: at least Fujiwara's bound 2 max_k |c_(d-k)/c_d|^(1/k) on
+    the moduli of the roots, decided in integers (times 2^k on both sides)."""
+    *low, lead = map(abs, p.num)
+    m = 0
+    for k, c in enumerate(reversed(low), 1):
+        while lead << m * k < c << k:
+            m += 1
+    return Fraction(1 << m)
 
 
 def _window(window, bound) -> tuple[Fraction, Fraction]:

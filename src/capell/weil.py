@@ -8,7 +8,9 @@ circle reduces to a band computation.  Monic integer polynomials with all
 roots real and inside I lift to monic integer polynomials whose roots all
 sit on the circle: each root a contributes the quadratic X^2 - a X + q.
 The lift is assembled by exact polynomial composition, so integrality never
-depends on floating point.
+depends on floating point.  The input's window is decided by exact signs at
+points placed from its float roots, with a Sturm chain only when those fail,
+so floats choose where to look but never decide.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .core import ExactPoly, IntervalUnion, _horner
 from .abel import abel_capacity, solve_R
@@ -69,20 +73,47 @@ def _even_odd_parts(p: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
     return ExactPoly(even), ExactPoly(odd)
 
 
+@lru_cache(maxsize=1)
+def _float_roots(p: ExactPoly):
+    """np.roots of p, read-only, or None when a float is not finite; the
+    window check's seeds and the CLI's max_modulus_error share it."""
+    try:
+        with np.errstate(all="ignore"):
+            roots = np.roots(p.to_real().coef[::-1])
+    except (OverflowError, np.linalg.LinAlgError):
+        return None
+    roots.setflags(write=False)
+    return roots if np.isfinite(roots).all() else None
+
+
 def _all_roots_real_in_window(p: ExactPoly, q: int) -> None:
     """Raise unless p is squarefree with every root real and of square <= 4q.
 
-    One Sturm chain decides the first two: its last entry is gcd(p, p'), and
-    its count over the whole line is the number of distinct real roots.  The
-    window bound is decided on the squares: the roots of
-    G(u) = (-1)^d (Pe(u)^2 - u Po(u)^2) are exactly the squared roots of p,
-    and a Sturm count of G over (4q, +infinity) is exact even when a root
-    sits on the boundary.
+    Exact signs at -w, at one point between each pair of consecutive real
+    parts of p's float roots and at w = isqrt(4q 2^64)/2^32 decide all
+    three at once when they are nonzero and alternate.  Otherwise one Sturm
+    chain decides the first two: its last entry is gcd(p, p'), and its
+    count over the whole line is the number of distinct real roots.  Its
+    count over [-w, w], now with w = isqrt(256 q)/8, puts every root in the
+    window when it reaches d.  When it falls short, the window is decided
+    on the squares: the roots of G(u) = (-1)^d (Pe(u)^2 - u Po(u)^2) are
+    exactly the squared roots of p, and a Sturm count of G over
+    (4q, +infinity) is exact even when a root sits on the boundary.
     """
+    x = _float_roots(p)
+    if x is not None:
+        x, w = np.sort(x.real), Fraction(math.isqrt(4 * q << 64), 1 << 32)
+        pts = [-w, *(Fraction(float(m)) for m in 0.5 * x[:-1] + 0.5 * x[1:]), w]
+        s = p.sign_at(-w)
+        if all(a < b for a, b in zip(pts, pts[1:])) and s and all(
+                p.sign_at(t) == (s := -s) for t in pts[1:]):
+            return
     chain = p.sturm_chain()
     if chain[-1].degree > 0:
         raise ValueError("repeated roots; the lift needs a squarefree input")
-    d = p.degree
+    d, w = p.degree, Fraction(math.isqrt(256 * q), 8)
+    if p.count_roots(-w, w, chain) + (p.sign_at(-w) == 0) == d:
+        return
     real = p.count_roots(chain=chain)
     if real != d:
         raise ValueError(f"only {real} of {d} roots are real")
@@ -100,9 +131,10 @@ def weil_lift(P_I: ExactPoly, q: int) -> ExactPoly:
     of P_I, computed as X^d P_I((X^2 + q)/X) without touching the roots.
 
     Requires P_I monic with integer coefficients, squarefree, all roots real
-    with square at most 4q; then every root of the output has modulus
-    exactly sqrt(q).  The composition is Horner's rule in t = (X^2 + q)/X,
-    kept polynomial by H_k = H_(k-1) (X^2 + q) + a_(d-k) X^k, in integers.
+    with square at most 4q, as ``_all_roots_real_in_window`` decides; then
+    every root of the output has modulus exactly sqrt(q).  The composition
+    is Horner's rule in t = (X^2 + q)/X, kept polynomial by
+    H_k = H_(k-1) (X^2 + q) + a_(d-k) X^k, in integers.
     """
     if int(q) != q or q < 1:
         raise ValueError("q must be a positive integer")

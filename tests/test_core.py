@@ -13,6 +13,7 @@ from capell.core import (
     ExactPoly,
     IntervalUnion,
     NonSquarefreeError,
+    _root_bound,
     isolate_real_roots,
     make_interval_union,
 )
@@ -150,6 +151,25 @@ def test_isolate_float_path():
     # isolation is exact only; a float polynomial is refused, not bisected
     with pytest.raises(TypeError):
         isolate_real_roots(Polynomial([-2.0, 0.0, 1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=8),
+       st.booleans())
+def test_root_bound_holds_every_root(roots, shift):
+    # with or without the shift the roots lie within |z| <= 2^m, a power of
+    # two at least Fujiwara's bound; exact for the integer roots
+    p = P(1)
+    for a in roots:
+        p = p * (X - a)
+    if shift:
+        p = p + 1
+    bound = _root_bound(p)
+    assert bound >= 1 and bound.denominator == 1 and bound.numerator & (bound.numerator - 1) == 0
+    if not shift:
+        assert max(abs(a) for a in roots) <= bound
+    zs = np.roots([float(c) for c in p.coeffs[::-1]])
+    assert np.all(np.abs(zs) <= float(bound) * (1 + 1e-9))
 
 
 small_ints = st.integers(min_value=-20, max_value=20)

@@ -270,9 +270,9 @@ def test_seeded_ends_are_correctly_rounded(problem):
 
 @pytest.mark.parametrize("k", [1, 12, 100, 200, 300])
 def test_fallback_ends_at_every_scale(k):
-    # x^2 - 3 10^k, M = 10^k: from k = 154 the Cauchy window of P^2 - M^2
-    # is outside the float range, and the isolation's stop width must
-    # still be exact
+    # x^2 - 3 10^k, M = 10^k: the isolation window of P^2 - M^2 grows like
+    # 10^(k/2) (from k = 154 a Cauchy window would leave the float range),
+    # and the isolation's stop width must still be exact
     P = ExactPoly.from_list([-3 * 10**k, 0, 1])
     pa = PellAbelDatum.from_exact(P, 10**k)
     with pytest.MonkeyPatch.context() as mp:

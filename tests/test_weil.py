@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from capell.abel import BandDensity, solve_R
 from capell.core import ExactPoly, NonSquarefreeError, isolate_real_roots, make_interval_union
+from capell import weil
 from capell.robinson import generate, preset_x2m6
 from capell.weil import (
     CircleSet,
@@ -121,22 +123,132 @@ def _accepted_by_isolation(p, q):
     return G.count_roots(bound, bound + 1 + max(abs(c) for c in G.coeffs)) == 0
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(min_value=-7, max_value=7), min_size=1, max_size=6),
-       st.sampled_from([None, X**2 + 1, X**2 - 2]), st.booleans(),
-       st.integers(min_value=1, max_value=9))
-def test_chain_decision_matches_isolation(roots, factor, shift, q):
-    p = poly_from_int_roots(roots)
-    if factor is not None:
-        p = p * factor
-    if shift:
-        p = p + 1
+def _window_decision(p, q):
     try:
         _all_roots_real_in_window(p, q)
-        accepted = True
+        return True
     except ValueError:
-        accepted = False
-    assert accepted == _accepted_by_isolation(p, q)
+        return False
+
+
+# an int e stands for the factor X^2 - (4q + e): roots exactly on +-2 sqrt(q)
+# (rational for a square q), inside it (within 1/8 for q >= 5) or outside
+_FACTORS = st.sampled_from([None, X**2 + 1, X**2 - 2, 0, -1, 1])
+
+
+def _chain_input(roots, factor, repeat, shift, q):
+    p = poly_from_int_roots(roots)
+    if isinstance(factor, int):
+        factor = X**2 - (4 * q + factor)
+    if factor is not None:
+        p = p * factor
+    if repeat:
+        p = p * (X - roots[0])
+    if shift:
+        p = p + 1
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-7, max_value=7), min_size=1, max_size=6),
+       _FACTORS, st.booleans(), st.booleans(), st.integers(min_value=1, max_value=9))
+def test_chain_decision_matches_isolation(roots, factor, repeat, shift, q):
+    p = _chain_input(roots, factor, repeat, shift, q)
+    assert _window_decision(p, q) == _accepted_by_isolation(p, q)
+
+
+class _ChainCalled(Exception):
+    pass
+
+
+def _no_chain(self):
+    raise _ChainCalled
+
+
+_EDGE_ROOTS = st.builds(Fraction, st.integers(-400, 400), st.sampled_from([1, 7, 64]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(st.integers(min_value=-7, max_value=7), min_size=1, max_size=6),
+                 st.lists(_EDGE_ROOTS, min_size=1, max_size=5)),
+       _FACTORS, st.booleans(), st.booleans(), st.integers(min_value=1, max_value=9))
+def test_seeded_certificate_accepts_only_what_isolation_accepts(roots, factor, repeat,
+                                                                shift, q):
+    # with the Sturm chain unavailable only the seeded signs can accept
+    p = _chain_input(roots, factor, repeat, shift, q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExactPoly, "sturm_chain", _no_chain)
+        try:
+            seeded = _window_decision(p, q)
+        except _ChainCalled:
+            seeded = False
+    assert not seeded or _accepted_by_isolation(p, q)
+
+
+def _weil_lift_inputs(count, seed):
+    """Degree-16 Robinson outputs of X^2 + aX + b with M = 4, 6 or 8, as the
+    weil-lift benchmark draws them: for even M, P_8 = lam^8 C_8(P/lam) from
+    P_(k+1) = P P_k - lam^2 P_(k-1), and q just above B^2/4 for B the largest
+    |end| of {|P| <= M}."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        M = (4, 6, 8)[i % 3]
+        a = rng.randint(-6, 6)
+        b = rng.randint(math.ceil(a * a / 4 - M) - 7, math.ceil(a * a / 4 - M) - 1)
+        P = ExactPoly([b, a, 1])
+        prev, cur = ExactPoly([2]), P
+        for _ in range(7):
+            prev, cur = cur, P * cur - (M // 2) ** 2 * prev
+        B = max(abs(-a + s * math.sqrt(a * a - 4 * (b - M))) / 2 for s in (-1, 1))
+        out.append((cur, math.floor(B * B / 4) + 1 + rng.randint(0, 2)))
+    return out
+
+
+def test_seeded_window_needs_no_chain(monkeypatch):
+    monkeypatch.setattr(ExactPoly, "sturm_chain", _no_chain)
+    for P_I, q in _weil_lift_inputs(40, 1):
+        assert P_I.degree == 16
+        out = weil_lift(P_I, q)
+        assert out.degree == 32 and pushforward_check(out, P_I, q)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or fn(*a))
+    return calls
+
+
+def test_own_chain_decides_beyond_the_float_range(monkeypatch):
+    # the float roots overflow, so the seeds fail; the count over
+    # [-w, w] on p's own chain reaches d and G is never built
+    chains = _count_calls(monkeypatch, ExactPoly, "sturm_chain")
+    parts = _count_calls(monkeypatch, weil, "_even_odd_parts")
+    P_I = poly_from_int_roots([-10**400, 10**399, 10**400])
+    q = 10**800
+    assert weil._float_roots(P_I) is None
+    out = weil_lift(P_I, q)
+    assert len(chains) == 1 and not parts
+    assert pushforward_check(out, P_I, q)
+    with pytest.raises(ValueError, match="only 1 of 3"):
+        _all_roots_real_in_window((X - 10**400) * (X**2 + 10**800), q)
+    assert len(chains) == 2 and not parts
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 7, 9])
+def test_window_on_the_squares_decides_at_the_edge(monkeypatch, q):
+    # roots exactly on +-2 sqrt(q): the seeds fail, and G accepts where the
+    # count over [-w, w] falls short, which is for a non-square q (for a
+    # square q, w = 2 sqrt(q) and that count holds both roots); just
+    # outside, G rejects
+    parts = _count_calls(monkeypatch, weil, "_even_odd_parts")
+    assert weil_lift(X**2 - 4 * q, q) == ExactPoly([q * q, 0, -2 * q, 0, 1])
+    on_squares = math.isqrt(q) ** 2 != q
+    assert len(parts) == on_squares
+    with pytest.raises(ValueError, match="outside"):
+        weil_lift(X**2 - (4 * q + 1), q)
+    assert len(parts) == on_squares + 1
 
 
 @settings(max_examples=60, deadline=None)
