@@ -247,11 +247,11 @@ def _run_pell(cfg: argparse.Namespace) -> str:
             "r_j": list(pa.r_j),
             "certificate": _pell.certify_structure(pa),
         })
-    P_ex, E_prime, pa2 = _pell.rationalize(pa, M_prime)
+    pa2 = _pell.rationalize(pa, M_prime)
     return _dump_json({
-        "P": P_ex,
-        "M_prime": Fraction(pa2.M),
-        "bands": E_prime,
+        "P": pa2.P,
+        "M_prime": pa2.M,
+        "bands": pa2.E,
         "r": pa2.r,
         "r_j": list(pa2.r_j),
     })

@@ -6,10 +6,12 @@ common denominator r; then P is the degree-r minimal polynomial of E scaled
 to sup norm M = 2 cap(E)^r, and it has r_j = r omega_j roots in band j.
 This module detects the rational mass vector, synthesizes (P, Q, M) from
 E's endpoints by Abel's condition at infinity (P is the polynomial part of
-Q sqrt(D)), certifies the structure, and replaces P by a nearby
-rational-coefficient P' (with Q' = 1, M' < M rational) whose sublevel set
-{|P'| <= M'} is again a union of r bands inside E — the step that turns
-analytic data into exact arithmetic.
+Q sqrt(D)), and replaces P by a nearby rational-coefficient P' (with
+Q' = 1, M' < M rational) whose sublevel set {|P'| <= M'} is again a union
+of r bands inside E — the step that turns analytic data into exact
+arithmetic.  One constructor, ``PellAbelDatum.from_exact(P, M)``, decides
+that {|P| <= M} is r bands, for the rationalized datum and for the exact
+certificate of the synthesized P (``certify_structure``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .core import (
     ExactPoly,
     IntervalUnion,
     QuadratureError,
-    _unit_map,
     isolate_real_roots,
 )
 from .abel import AbelDatum, _exp_series, _unit_frame
@@ -73,14 +74,16 @@ class PellAbelDatum:
         has 2r simple real roots; any other (P, M), and a P that is not monic,
         raises ValueError.  Each of E's 2r ends is the float its root rounds
         to.  The float roots of P - M and P + M are the seeds; each seed's
-        cell, the exact midpoints to its float neighbours, holds that root
-        when D is squarefree with 2r real roots (its Sturm chain) and the
-        exact signs of D at the ends of the 2r disjoint cells are nonzero and
-        opposite.  A seed whose cell fails moves a few floats toward the
-        sign change; when that fails too (near-touching bands, coefficients
-        outside the float range) the roots are isolated by Sturm bisection
-        and bisected on until each rounds to one float.  Either way the
-        datum keeps the 2r cells: ``x_bound`` and ``_in_band`` read them.
+        cell is the exact midpoints to its float neighbours.  Nonzero,
+        opposite exact signs of D at the ends of 2r disjoint cells put a
+        root in each, so D, of degree 2r, has 2r simple real roots and no
+        Sturm chain is needed.  A seed whose cell fails moves a few floats
+        toward the sign change; when that fails too (near-touching bands,
+        coefficients outside the float range, a D without 2r real roots)
+        D's Sturm chain decides the count, and the roots are isolated by
+        Sturm bisection and bisected on until each rounds to one float.
+        Either way the datum keeps the 2r cells: ``x_bound`` and
+        ``_in_band`` read them.
         """
         M = Fraction(M)
         if P.degree < 1 or not P.is_monic:
@@ -89,20 +92,22 @@ class PellAbelDatum:
             raise ValueError("M must be positive")
         r = P.degree
         D = P * P - ExactPoly((M * M,))
-        chain = D.sturm_chain()
-        if chain[-1].degree > 0:
-            raise ValueError(
-                f"P^2 - M^2 has a repeated root: bands of {{|P| <= {M}}} touch"
-            )
-        count = D.count_roots(None, None, chain)
-        if count != 2 * r:
-            raise ValueError(
-                f"P^2 - M^2 has {count} real roots, need 2 deg P = {2 * r}: "
-                f"{{|P| <= {M}}} is not a union of {r} bands"
-            )
-        ends = _certified_ends(D, _seeds(P, M)) or _rounded_roots(D)
-        if any(a >= b for a, b in zip(ends, ends[1:])):
-            raise ValueError(f"the bands of {{|P| <= {M}}} are not apart in floats")
+        ends = _certified_ends(D, _seeds(P, M))
+        if ends is None:
+            chain = D.sturm_chain()
+            if chain[-1].degree > 0:
+                raise ValueError(
+                    f"P^2 - M^2 has a repeated root: bands of {{|P| <= {M}}} touch"
+                )
+            count = D.count_roots(None, None, chain)
+            if count != 2 * r:
+                raise ValueError(
+                    f"P^2 - M^2 has {count} real roots, need 2 deg P = {2 * r}: "
+                    f"{{|P| <= {M}}} is not a union of {r} bands"
+                )
+            ends = _rounded_roots(D)
+            if any(a >= b for a, b in zip(ends, ends[1:])):
+                raise ValueError(f"the bands of {{|P| <= {M}}} are not apart in floats")
         bands = tuple((ends[2 * i], ends[2 * i + 1]) for i in range(r))
         datum = cls(E=IntervalUnion(bands), P=P, Q=ExactPoly((1,)),
                     D=D, M=M, r=r, r_j=tuple([1] * r))
@@ -161,8 +166,10 @@ def _cell(x: float) -> tuple[Fraction, Fraction]:
 def _seeds(P: ExactPoly, M: Fraction) -> list[float]:
     """Float guesses for E's ends, sorted: the real parts of the roots of
     P - M and P + M by np.roots, from coefficients of size |P|, not |P|^2,
-    each moved by one Newton step whose residual P(x) -+ M is exact.  Empty
-    when a coefficient or M lies outside the float range."""
+    each moved by Newton steps whose residual P(x) -+ M is exact, up to
+    three while a step exceeds 1024 ulps (next to a narrow gap P' is small
+    against np.roots' error).  Empty when a coefficient or M lies outside
+    the float range."""
     try:
         Pf = P.to_real()
         c, dPf = Pf.coef[::-1], Pf.deriv()
@@ -171,9 +178,14 @@ def _seeds(P: ExactPoly, M: Fraction) -> list[float]:
             with np.errstate(all="ignore"):
                 rts = np.roots(np.r_[c[:-1], c[-1] - float(level)]).real.tolist()
             for x in rts:
-                d = float(dPf(x))
-                if math.isfinite(x) and math.isfinite(d) and d:
-                    x -= float(P(Fraction(x)) - level) / d
+                for _ in range(3):
+                    d = float(dPf(x))
+                    if not (math.isfinite(x) and math.isfinite(d) and d):
+                        break
+                    step = float(P(Fraction(x)) - level) / d
+                    x -= step
+                    if abs(step) <= 1024 * math.ulp(x):
+                        break
                 out.append(x)
     except (OverflowError, np.linalg.LinAlgError, ValueError):
         return []
@@ -181,15 +193,16 @@ def _seeds(P: ExactPoly, M: Fraction) -> list[float]:
 
 
 def _certified_ends(D: ExactPoly, seeds: list[float]) -> list[float] | None:
-    """The floats that D's 2r real roots round to, or None.
+    """The floats that D's 2r roots round to, or None.
 
-    D is squarefree with 2r real roots, positive leading coefficient and
-    even degree, so its sign is + just left of every even-indexed root and
-    - just left of every odd-indexed one.  Seed i's cell must show that
-    change with nonzero exact signs at both ends; a cell with both signs on
-    one side moves one float toward the change, up to four times.  2r
-    disjoint cells each holding a sign change hold all 2r roots, one each,
-    strictly inside, where it rounds to the cell's float.
+    D has degree 2r and a positive leading coefficient, so were its roots
+    real and simple its sign would be + just left of every even-indexed
+    root and - just left of every odd-indexed one.  Seed i's cell must show
+    that change with nonzero exact signs at both ends; a cell with both
+    signs on one side moves one float toward the change, up to four times.
+    2r disjoint cells each holding a sign change hold 2r roots, so D has no
+    other: each is real, simple and strictly inside its cell, where it
+    rounds to the cell's float.
     """
     if len(seeds) != D.degree:
         return None
@@ -336,82 +349,82 @@ def _as_real(p) -> Polynomial:
     return p.to_real() if isinstance(p, ExactPoly) else p
 
 
-def _real_roots(p: Polynomial, scale: float) -> np.ndarray:
-    rts = np.roots(p.coef[::-1])
-    return np.sort(rts.real[np.abs(rts.imag) <= 1e-7 * scale])
+# M' and M'' = (1 -+ 2^-20) M in certify_structure: where two bands of E
+# touch, at a root of Q, {|P| <= M'} opens a gap about 2^-10 of the band
+# wide, so one rule covers r_j = 1 and r_j > 1
+_LEVEL_GAP = Fraction(1, 1 << 20)
+
+
+def _host_bands(bands, E: IntervalUnion) -> list[int | None]:
+    """For each band (u, v), the index of the band of E that holds it
+    strictly inside, or None.  u and v are the floats that exact ends round
+    to, and rounding is monotone, so each float comparison is exact."""
+    return [next((j for j, (a, b) in enumerate(E.bands) if a < u and v < b), None)
+            for u, v in bands]
+
+
+def _abs_bound(P: ExactPoly, lo: Fraction, hi: Fraction) -> Fraction:
+    """An upper bound on |P| over [lo, hi]: with x = m + h t, m and h the
+    centre and half-width, P = sum e_k t^k (integers e_k over den b^deg P),
+    the quadratic part of +-P peaks on |t| <= 1 at t = +-1 or its vertex,
+    and sum_{k>=3} |e_k|, of order h^3, bounds the rest."""
+    b = math.lcm(lo.denominator, hi.denominator)
+    n_lo, n_hi = lo.numerator * (b // lo.denominator), hi.numerator * (b // hi.denominator)
+    a, c, b = n_lo + n_hi, n_hi - n_lo, 2 * b  # m = a / b, h = c / b
+    num = P.num
+    e, bk = [num[-1]], 1
+    for k in range(len(num) - 2, -1, -1):  # e <- e (a + c t) + num_k b^(deg - k)
+        bk *= b
+        e = [a * x + c * y for x, y in zip(e + [0], [0] + e)]
+        e[0] += num[k] * bk
+    e += [0, 0]
+    peak = Fraction(0)
+    for e0, e1, e2 in ((e[0], e[1], e[2]), (-e[0], -e[1], -e[2])):
+        if e2 < 0 and abs(e1) <= -2 * e2:
+            peak = max(peak, e0 - Fraction(e1 * e1, 4 * e2))
+        else:
+            peak = max(peak, Fraction(e0 + e2 + abs(e1)))
+    return (peak + sum(map(abs, e[3:]))) / (P.den * b ** (len(num) - 1))
 
 
 def certify_structure(pa: PellAbelDatum) -> dict:
-    """Verify the root/alternation/containment structure of a Pell datum.
+    """Decide exactly that E lies between {|P| <= M'} and {|P| <= M''},
+    M' and M'' = (1 -+ 2^-20) M, with r_j bands of the first strictly
+    inside band j of E.
 
-    Returns a report dict with one entry per clause: (passed, details);
-    overall verdict under "pass"."""
-    E, M, r = pa.E, float(pa.M), pa.r
-    P, Q, D = _as_real(pa.P), _as_real(pa.Q), _as_real(pa.D)
-    scale = max(abs(e) for e in E.endpoints)
-    report: dict = {}
-
-    # identity P^2 - D Q^2 = M^2
-    resid = P * P - D * (Q * Q) - M * M
-    rel = float(np.max(np.abs(resid.coef))) / (M * M)
-    report["identity"] = (rel < 1e-8, {"relative_residual": rel})
-
-    # per-band root counts of P
-    p_roots = _real_roots(P, scale)
-    counts = []
-    for (u, v) in E.bands:
-        counts.append(int(np.sum((p_roots >= u - 1e-9 * scale) & (p_roots <= v + 1e-9 * scale))))
-    ok_counts = (
-        len(p_roots) == r
-        and tuple(counts) == tuple(pa.r_j)
-        and np.all(np.diff(p_roots) > 1e-9 * scale)
-    )
-    report["roots_per_band"] = (bool(ok_counts), {"counts": counts, "expected": list(pa.r_j)})
-
-    # Q: r_j - 1 interior roots per band
-    q_roots = _real_roots(Q, scale) if Q.degree() >= 1 else np.empty(0)
-    q_counts = []
-    for (u, v) in E.bands:
-        q_counts.append(int(np.sum((q_roots > u) & (q_roots < v))))
-    ok_q = tuple(q_counts) == tuple(k - 1 for k in pa.r_j) and len(q_roots) == sum(
-        k - 1 for k in pa.r_j
-    )
-    report["q_roots"] = (bool(ok_q), {"counts": q_counts,
-                                      "expected": [k - 1 for k in pa.r_j]})
-
-    # alternation: P runs through +-M at band ends and at Q's interior roots
-    alt_ok, alt_detail = True, []
-    for j, (u, v) in enumerate(E.bands):
-        pts = [u] + [x for x in q_roots if u < x < v] + [v]
-        vals = [float(P(np.array([x]))[0]) for x in pts]
-        for a, b in zip(vals[:-1], vals[1:]):
-            if not (abs(abs(a) - M) < 1e-6 * M and abs(abs(b) - M) < 1e-6 * M and a * b < 0):
-                alt_ok = False
-        alt_detail.append([round(x, 12) for x in vals])
-    report["alternation"] = (alt_ok, {"band_extreme_values": alt_detail})
-
-    # containment: |P| > M strictly off E, |P| <= M on E
-    off_pts = [_unit_map(u, v)[0] for u, v in E.gaps]
-    lo, hi = E.hull
-    off_pts += [lo - 0.1 * E.diameter, hi + 0.1 * E.diameter]
-    off_ok = all(abs(float(P(np.array([x]))[0])) > M for x in off_pts)
-    on_pts = np.concatenate(
-        [np.linspace(u, v, 17) for (u, v) in E.bands]
-    )
-    on_vals = np.abs(P(on_pts))
-    on_ok = bool(np.all(on_vals <= M * (1 + 1e-6)))
-    report["containment"] = (
-        bool(off_ok and on_ok),
-        {"max_on_E": float(np.max(on_vals)), "M": M},
-    )
-
-    report["pass"] = all(v[0] for k, v in report.items() if k != "pass")
+    P and M are taken at the exact values of their floats (a datum from
+    ``rationalize`` is exact already).  ``PellAbelDatum.from_exact(P, M')``
+    certifies the inner bands, and ``_abs_bound`` bounds |P| on the rest of
+    E.  The report holds ``M_prime`` and ``M_double_prime``; ``counts``, the
+    inner bands in each band of E (null when from_exact refuses (P, M'));
+    ``peak``, that bound over M (null unless counts is r_j); and ``pass``,
+    when counts is r_j and the bound is at most M''.
+    ``identity_residual``, max |P^2 - D Q^2 - M^2| / M^2 in floats, is a
+    diagnostic and decides nothing.
+    """
+    E = pa.E
+    P = pa.P if isinstance(pa.P, ExactPoly) else ExactPoly(pa.P.coef.tolist())
+    M = Fraction(pa.M)
+    Pf, Qf, Df = (_as_real(p) for p in (pa.P, pa.Q, pa.D))
+    resid = Pf * Pf - Df * (Qf * Qf) - float(M) ** 2
+    report = {"M_prime": M * (1 - _LEVEL_GAP), "M_double_prime": M * (1 + _LEVEL_GAP),
+              "counts": None, "peak": None, "pass": False,
+              "identity_residual": float(np.max(np.abs(resid.coef))) / float(M) ** 2}
+    try:
+        inner = PellAbelDatum.from_exact(P, report["M_prime"])
+    except ValueError:
+        return report
+    hosts = _host_bands(inner.E.bands, E)
+    report["counts"] = [hosts.count(j) for j in range(E.n_bands)]
+    if report["counts"] == list(pa.r_j):
+        # E less the inner bands, whose cells it overlaps (the top of a left
+        # end's, the bottom of a right end's): the merged ends pair off
+        cuts = [cell[1 - i % 2] for i, cell in enumerate(inner._cells)]
+        ends = sorted([Fraction(x) for x in E.endpoints] + cuts)
+        peak = max(_abs_bound(P, lo, hi) for lo, hi in zip(ends[::2], ends[1::2]))
+        report["peak"] = float(peak / M)
+        report["pass"] = peak <= report["M_double_prime"]
     return report
-
-
-# ---------------------------------------------------------------------------
-# rationalization
-# ---------------------------------------------------------------------------
 
 
 def rationalize(pa: PellAbelDatum, M_prime: Fraction | int | str):
@@ -421,7 +434,8 @@ def rationalize(pa: PellAbelDatum, M_prime: Fraction | int | str):
     set {|P'| <= M'} a union of r bands, one simple P'-root each, inside E.
     Coefficients are rounded to denominator 2^k with k doubled until
     ``PellAbelDatum.from_exact(P', M')`` certifies the r bands and each band
-    lies strictly inside a band of E.  Returns (P', E', datum')."""
+    lies strictly inside a band of E.  Returns that datum, with P' its P
+    and {|P'| <= M'} its E."""
     M_prime = Fraction(M_prime)
     M = pa.M if isinstance(pa.M, Fraction) else Fraction(pa.M)
     if not 0 < M_prime < M:
@@ -438,13 +452,11 @@ def rationalize(pa: PellAbelDatum, M_prime: Fraction | int | str):
         except ValueError as e:
             last_err = str(e)
             continue
-        # strict containment in the interior of E
-        outside = [(u, v) for (u, v) in pa_prime.E.bands
-                   if not any(bu < u and v < bv for (bu, bv) in pa.E.bands)]
-        if outside:
-            last_err = f"band {outside[0]} is not interior to E"
+        hosts = _host_bands(pa_prime.E.bands, pa.E)
+        if None in hosts:
+            last_err = f"band {pa_prime.E.bands[hosts.index(None)]} is not interior to E"
             continue
-        return pa_prime.P, pa_prime.E, pa_prime
+        return pa_prime
     raise CertificationError(
         f"no dyadic rounding up to 2^64 certifies the sublevel structure ({last_err})"
     )

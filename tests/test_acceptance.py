@@ -167,7 +167,7 @@ def test_07_integer_polynomials_converge():
 
 def test_08_correction_machinery_bounds():
     pa = construct_pa_polynomial(solve_R(PAIR), 2)
-    P_ex, _, _ = rationalize(pa, Fraction(5, 2))
+    P_ex = rationalize(pa, Fraction(5, 2)).P
     exact = P_ex.coeffs == (Fraction(-5), Fraction(0), Fraction(1))
     # the certified exact polynomial with its own Pell constant M = 3
     inst = make_instance(PellAbelDatum.from_exact(P_ex, 3))

@@ -1,16 +1,21 @@
+import dataclasses
 import json
 import math
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 import capell.capacity
 import capell.cli
 from capell.cli import dump_problem, load_problem, main
+from capell.abel import solve_R
 from capell.core import ExactPoly, make_interval_union
-from capell.pellabel import PellAbelDatum
+from capell.pellabel import PellAbelDatum, certify_structure, construct_pa_polynomial
 
 GOLDEN = Path(__file__).parent / "golden"
 PAIR_BANDS = json.dumps([[-math.sqrt(8), -math.sqrt(2)], [math.sqrt(2), math.sqrt(8)]])
@@ -182,6 +187,85 @@ def test_pell_rationalize(capsys):
 def test_pell_construct_certifies(capsys, bands, r):
     rep = run_json(capsys, ["pell", "construct", "--bands", bands, "--r", r])
     assert rep["certificate"]["pass"] is True
+
+
+def _recheck_construct(rep: dict, bands: str) -> bool:
+    """Re-decide a `pell construct` certificate from its JSON and the input
+    bands alone: P at the exact value of the printed floats, M' and M'' from
+    their exact strings.  Sturm counts of P^2 - M'^2 put 2 r_j roots in band
+    j of E, none at an end, in a gap or outside the hull; P^2 - M''^2 is
+    negative at both ends of each band of E with no root between them."""
+    P = ExactPoly([Fraction(c) for c in rep["P"]])
+    E = make_interval_union(json.loads(bands))
+    ends = [Fraction(x) for x in E.endpoints]
+    bands_ = list(zip(ends[::2], ends[1::2]))
+    lo, hi = (Fraction(rep["certificate"][k]) for k in ("M_prime", "M_double_prime"))
+    D_lo, D_hi = (P * P - ExactPoly([M * M]) for M in (lo, hi))
+    chain_lo, chain_hi = D_lo.sturm_chain(), D_hi.sturm_chain()
+    if chain_lo[-1].degree > 0 or any(D_lo.sign_at(x) == 0 for x in ends):
+        return False
+    outer = [(None, ends[0]), (ends[-1], None)] + list(zip(ends[1:-1:2], ends[2::2]))
+    return (all(D_lo.count_roots(a, b, chain_lo) == 0 for a, b in outer)
+            and [D_lo.count_roots(a, b, chain_lo) for a, b in bands_]
+            == [2 * k for k in rep["r_j"]]
+            and all(D_hi.sign_at(a) < 0 and D_hi.sign_at(b) < 0
+                    and D_hi.count_roots(a, b, chain_hi) == 0 for a, b in bands_))
+
+
+def _pell_unions(n: int) -> list[tuple[str, str]]:
+    """n (bands, r) of one shape, r = 1..4 in turn: {|P| <= M} for P with
+    roots 1.6-1.7 times a scale of 1.2-1.3 apart, about a centre in
+    [-3, 3], and M 0.62-0.68 of its least critical value."""
+    rng, out = random.Random(1), []
+    for i in range(n):
+        r = 1 + i % 4
+        gaps = np.cumsum([0.0] + [rng.uniform(1.6, 1.7) for _ in range(r - 1)])
+        scale, centre = rng.uniform(1.2, 1.3), rng.uniform(-3.0, 3.0)
+        P = Polynomial.fromroots(centre + scale * (gaps - gaps[-1] / 2))
+        crit = np.abs(P(P.deriv().roots().real))
+        M = (crit.min() if len(crit) else 4.0 * scale) * rng.uniform(0.62, 0.68)
+        ends = np.sort(np.concatenate([(P - M).roots(), (P + M).roots()]).real)
+        out.append((json.dumps(np.reshape(ends, (-1, 2)).tolist()), str(r)))
+    return out
+
+
+@pytest.mark.parametrize("bands,r", [
+    pytest.param(PAIR_BANDS, "2", id="pair-r2"),
+    pytest.param("[[-2,2]]", "5", id="interval-r5"),
+    pytest.param("[[-2,2]]", "12", id="interval-r12"),
+    pytest.param(PAIR_BANDS, "4", id="pair-r4"),
+    pytest.param(PAIR_BANDS, "6", id="pair-r6"),
+    # |P'| at the inner ends is small next to a narrow gap
+    pytest.param("[[-2,-0.1],[0.1,2]]", "2", id="narrow-gap"),
+    pytest.param("[[-2,-0.01],[0.01,2]]", "2", id="narrower-gap"),
+] + [pytest.param(b, r, id=f"union-{i}") for i, (b, r) in enumerate(_pell_unions(20))])
+def test_pell_construct_certificate_rechecks_from_json(capsys, bands, r):
+    rep = run_json(capsys, ["pell", "construct", "--bands", bands, "--r", r])
+    assert rep["certificate"]["pass"] is True
+    assert rep["certificate"]["counts"] == rep["r_j"]
+    assert _recheck_construct(rep, bands)
+
+
+def test_pell_construct_certificate_rejects_an_off_p(capsys):
+    # a constant term nudged by 1e-5 M moves an end of {|P| <= M'} out of E
+    rep = run_json(capsys, ["pell", "construct", "--bands", PAIR_BANDS, "--r", "2"])
+    rep["P"][0] += 1e-5 * rep["M"]
+    assert not _recheck_construct(rep, PAIR_BANDS)
+    pa = construct_pa_polynomial(solve_R(make_interval_union(json.loads(PAIR_BANDS))), 2)
+    nudged = dataclasses.replace(pa, P=pa.P + 1e-5 * pa.M)
+    assert certify_structure(nudged)["pass"] is False
+    # x^2 - 2.2 at M = 1.8 on [-2, 2]: both bands of {|P| <= M'} lie in E,
+    # with their outer ends on E's, but |P(0)| = 2.2 inside E
+    M, gap = Fraction(1.8), Fraction(1, 2**20)
+    rep = {"P": [-2.2, 0.0, 1.0], "r_j": [2],
+           "certificate": {"M_prime": str(M * (1 - gap)), "M_double_prime": str(M * (1 + gap))}}
+    assert not _recheck_construct(rep, "[[-2,2]]")
+    # the P printed in E's power basis has an interior extremum 1.05e-6 M
+    # below M, so its bands merge at M'
+    bands = "[[-0.4273920475626549, 6.344543321162265]]"
+    rep = run_json(capsys, ["pell", "construct", "--bands", bands, "--r", "16"])
+    assert rep["certificate"]["pass"] is False
+    assert not _recheck_construct(rep, bands)
 
 
 @pytest.mark.parametrize("bands,r", [

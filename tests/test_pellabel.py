@@ -18,6 +18,7 @@ from capell.pellabel import (
     detect_pell_abel,
     rationalize,
 )
+from capell.robinson import preset_x2m5, preset_x2m6
 
 I22 = make_interval_union([(-2, 2)])
 PAIR = make_interval_union([(-math.sqrt(8), -math.sqrt(2)), (math.sqrt(2), math.sqrt(8))])
@@ -143,17 +144,55 @@ def test_datum_validation():
 def test_certify_structure_all_clauses():
     pa = construct_pa_polynomial(solve_R(PAIR), 2)
     rep = certify_structure(pa)
-    for clause in ("identity", "roots_per_band", "q_roots", "alternation",
-                   "containment"):
-        assert rep[clause][0], (clause, rep[clause][1])
+    M, gap = Fraction(pa.M), Fraction(1, 2**20)
+    assert (rep["M_prime"], rep["M_double_prime"]) == (M * (1 - gap), M * (1 + gap))
+    assert rep["counts"] == [1, 1]
+    # |P| reaches M at E's ends, to rounding
+    assert abs(rep["peak"] - 1) <= 1e-12
+    assert rep["identity_residual"] < 1e-14
     assert rep["pass"]
 
 
 def test_certify_structure_degree_five():
+    # r_j = [5]: the four touches of the bands of {|P| <= M} open at M', and
+    # |P| at them stays below M''
     rep = certify_structure(construct_pa_polynomial(solve_R(I22), 5))
     assert rep["pass"]
-    assert rep["roots_per_band"][1]["counts"] == [5]
-    assert rep["q_roots"][1]["counts"] == [4]
+    assert rep["counts"] == [5]
+    assert abs(rep["peak"] - 1) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=7),
+       st.fractions(-3, 3, max_denominator=64), st.fractions(0, 2, max_denominator=64))
+def test_abs_bound_holds_on_the_interval(cs, lo, width):
+    # the bound is at least |P| at every point of [lo, hi], checked exactly
+    # on a grid, and at most the sum of |P|'s Taylor coefficients about the
+    # centre, times the half-width's powers
+    P, hi = ExactPoly.from_list(cs), lo + width
+    bound = pellabel._abs_bound(P, lo, hi)
+    assert all(abs(P(lo + width * Fraction(i, 32))) <= bound for i in range(33))
+    m, h = (lo + hi) / 2, width / 2
+    taylor, f = [], P
+    for k in range(P.degree + 1):
+        taylor.append(abs(f(m)) / math.factorial(k) * h**k)
+        f = f.deriv()
+    assert bound <= sum(taylor)
+
+
+@pytest.mark.parametrize("excess,passes", [(0.0, True), (1e-5, False), (0.1, False)])
+def test_certify_structure_bounds_p_between_the_inner_bands(excess, passes):
+    # P = x^2 - c on E = [-2, 2] with r_j = [2] and P(+-2) = M: at c = M the
+    # two bands of {|P| <= M} touch at 0, and above it |P(0)| = c overshoots
+    # M inside E, though both bands of {|P| <= M'} lie in E with their outer
+    # ends on E's
+    M = 4 / (2 + excess)
+    pa = PellAbelDatum(E=I22, P=Polynomial([M - 4, 0, 1]), Q=Polynomial([0, 1]),
+                       D=Polynomial([-4, 0, 1]), M=M, r=2, r_j=(2,))
+    rep = certify_structure(pa)
+    assert rep["counts"] == [2]
+    assert rep["peak"] == pytest.approx(max(1.0, (4 - M) / M), rel=1e-12)
+    assert rep["pass"] is passes
 
 
 # -- rationalization --------------------------------------------------------------
@@ -161,14 +200,14 @@ def test_certify_structure_degree_five():
 
 def test_rationalize_pair_is_exact():
     pa = construct_pa_polynomial(solve_R(PAIR), 2)
-    P_ex, E_prime, pa2 = rationalize(pa, Fraction(5, 2))
-    assert P_ex.coeffs == (Fraction(-5), Fraction(0), Fraction(1))
+    pa2 = rationalize(pa, Fraction(5, 2))
+    assert pa2.P.coeffs == (Fraction(-5), Fraction(0), Fraction(1))
     assert pa2.M == Fraction(5, 2)
     assert pa2.Q.coeffs == (Fraction(1),)
     assert pa2.r_j == (1, 1)
     # {|x^2 - 5| <= 5/2} = {5/2 <= x^2 <= 15/2}
     lo, hi = math.sqrt(2.5), math.sqrt(7.5)
-    (a0, b0), (a1, b1) = E_prime.bands
+    (a0, b0), (a1, b1) = pa2.E.bands
     assert (a0, b0) == (pytest.approx(-hi, abs=1e-9), pytest.approx(-lo, abs=1e-9))
     assert (a1, b1) == (pytest.approx(lo, abs=1e-9), pytest.approx(hi, abs=1e-9))
 
@@ -176,15 +215,13 @@ def test_rationalize_pair_is_exact():
 def test_rationalized_capacity_closed_form():
     # cap {|P| <= M'} = (M'/2)^(1/r) for monic P of degree r
     pa = construct_pa_polynomial(solve_R(PAIR), 2)
-    _, E_prime, _ = rationalize(pa, Fraction(5, 2))
-    cap = abel_capacity(solve_R(E_prime))
+    cap = abel_capacity(solve_R(rationalize(pa, Fraction(5, 2)).E))
     assert cap == pytest.approx(math.sqrt(5) / 2, rel=1e-8)
 
 
 def test_rationalized_datum_recertifies():
     pa = construct_pa_polynomial(solve_R(PAIR), 2)
-    _, _, pa2 = rationalize(pa, Fraction(5, 2))
-    assert certify_structure(pa2)["pass"]
+    assert certify_structure(rationalize(pa, Fraction(5, 2)))["pass"]
 
 
 def test_rationalize_rejects_large_target():
@@ -198,10 +235,10 @@ def test_rationalize_rejects_large_target():
 def test_rationalize_interval_degree_two():
     # on [-2, 2] with r = 2 the synthesis gives x^2 - 2; any M' < 2 stays exact
     pa = construct_pa_polynomial(solve_R(I22), 2)
-    P_ex, E_prime, pa2 = rationalize(pa, Fraction(3, 2))
-    assert P_ex.coeffs == (Fraction(-2), Fraction(0), Fraction(1))
-    assert E_prime.n_bands == 2
-    assert abel_capacity(solve_R(E_prime)) == pytest.approx(
+    pa2 = rationalize(pa, Fraction(3, 2))
+    assert pa2.P.coeffs == (Fraction(-2), Fraction(0), Fraction(1))
+    assert pa2.E.n_bands == 2
+    assert abel_capacity(solve_R(pa2.E)) == pytest.approx(
         math.sqrt(3.0 / 4.0), rel=1e-8)
 
 
@@ -305,6 +342,27 @@ def test_seeded_ends_need_no_fallback_on_robinson_problems(monkeypatch):
                   ([58, 32, -31, -2, 1], 5), ([-43, 59, -15, 1], 4), ([-782, 268, -29, 1], 6)]:
         PellAbelDatum.from_exact(ExactPoly.from_list(cs), M)
     assert calls == []
+
+
+def test_seeds_decide_with_no_sturm_chain(monkeypatch):
+    # 2r disjoint cells, each with a strict sign change of D of degree 2r,
+    # prove 2r simple real roots: the presets, and construct, certify and
+    # rationalize on unions of the cap-routes shape, build no chain
+    def no_chain(self):
+        raise AssertionError("a Sturm chain was built")
+
+    monkeypatch.setattr(ExactPoly, "sturm_chain", no_chain)
+    assert preset_x2m6().pa.E.n_bands == preset_x2m5().pa.E.n_bands == 2
+    for roots, M in [([0.3], 3.2), ([-1.0, 1.05], 0.68), ([-2.1, -0.05, 2.0], 2.15),
+                     ([-3.1, -1.05, 1.0, 3.05], 6.45)]:
+        pa = construct_pa_polynomial(solve_R(_pell_union(Polynomial.fromroots(roots), M)),
+                                     len(roots))
+        assert certify_structure(pa)["pass"]
+        assert rationalize(pa, Fraction(M * 0.9)).r == len(roots)
+    # several roots per band: the narrow gaps that M' opens take a second
+    # Newton step on the seeds, not the chain
+    for E, r in [(I22, 16), (I22, 21), (PAIR, 14)]:
+        assert certify_structure(construct_pa_polynomial(solve_R(E), r))["pass"]
 
 
 # -- cross-route: solve_R on Pell unions against the closed form ---------------------

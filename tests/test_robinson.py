@@ -93,7 +93,7 @@ def test_preset_bands(i6, i5):
 
 def test_make_instance_rejects_small_M():
     pa = construct_pa_polynomial(solve_R(PAIR), 2)
-    _, _, small = rationalize(pa, Fraction(3, 2))
+    small = rationalize(pa, Fraction(3, 2))
     with pytest.raises(ValueError):
         make_instance(small)
 
@@ -106,8 +106,7 @@ def test_make_instance_rejects_float_datum():
 
 def test_make_instance_from_rationalized_pipeline():
     pa = construct_pa_polynomial(solve_R(PAIR), 2)
-    _, _, pa2 = rationalize(pa, Fraction(5, 2))
-    inst = make_instance(pa2)
+    inst = make_instance(rationalize(pa, Fraction(5, 2)))
     assert inst.lam == Fraction(5, 4)
     assert inst.ell == 10
 
