@@ -309,7 +309,7 @@ def _run_robinson(cfg: argparse.Namespace) -> str:
     return _dump_json({
         "n": cert["n"],
         "degree": cert["degree"],
-        "P_coeffs": [str(c) for c in P_prime.coeffs],
+        "P_coeffs": P_prime,
         "lam": inst.lam,
         "ell": inst.ell,
         "certificate": cert,

@@ -532,47 +532,67 @@ def _window(window, bound) -> tuple[Fraction, Fraction]:
     return Fraction(a), Fraction(b)
 
 
-def _tolerance(lo: Fraction, hi: Fraction, refine: float) -> Fraction:
-    """Width below which isolation stops refining: ``refine`` times the
-    window's largest |endpoint|, exact, so no window is too wide for it."""
-    return Fraction(refine) * (max(abs(lo), abs(hi)) or 1)
+def _cell(x: float) -> tuple[Fraction, Fraction]:
+    """The exact midpoints from x to its float neighbours: every real
+    strictly between them rounds to x.  Past +-max the neighbour is
+    +-2^1024, so the midpoint there is where rounding overflows."""
+    f, top = Fraction(x), Fraction(1 << 1024)
+    lo, hi = (Fraction(y) if math.isfinite(y) else top if y > 0 else -top
+              for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)))
+    return (f + lo) / 2, (f + hi) / 2
 
 
-def _bisect(p: ExactPoly, dp: ExactPoly, a: Fraction, b: Fraction,
-            tol: Fraction) -> tuple[Fraction, Fraction]:
+def _rounded(x: Fraction) -> float:
+    """float(x), or -+inf past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _bisect(p: ExactPoly, dp: ExactPoly, a: Fraction,
+            b: Fraction) -> tuple[Fraction, Fraction]:
     """Halve (a, b], which holds one simple root of p and no other, by the
-    exact sign of p at the midpoint until b - a <= tol.
+    exact sign of p at the midpoint until both ends round to one float.
 
     The root lies in (a, mid) iff p(mid) differs in sign from p just right
     of a; when p(a) = 0 (a root emitted at a) that sign is p'(a)'s, and
-    ``dp`` is p' or a positive multiple.  A midpoint root ends the search.
+    ``dp`` is p' or a positive multiple.  Once the ends round to two
+    neighbouring floats, the sign at the tie point between them decides
+    the last split; if that is b and p(b) = 0 (b may be a root emitted
+    already), -p'(b) is p's sign left of b.  A split root ends the search.
     """
     s_a = p.sign_at(a) or dp.sign_at(a)
-    while b - a > tol:
-        mid = (a + b) / 2
-        s_mid = p.sign_at(mid)
+    fa, fb = _rounded(a), _rounded(b)
+    while fa != fb:
+        last = math.nextafter(fa, math.inf) == fb
+        mid = (_cell(fb)[0] if fa == -math.inf else _cell(fa)[1]) if last else (a + b) / 2
+        s_mid = p.sign_at(mid) if mid != a else s_a  # the root is right of a
+        if s_mid == 0 and mid == b:  # p's sign just left of b decides
+            s_mid = -dp.sign_at(b)
         if s_mid == 0:
             return mid, mid
+        if last:
+            return (a, mid) if s_mid != s_a else (mid, b)
         if s_mid != s_a:
-            b = mid
+            b, fb = mid, _rounded(mid)
         else:
-            a = mid
+            a, fa = mid, _rounded(mid)
     return a, b
 
 
-def isolate_real_roots(
-    p: ExactPoly,
-    window: tuple | None = None,
-    refine: float = 1e-12,
-):
+def isolate_real_roots(p: ExactPoly, window: tuple | None = None):
     """Disjoint isolating intervals for the real roots of p, in the pair
     ``window`` = (lo, hi) when given (roots in [lo, hi]), else all of them.
 
     Certified Sturm bisection until each segment holds one root, then
-    bisection by the exact sign of p.  p must be squarefree: its Sturm chain
-    ends in gcd(p, p'), and a non-constant end raises NonSquarefreeError.
-    Returns [(Fraction lo, Fraction hi), ...] with each interval containing
-    exactly one root, refined below ``refine`` times the window scale.
+    bisection by the exact sign of p until each root is narrowed to the
+    float it rounds to.  p must be squarefree: its Sturm chain ends in
+    gcd(p, p'), and a non-constant end raises NonSquarefreeError.  Returns
+    [(Fraction lo, Fraction hi), ...], ascending, each holding exactly one
+    root; every real strictly between lo and hi rounds to that root's float,
+    which is float((lo + hi) / 2) (OverflowError past the float range).  A
+    root hit by a split point is returned as (root, root).
     """
     if not isinstance(p, ExactPoly):
         raise TypeError(f"isolate_real_roots needs an ExactPoly, got {type(p).__name__}")
@@ -583,7 +603,6 @@ def isolate_real_roots(
         raise NonSquarefreeError("polynomial has a repeated root")
     dp = chain[1]
     lo, hi = _window(window, _root_bound(p))
-    tol = _tolerance(lo, hi, refine)
     out: list[tuple[Fraction, Fraction]] = []
     # (a, b, k): the Sturm count is over (a, b], and k leaves out a root at b
     # already emitted as a point of its own
@@ -596,7 +615,7 @@ def isolate_real_roots(
         if k <= 0:
             continue
         if k == 1:
-            out.append(_bisect(p, dp, a, b, tol))
+            out.append(_bisect(p, dp, a, b))
             continue
         mid = (a + b) / 2
         at_mid = p.sign_at(mid) == 0

@@ -29,7 +29,9 @@ from .core import (
     CertificationError,
     ExactPoly,
     IntervalUnion,
+    NonSquarefreeError,
     QuadratureError,
+    _cell,
     isolate_real_roots,
 )
 from .abel import AbelDatum, _exp_series, _unit_frame
@@ -80,10 +82,9 @@ class PellAbelDatum:
         Sturm chain is needed.  A seed whose cell fails moves a few floats
         toward the sign change; when that fails too (near-touching bands,
         coefficients outside the float range, a D without 2r real roots)
-        D's Sturm chain decides the count, and the roots are isolated by
-        Sturm bisection and bisected on until each rounds to one float.
-        Either way the datum keeps the 2r cells: ``x_bound`` and
-        ``_in_band`` read them.
+        ``isolate_real_roots(D)`` builds D's Sturm chain once, counts the
+        roots and narrows each to the float it rounds to.  Either way the
+        datum keeps the 2r cells: ``x_bound`` and ``_in_band`` read them.
         """
         M = Fraction(M)
         if P.degree < 1 or not P.is_monic:
@@ -94,18 +95,21 @@ class PellAbelDatum:
         D = P * P - ExactPoly((M * M,))
         ends = _certified_ends(D, _seeds(P, M))
         if ends is None:
-            chain = D.sturm_chain()
-            if chain[-1].degree > 0:
+            try:
+                roots = isolate_real_roots(D)
+            except NonSquarefreeError:
                 raise ValueError(
                     f"P^2 - M^2 has a repeated root: bands of {{|P| <= {M}}} touch"
-                )
-            count = D.count_roots(None, None, chain)
-            if count != 2 * r:
+                ) from None
+            if len(roots) != 2 * r:
                 raise ValueError(
-                    f"P^2 - M^2 has {count} real roots, need 2 deg P = {2 * r}: "
+                    f"P^2 - M^2 has {len(roots)} real roots, need 2 deg P = {2 * r}: "
                     f"{{|P| <= {M}}} is not a union of {r} bands"
                 )
-            ends = _rounded_roots(D)
+            try:
+                ends = [float((a + b) / 2) for a, b in roots]
+            except OverflowError:
+                raise ValueError("an end of E lies outside the float range") from None
             if any(a >= b for a, b in zip(ends, ends[1:])):
                 raise ValueError(f"the bands of {{|P| <= {M}}} are not apart in floats")
         bands = tuple((ends[2 * i], ends[2 * i + 1]) for i in range(r))
@@ -155,14 +159,6 @@ class PellAbelDatum:
         return np.where(k % 2, (j + theta / math.pi) / self.r, (k // 2) / self.r)
 
 
-def _cell(x: float) -> tuple[Fraction, Fraction]:
-    """The exact midpoints from x to its float neighbours: every real
-    strictly between them rounds to x."""
-    f = Fraction(x)
-    return ((f + Fraction(math.nextafter(x, -math.inf))) / 2,
-            (f + Fraction(math.nextafter(x, math.inf))) / 2)
-
-
 def _seeds(P: ExactPoly, M: Fraction) -> list[float]:
     """Float guesses for E's ends, sorted: the real parts of the roots of
     P - M and P + M by np.roots, from coefficients of size |P|, not |P|^2,
@@ -210,7 +206,7 @@ def _certified_ends(D: ExactPoly, seeds: list[float]) -> list[float] | None:
     for i, x in enumerate(seeds):
         left = 1 if i % 2 == 0 else -1
         for _ in range(5):
-            if not math.isfinite(x) or abs(x) == sys.float_info.max:
+            if not math.isfinite(x):
                 return None
             lo, hi = _cell(x)
             s_lo, s_hi = D.sign_at(lo), D.sign_at(hi)
@@ -224,38 +220,6 @@ def _certified_ends(D: ExactPoly, seeds: list[float]) -> list[float] | None:
             return None
         ends.append(x)
     return ends if all(a < b for a, b in zip(ends, ends[1:])) else None
-
-
-def _rounded_roots(D: ExactPoly) -> list[float]:
-    """The floats that the real roots of the squarefree D round to, by Sturm
-    isolation at refine 1e-9 and then bisection by exact signs until both
-    ends of each interval round to one float.  Once they round to two
-    neighbouring floats, the sign at the tie point between them decides."""
-    dp = D.deriv()
-    out = []
-    for a, b in isolate_real_roots(D, refine=1e-9):
-        s_a = D.sign_at(a) or dp.sign_at(a)  # D's sign on (a, root)
-        try:
-            while a != b and float(a) != float(b):
-                fa = float(a)
-                up = math.nextafter(fa, math.inf)
-                if float(b) == up:
-                    t = _cell(fa)[1]
-                    s = D.sign_at(t)
-                    a = b = t if s == 0 else Fraction(up if s == s_a else fa)
-                    break
-                mid = (a + b) / 2
-                s = D.sign_at(mid)
-                if s == 0:
-                    a = b = mid
-                elif s == s_a:
-                    a = mid
-                else:
-                    b = mid
-            out.append(float(a))
-        except OverflowError:
-            raise ValueError("an end of E lies outside the float range") from None
-    return out
 
 
 def detect_pell_abel(datum: AbelDatum, max_denominator: int = 64, tol: float = 1e-9):
@@ -326,9 +290,7 @@ def construct_pa_polynomial(datum: AbelDatum, r: int) -> PellAbelDatum:
     P, Q = (Chebyshev(x, domain=E.hull).convert(kind=Polynomial) for x in (b, a))
     P, Q = Polynomial(P.coef / P.coef[-1]), Polynomial(Q.coef / Q.coef[-1])
 
-    D = datum.D
-    resid = P * P - D * (Q * Q) - M * M
-    rel = float(np.max(np.abs(resid.coef))) / (M * M)
+    rel = _identity_residual(P.coef, Q.coef, datum.D.coef, M * M) / (M * M)
     if rel > 1e-8:
         raise CertificationError(f"P^2 - D Q^2 - M^2 has relative residual {rel:.2e}")
     miss = float(np.max(np.abs(np.abs(P(np.asarray(E.endpoints))) - M)))
@@ -336,7 +298,7 @@ def construct_pa_polynomial(datum: AbelDatum, r: int) -> PellAbelDatum:
         raise CertificationError(f"|P| misses M by {miss:.2e} at a band end, above 1e-6*M")
 
     return PellAbelDatum(
-        E=E, P=P, Q=Q, D=D, M=M, r=int(r), r_j=tuple(int(x) for x in r_j),
+        E=E, P=P, Q=Q, D=datum.D, M=M, r=int(r), r_j=tuple(int(x) for x in r_j),
     )
 
 
@@ -347,6 +309,15 @@ def construct_pa_polynomial(datum: AbelDatum, r: int) -> PellAbelDatum:
 
 def _as_real(p) -> Polynomial:
     return p.to_real() if isinstance(p, ExactPoly) else p
+
+
+def _identity_residual(P, Q, D, M2: float) -> float:
+    """max |c| over the coefficients c of P^2 - D Q^2 - M2, from the float
+    coefficient arrays of P, Q and D, low degree first."""
+    resid = np.polynomial.polynomial.polysub(np.convolve(P, P),
+                                             np.convolve(D, np.convolve(Q, Q)))
+    resid[0] -= M2
+    return float(np.max(np.abs(resid)))
 
 
 # M' and M'' = (1 -+ 2^-20) M in certify_structure: where two bands of E
@@ -405,11 +376,11 @@ def certify_structure(pa: PellAbelDatum) -> dict:
     E = pa.E
     P = pa.P if isinstance(pa.P, ExactPoly) else ExactPoly(pa.P.coef.tolist())
     M = Fraction(pa.M)
-    Pf, Qf, Df = (_as_real(p) for p in (pa.P, pa.Q, pa.D))
-    resid = Pf * Pf - Df * (Qf * Qf) - float(M) ** 2
+    Pf, Qf, Df = (_as_real(p).coef for p in (pa.P, pa.Q, pa.D))
+    M2 = float(M) ** 2
     report = {"M_prime": M * (1 - _LEVEL_GAP), "M_double_prime": M * (1 + _LEVEL_GAP),
               "counts": None, "peak": None, "pass": False,
-              "identity_residual": float(np.max(np.abs(resid.coef))) / float(M) ** 2}
+              "identity_residual": _identity_residual(Pf, Qf, Df, M2) / M2}
     try:
         inner = PellAbelDatum.from_exact(P, report["M_prime"])
     except ValueError:

@@ -27,6 +27,7 @@ from .core import (
     CertificationError,
     ExactPoly,
     IntervalUnion,
+    QuadratureError,
     _unit_map,
 )
 from .pellabel import PellAbelDatum
@@ -293,11 +294,20 @@ def _rationalize_into_E(inst: RobinsonInstance, x: float, direction: int,
 
 def _level_roots(pa: PellAbelDatum, angles: list[float]) -> np.ndarray:
     """Row k: the r roots of P - M cos(angles[k]), ascending, by one
-    eigenvalue call on the companion matrices np.roots would build."""
-    c, M, r = pa.P.to_real().coef, float(pa.M), pa.r
+    eigenvalue call on the companion matrices np.roots would build.
+    QuadratureError when a coefficient of P - M cos(t) or M lies outside
+    the float range."""
+    msg = "robinson level roots: a coefficient of P - M cos(t) lies outside the float range"
+    try:
+        c, M, r = pa.P.to_real().coef, float(pa.M), pa.r
+    except OverflowError:
+        raise QuadratureError(msg) from None
+    last = [-(float(c[0]) - M * math.cos(t)) for t in angles]  # inf past the range
+    if not all(map(math.isfinite, last)):
+        raise QuadratureError(msg)
     comp = np.zeros((len(angles), r, r))
     comp[:, 0, :] = -c[-2::-1]
-    comp[:, 0, -1] = [-(c[0] - M * math.cos(t)) for t in angles]
+    comp[:, 0, -1] = last
     comp[:, np.arange(1, r), np.arange(r - 1)] = 1.0
     return np.sort(np.linalg.eigvals(comp).real, axis=1)
 
@@ -345,7 +355,8 @@ def _certificate(inst: RobinsonInstance, n: int,
     extremum points of P_n on band j.  Each is rounded to a rational
     certified in band j (``_band_points``).  Exact signs of P'_n
     alternating at the points force n simple roots in every band, and the
-    counts must add up to the degree n r.  ``amplitude`` (2 lam^n),
+    counts must add up to the degree n r.  ``points`` and
+    ``isolating_intervals`` hold Fractions.  ``amplitude`` (2 lam^n),
     ``correction_bound`` and ``correction_sup`` are floats, null when
     outside the float range.
     """
@@ -362,7 +373,7 @@ def _certificate(inst: RobinsonInstance, n: int,
         bands_out.append({
             "band": [u, v],
             "count": n,
-            "points": [str(x) for x in xi_list],
+            "points": xi_list,
             "signs": signs,
         })
     if len(intervals) != n * pa.r:
@@ -374,7 +385,7 @@ def _certificate(inst: RobinsonInstance, n: int,
         "n": n,
         "degree": n * pa.r,
         "bands": bands_out,
-        "isolating_intervals": [(str(a), str(b)) for a, b in intervals],
+        "isolating_intervals": intervals,
         "correction_sup": _float_or_none(lambda: sup_C * lamf**n) if table else 0.0,
         "correction_bound": _float_or_none(
             lambda: float(inst.A) * lamf ** (n - inst.ell) / (lamf - 1.0))
@@ -462,8 +473,8 @@ def root_measure_from_certificate(inst: RobinsonInstance, n: int,
     1e-14 max(1, |x|), and every root stops after at most 64 steps.
     """
     iv = cert["isolating_intervals"]
-    a = np.array([_as_float(s) for s, _ in iv])
-    b = np.array([_as_float(s) for _, s in iv])
+    a = np.array([float(x) for x, _ in iv])
+    b = np.array([float(x) for _, x in iv])
     sa = np.array([s for band in cert["bands"] for s in band["signs"][:-1]])
     x = np.sort(_level_roots(inst.pa, [math.pi * (2 * k + 1) / (2 * n) for k in range(n)]),
                 axis=None)
@@ -485,12 +496,6 @@ def root_measure_from_certificate(inst: RobinsonInstance, n: int,
         x[live] = xn
         live = live[~done]
     return np.sort(x)
-
-
-def _as_float(s: str) -> float:
-    """The rational "p/q" or "p", correctly rounded (int / int is)."""
-    p, _, q = s.partition("/")
-    return int(p) / int(q or 1)
 
 
 def convergence_report(roots_sequence: Sequence[np.ndarray], mu_E) -> list[float]:

@@ -363,6 +363,18 @@ def test_robinson_rejects_bad_pell_polynomial(capsys, tmp_path, coeffs, M, messa
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c0,M", [(-3 * 10**400, 10**400), (-12 * 10**307, 10**308)],
+                         ids=["coefficients", "levels"])
+def test_robinson_outside_the_float_range_exits_4(capsys, tmp_path, c0, M):
+    # from_exact accepts x^2 + c0 at M; the certificate's float level roots
+    # cannot be taken (c0 or M is not a float, or c0 - M is not), and say so
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({"coeffs": [str(c0), "0", "1"], "M": str(M), "degree": 8}))
+    for fmt in ("json", "csv"):
+        assert main(["robinson", "--problem", str(prob), "--format", fmt]) == 4
+        assert "robinson level roots" in capsys.readouterr().err
+
+
 def test_robinson_rejects_degree_above_cap(capsys):
     # a target degree and an explicit multiplier meet one cap, before any work
     for flag, value in (("--degree", "2000"), ("--n", "1024")):

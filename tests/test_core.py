@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from capell.core import (
     ExactPoly,
     IntervalUnion,
     NonSquarefreeError,
+    _cell,
     _root_bound,
     isolate_real_roots,
     make_interval_union,
@@ -124,14 +126,14 @@ def test_isolate_roots_on_bisection_grid():
     f = P(1)
     for k in (-2, -1, 0, 1, 2, 3):
         f = f * (X - k)
-    iso = isolate_real_roots(f, refine=1e-6)
+    iso = isolate_real_roots(f)
     assert len(iso) == 6
     assert [(a, b) for a, b in iso] == [(k, k) for k in (-2, -1, 0, 1, 2, 3)]
 
 
 def test_isolate_root_on_window_edges():
     f = X * (X - 1) * (X - 2)
-    iso = isolate_real_roots(f, window=(Fraction(0), Fraction(2)), refine=1e-6)
+    iso = isolate_real_roots(f, window=(Fraction(0), Fraction(2)))
     assert len(iso) == 3
     assert iso[0] == (0, 0)
     assert iso[-1][0] <= 2 <= iso[-1][1]
@@ -210,9 +212,8 @@ def test_sign_at_matches_exact_evaluation(coeffs, x, root_at_x):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_ints, min_size=1, max_size=5),
        st.integers(min_value=-6, max_value=2), st.integers(min_value=1, max_value=8),
-       st.booleans(), st.booleans(), st.sampled_from([1e-3, 1e-6, 1e-12]))
-def test_isolation_intervals_hold_one_root(coeffs, lo, width, edge_root, mid_root,
-                                           refine):
+       st.booleans(), st.booleans())
+def test_isolation_intervals_hold_one_root(coeffs, lo, width, edge_root, mid_root):
     # roots on the left window edge and at the first bisection midpoint are
     # the two cases where refinement starts from a zero of p
     lo, hi = Fraction(lo), Fraction(lo + width)
@@ -222,11 +223,10 @@ def test_isolation_intervals_hold_one_root(coeffs, lo, width, edge_root, mid_roo
     if mid_root:
         p = p * (X - P((lo + hi) / 2))
     assume(p.degree >= 1 and p.sturm_chain()[-1].degree == 0)
-    iso = isolate_real_roots(p, window=(lo, hi), refine=refine)
+    iso = isolate_real_roots(p, window=(lo, hi))
     assert len(iso) == p.count_roots(lo, hi) + (p(lo) == 0)
     assert all(b0 <= a1 for (_, b0), (a1, _) in zip(iso, iso[1:]))
     points = {a for a, b in iso if a == b}
-    scale = float(max(abs(lo), abs(hi)) or 1)
     for a, b in iso:
         assert lo <= a <= b <= hi
         if a == b:
@@ -235,7 +235,65 @@ def test_isolation_intervals_hold_one_root(coeffs, lo, width, edge_root, mid_roo
         # roots in [a, b] that are not emitted as a point of their own
         k = p.count_roots(a, b) + (p(a) == 0) - (a in points) - (b in points)
         assert k == 1
-        assert float(b - a) <= refine * scale
+        # narrowed to the float the root rounds to: inside that float's cell
+        cell_lo, cell_hi = _cell(float((a + b) / 2))
+        assert cell_lo <= a and b <= cell_hi
+
+
+MAX = Fraction(sys.float_info.max)
+
+
+@pytest.mark.parametrize("root,want", [
+    (1 + Fraction(1, 2**53), 1.0),  # the tie between 1 and 1 + 2^-52: even
+    (1 + Fraction(1, 2**53) + Fraction(1, 2**80), 1 + 2.0**-52),
+    (1 + Fraction(1, 2**53) - Fraction(1, 2**80), 1.0),
+    (Fraction(1, 3), 1 / 3),
+    (MAX + 2**969, sys.float_info.max),
+    (-MAX - 2**969, -sys.float_info.max),
+    (MAX + 2**970 - Fraction(1, 3), sys.float_info.max),
+    (3 * Fraction(1, 2**1070), 3 * 2.0**-1070),  # subnormal
+    (Fraction(1, 3 * 2**1070), 5 * 2.0**-1074),  # 16/3 units of the least subnormal
+])
+def test_isolation_narrows_to_the_float_the_root_rounds_to(root, want):
+    iso = isolate_real_roots(X - P(root))
+    assert len(iso) == 1
+    a, b = iso[0]
+    assert a <= root <= b and float((a + b) / 2) == want == float(root)
+    if a != b:
+        cell_lo, cell_hi = _cell(want)
+        assert cell_lo <= a and b <= cell_hi
+
+
+@pytest.mark.parametrize("root", [Fraction(2**1100), MAX + 2**970, -MAX - 2**970,
+                                  MAX + 2**970 + Fraction(1, 3)])
+def test_isolation_past_the_float_range_ends_and_overflows(root):
+    iso = isolate_real_roots(X - P(root))
+    assert len(iso) == 1
+    a, b = iso[0]
+    assert a <= root <= b
+    with pytest.raises(OverflowError):
+        float((a + b) / 2)
+
+
+_TIE = 1 + Fraction(1, 2**53)
+_TIE_UP = 1 + Fraction(3, 2**53)  # rounds up to 1 + 2^-51
+
+
+@pytest.mark.parametrize("t, r, window", [
+    # the edge root t is the tie point between 1 and 1 + 2^-52 that the last
+    # step would test from the left; the next root, right of it, is not it
+    (_TIE, 1 + Fraction(1, 2**52) + Fraction(1, 2**54), (_TIE, Fraction(2))),
+    # splitting reaches (1 + 2^-52, 1 + 2^-51] and emits t at its midpoint;
+    # the last step's tie point on (1 + 2^-52, t] is t itself, and r, left
+    # of it, must not be lost
+    (_TIE_UP, 1 + Fraction(5, 2**54), None),
+    (_TIE_UP, 1 + Fraction(5, 2**54), (Fraction(-8), Fraction(8))),
+], ids=["window-left-edge", "split-right-end", "split-right-end-window"])
+def test_isolation_next_to_a_root_at_a_tie_point(t, r, window):
+    iso = isolate_real_roots((X - P(t)) * (X - P(r)), window=window)
+    assert len(iso) == 2 and (t, t) in iso
+    (a, b), = [ab for ab in iso if ab != (t, t)]
+    assert a <= r <= b and float((a + b) / 2) == float(r) == 1 + 2.0**-52
 
 
 # -- integer representation against a Fraction reference ------------------------

@@ -4,8 +4,10 @@ The files under ``tests/golden`` hold outputs written before a refactor of
 the code behind them; a change that keeps behaviour must keep every byte.
 
 ``robinson`` cases: integer lam (x2m6), half-integer lam with the correction
-sweep (x2m5), and a three-band problem file with odd M, whose table skips an
-inadmissible n and ends off the powers of two; JSON only, a four-band quartic
+sweep (x2m5), a three-band problem file with odd M, whose table skips an
+inadmissible n and ends off the powers of two, and x^2 - 5 at M just below 5,
+whose bands +-[1e-10, sqrt 10] nearly touch, so its ends come from Sturm
+isolation; JSON only, a four-band quartic
 problem file with odd M and seven correction terms at degree 128.  The other subcommands run on
 [-2, 2] and on the README's two-band pair, which exercises the band profiles
 and the Pell synthesis.  ``cap`` on the 64-band pullback of [-2, 2] by six
@@ -52,6 +54,7 @@ CASES = [
     ("x2m6_d64", ["--preset", "x2m6", "--degree", "64"]),
     ("x2m5_d16", ["--preset", "x2m5", "--degree", "16"]),
     ("cubic_m5", ["--problem", str(GOLDEN / "cubic_m5_problem.json")]),
+    ("near_touch_m5", ["--problem", str(GOLDEN / "near_touch_m5_problem.json")]),
 ]
 
 I22 = "[[-2,2]]"

@@ -153,6 +153,17 @@ def test_certify_structure_all_clauses():
     assert rep["pass"]
 
 
+@pytest.mark.parametrize("E,r", [(PAIR, 2), (I22, 5), (I22, 12), (PAIR, 6)])
+def test_identity_residual_matches_the_polynomial_form(E, r):
+    # the construct gate and the certificate's diagnostic: the same floats
+    # as P^2 - D Q^2 - M^2 by numpy Polynomial arithmetic
+    pa = construct_pa_polynomial(solve_R(E), r)
+    ref = pa.P * pa.P - pa.D * (pa.Q * pa.Q) - pa.M * pa.M
+    got = pellabel._identity_residual(pa.P.coef, pa.Q.coef, pa.D.coef, pa.M * pa.M)
+    assert got == float(np.max(np.abs(ref.coef)))
+    assert certify_structure(pa)["identity_residual"] == got / pa.M ** 2
+
+
 def test_certify_structure_degree_five():
     # r_j = [5]: the four touches of the bands of {|P| <= M} open at M', and
     # |P| at them stays below M''
@@ -336,12 +347,25 @@ def test_in_band_reads_the_end_cells():
 def test_seeded_ends_need_no_fallback_on_robinson_problems(monkeypatch):
     # the robinson-cert shapes certify every end from its polished seed
     calls = []
-    rounded_roots = pellabel._rounded_roots
-    monkeypatch.setattr(pellabel, "_rounded_roots", lambda D: calls.append(D) or rounded_roots(D))
+    isolate = pellabel.isolate_real_roots
+    monkeypatch.setattr(pellabel, "isolate_real_roots", lambda D: calls.append(D) or isolate(D))
     for cs, M in [([-6, 0, 1], 4), ([-5, 0, 1], 3), ([1, -12, 0, 1], 5),
                   ([58, 32, -31, -2, 1], 5), ([-43, 59, -15, 1], 4), ([-782, 268, -29, 1], 6)]:
         PellAbelDatum.from_exact(ExactPoly.from_list(cs), M)
     assert calls == []
+
+
+def test_fallback_builds_one_sturm_chain(monkeypatch):
+    # x^2 - 5 at M = 5 - 10^-20: bands +-[1e-10, sqrt 10], whose inner ends
+    # the seeds miss; isolation counts and narrows the roots on one chain
+    chains = []
+    sturm_chain = ExactPoly.sturm_chain
+    monkeypatch.setattr(ExactPoly, "sturm_chain",
+                        lambda self: chains.append(self) or sturm_chain(self))
+    pa = PellAbelDatum.from_exact(ExactPoly.from_list([-5, 0, 1]),
+                                  Fraction(499999999999999999999, 10**20))
+    assert len(chains) == 1
+    assert pa.E.endpoints == (-math.sqrt(10), -1e-10, 1e-10, math.sqrt(10))
 
 
 def test_seeds_decide_with_no_sturm_chain(monkeypatch):

@@ -113,7 +113,7 @@ def _accepted_by_isolation(p, q):
     """The precondition decided by root isolation: d isolating intervals,
     and no squared root above 4q by the Sturm count of G."""
     try:
-        if len(isolate_real_roots(p, refine=1e-6)) != p.degree:
+        if len(isolate_real_roots(p)) != p.degree:
             return False
     except NonSquarefreeError:
         return False
