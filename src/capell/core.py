@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+import numpy as np
 from numpy.polynomial import Polynomial
 
 __all__ = [
@@ -474,37 +475,19 @@ class ExactPoly:
         return variations(lo, -1) - variations(hi, +1)
 
     def resultant(self, other: "ExactPoly") -> Fraction:
-        """Resultant by Bareiss fraction-free elimination of the integer
-        Sylvester matrix of the numerators, divided by den^deg at the end."""
-        m, n = self.degree, other.degree
-        if m < 0 or n < 0:
+        """Resultant by the Euclidean remainder sequence, on ``divmod``:
+        Res(a, b) = (-1)^(mn) lc(b)^(m - deg r) Res(b, r) for r = a mod b,
+        m = deg a, n = deg b; 0 once r = 0, and c^m for a constant b = c."""
+        if self.is_zero or other.is_zero:
             raise ValueError("resultant of the zero polynomial is undefined")
-        if m == 0:
-            return self.lead ** n
-        if n == 0:
-            return other.lead ** m
-        size = m + n
-        a = list(reversed(self.num))
-        b = list(reversed(other.num))
-        rows = [[0] * i + a + [0] * (size - m - 1 - i) for i in range(n)]
-        rows += [[0] * i + b + [0] * (size - n - 1 - i) for i in range(m)]
-        sign, prev = 1, 1
-        for col in range(size):
-            piv = next((r for r in range(col, size) if rows[r][col]), None)
-            if piv is None:
+        a, b, res = self, other, Fraction(1)
+        while b.degree > 0:
+            r = a.divmod(b)[1]
+            if r.is_zero:
                 return Fraction(0)
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                sign = -sign
-            top = rows[col]
-            p = top[col]
-            for r in range(col + 1, size):
-                row = rows[r]
-                f = row[col]
-                row[col + 1:] = [(p * x - f * y) // prev
-                                 for x, y in zip(row[col + 1:], top[col + 1:])]
-            prev = p
-        return Fraction(sign * prev, self.den ** n * other.den ** m)
+            res *= (-1) ** (a.degree * b.degree) * b.lead ** (a.degree - r.degree)
+            a, b = b, r
+        return res * b.lead ** a.degree
 
 
 # ---------------------------------------------------------------------------
@@ -515,21 +498,14 @@ class ExactPoly:
 def _root_bound(p: ExactPoly) -> Fraction:
     """2^m, the least power of two >= 1 with (2^(m-1))^k |c_d| >= |c_(d-k)|
     for every k: at least Fujiwara's bound 2 max_k |c_(d-k)/c_d|^(1/k) on
-    the moduli of the roots, decided in integers (times 2^k on both sides)."""
+    the moduli of the roots, decided in integers (times 2^k on both sides).
+    Each root has modulus < 2^m: past it the rest is <= (1 - 2^-d) |c_d z^d|."""
     *low, lead = map(abs, p.num)
     m = 0
     for k, c in enumerate(reversed(low), 1):
         while lead << m * k < c << k:
             m += 1
     return Fraction(1 << m)
-
-
-def _window(window, bound) -> tuple[Fraction, Fraction]:
-    """The pair ``window`` as Fractions; None means (-bound, bound)."""
-    if window is None:
-        return -bound, bound
-    a, b = window
-    return Fraction(a), Fraction(b)
 
 
 def _cell(x: float) -> tuple[Fraction, Fraction]:
@@ -581,19 +557,18 @@ def _bisect(p: ExactPoly, dp: ExactPoly, a: Fraction,
     return a, b
 
 
-def isolate_real_roots(p: ExactPoly, window: tuple | None = None):
-    """Disjoint isolating intervals for the real roots of p, in the pair
-    ``window`` = (lo, hi) when given (roots in [lo, hi]), else all of them.
+def isolate_real_roots(p: ExactPoly):
+    """Disjoint isolating intervals for all the real roots of p.
 
-    Certified Sturm bisection until each segment holds one root, then
-    bisection by the exact sign of p until each root is narrowed to the
-    float it rounds to.  p must be squarefree: its Sturm chain ends in
-    gcd(p, p'), and a non-constant end raises NonSquarefreeError.  Returns
-    [(Fraction lo, Fraction hi), ...], ascending, each holding exactly one
-    root; every real strictly between lo and hi rounds to that root's float,
-    which is float((lo + hi) / 2) (OverflowError past the float range).  A
-    root hit by a split point is returned as (root, root).
-    """
+    Certified Sturm bisection of (-B, B], B = ``_root_bound(p)`` (no root
+    lies on +-B), until each segment holds one root, then bisection by the
+    exact sign of p until each root is narrowed to the float it rounds to.
+    p must be squarefree: its Sturm chain ends in gcd(p, p'), and a
+    non-constant end raises NonSquarefreeError.  Returns [(Fraction lo,
+    Fraction hi), ...], ascending, each holding exactly one root; every real
+    strictly between lo and hi rounds to that root's float, which is
+    float((lo + hi) / 2) (OverflowError past the float range).  A root hit
+    by a split point is returned as (root, root)."""
     if not isinstance(p, ExactPoly):
         raise TypeError(f"isolate_real_roots needs an ExactPoly, got {type(p).__name__}")
     if p.degree < 1:
@@ -602,14 +577,11 @@ def isolate_real_roots(p: ExactPoly, window: tuple | None = None):
     if chain[-1].degree > 0:
         raise NonSquarefreeError("polynomial has a repeated root")
     dp = chain[1]
-    lo, hi = _window(window, _root_bound(p))
+    bound = _root_bound(p)
     out: list[tuple[Fraction, Fraction]] = []
     # (a, b, k): the Sturm count is over (a, b], and k leaves out a root at b
     # already emitted as a point of its own
-    segs = [(lo, hi, p.count_roots(lo, hi, chain))]
-    # include a root sitting exactly on the left window edge
-    if p.sign_at(lo) == 0:
-        out.append((lo, lo))
+    segs = [(-bound, bound, p.count_roots(chain=chain))]
     while segs:
         a, b, k = segs.pop()
         if k <= 0:
@@ -628,3 +600,18 @@ def isolate_real_roots(p: ExactPoly, window: tuple | None = None):
     out.sort(key=lambda ab: ab[0])
     return out
 
+
+def _level_roots(p: ExactPoly, levels: Sequence[Number]) -> np.ndarray | None:
+    """Row k: the roots of the monic p - levels[k], unordered, by one batched
+    eigvals on the companion matrices np.roots builds: its bits, unless it
+    deflates a zero root.  None outside the float range or if eigvals fails."""
+    comp = np.tile(np.eye(p.degree, k=-1), (len(levels), 1, 1))
+    try:
+        with np.errstate(all="ignore"):
+            c = p.to_real().coef
+            comp[:, 0] = -c[-2::-1]
+            comp[:, 0, -1] = [-(c[0] - float(v)) for v in levels]
+            roots = np.linalg.eigvals(comp)
+    except (OverflowError, np.linalg.LinAlgError):
+        return None
+    return roots if np.isfinite(roots).all() else None

@@ -32,6 +32,7 @@ from .core import (
     NonSquarefreeError,
     QuadratureError,
     _cell,
+    _level_roots,
     isolate_real_roots,
 )
 from .abel import AbelDatum, _exp_series, _unit_frame
@@ -161,18 +162,16 @@ class PellAbelDatum:
 
 def _seeds(P: ExactPoly, M: Fraction) -> list[float]:
     """Float guesses for E's ends, sorted: the real parts of the roots of
-    P - M and P + M by np.roots, from coefficients of size |P|, not |P|^2,
+    P - M and P + M (``_level_roots``, coefficients of size |P|, not |P|^2),
     each moved by Newton steps whose residual P(x) -+ M is exact, up to
     three while a step exceeds 1024 ulps (next to a narrow gap P' is small
-    against np.roots' error).  Empty when a coefficient or M lies outside
-    the float range."""
+    against the eigensolve's error).  Empty outside the float range."""
+    rows = _level_roots(P, (M, -M))
+    if rows is None:
+        return []
+    dPf, out = P.to_real().deriv(), []
     try:
-        Pf = P.to_real()
-        c, dPf = Pf.coef[::-1], Pf.deriv()
-        out = []
-        for level in (M, -M):
-            with np.errstate(all="ignore"):
-                rts = np.roots(np.r_[c[:-1], c[-1] - float(level)]).real.tolist()
+        for level, rts in zip((M, -M), rows.real.tolist()):
             for x in rts:
                 for _ in range(3):
                     d = float(dPf(x))
@@ -183,7 +182,7 @@ def _seeds(P: ExactPoly, M: Fraction) -> list[float]:
                     if abs(step) <= 1024 * math.ulp(x):
                         break
                 out.append(x)
-    except (OverflowError, np.linalg.LinAlgError, ValueError):
+    except OverflowError:
         return []
     return sorted(out)
 

@@ -28,6 +28,8 @@ from .core import (
     ExactPoly,
     IntervalUnion,
     QuadratureError,
+    _level_roots,
+    _rounded,
     _unit_map,
 )
 from .pellabel import PellAbelDatum
@@ -292,24 +294,13 @@ def _rationalize_into_E(inst: RobinsonInstance, x: float, direction: int,
     raise CertificationError(f"no certified rational point near {x}")
 
 
-def _level_roots(pa: PellAbelDatum, angles: list[float]) -> np.ndarray:
-    """Row k: the r roots of P - M cos(angles[k]), ascending, by one
-    eigenvalue call on the companion matrices np.roots would build.
-    QuadratureError when a coefficient of P - M cos(t) or M lies outside
-    the float range."""
-    msg = "robinson level roots: a coefficient of P - M cos(t) lies outside the float range"
-    try:
-        c, M, r = pa.P.to_real().coef, float(pa.M), pa.r
-    except OverflowError:
-        raise QuadratureError(msg) from None
-    last = [-(float(c[0]) - M * math.cos(t)) for t in angles]  # inf past the range
-    if not all(map(math.isfinite, last)):
-        raise QuadratureError(msg)
-    comp = np.zeros((len(angles), r, r))
-    comp[:, 0, :] = -c[-2::-1]
-    comp[:, 0, -1] = last
-    comp[:, np.arange(1, r), np.arange(r - 1)] = 1.0
-    return np.sort(np.linalg.eigvals(comp).real, axis=1)
+def _band_level_roots(pa: PellAbelDatum, angles: list[float]) -> np.ndarray:
+    """Row k: the r roots of P - M cos(angles[k]), ascending."""
+    rows = _level_roots(pa.P, [_rounded(pa.M) * math.cos(t) for t in angles])
+    if rows is None:
+        raise QuadratureError("robinson level roots: a coefficient of P - M cos(t) "
+                              "lies outside the float range")
+    return np.sort(rows.real, axis=1)
 
 
 def _band_points(inst: RobinsonInstance, j: int, xs: list[float],
@@ -361,7 +352,7 @@ def _certificate(inst: RobinsonInstance, n: int,
     outside the float range.
     """
     pa = inst.pa
-    level_roots = _level_roots(pa, [math.pi * k / n for k in range(n + 1)])
+    level_roots = _band_level_roots(pa, [math.pi * k / n for k in range(n + 1)])
     bands_out = []
     intervals: list[tuple[Fraction, Fraction]] = []
     for j, (u, v) in enumerate(pa.E.bands):
@@ -476,7 +467,7 @@ def root_measure_from_certificate(inst: RobinsonInstance, n: int,
     a = np.array([float(x) for x, _ in iv])
     b = np.array([float(x) for _, x in iv])
     sa = np.array([s for band in cert["bands"] for s in band["signs"][:-1]])
-    x = np.sort(_level_roots(inst.pa, [math.pi * (2 * k + 1) / (2 * n) for k in range(n)]),
+    x = np.sort(_band_level_roots(inst.pa, [math.pi * (2 * k + 1) / (2 * n) for k in range(n)]),
                 axis=None)
     out = ~((a < x) & (x < b))
     x[out] = 0.5 * (a[out] + b[out])

@@ -16,13 +16,14 @@ so floats choose where to look but never decide.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .core import ExactPoly, IntervalUnion, _horner
+from .core import ExactPoly, IntervalUnion, _horner, _level_roots
 from .abel import abel_capacity, solve_R
 
 __all__ = [
@@ -45,7 +46,7 @@ class CircleSet:
     def __post_init__(self):
         if int(self.q) != self.q or self.q < 2:
             raise ValueError("q must be an integer >= 2")
-        w = 2.0 * math.sqrt(self.q)
+        w = 2.0 * self.radius
         slack = 1e-12 * w
         for (u, v) in self.x_bands.bands:
             if u < -w - slack or v > w + slack:
@@ -53,7 +54,7 @@ class CircleSet:
 
     @property
     def radius(self) -> float:
-        return math.sqrt(self.q)
+        return math.sqrt(self.q) if self.q <= sys.float_info.max else float(math.isqrt(self.q))
 
 
 @lru_cache(maxsize=32)
@@ -75,15 +76,13 @@ def _even_odd_parts(p: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
 
 @lru_cache(maxsize=1)
 def _float_roots(p: ExactPoly):
-    """np.roots of p, read-only, or None when a float is not finite; the
+    """p's roots from ``_level_roots`` at level 0, read-only, or None; the
     window check's seeds and the CLI's max_modulus_error share it."""
-    try:
-        with np.errstate(all="ignore"):
-            roots = np.roots(p.to_real().coef[::-1])
-    except (OverflowError, np.linalg.LinAlgError):
+    rows = _level_roots(p, (0,))
+    if rows is None:
         return None
-    roots.setflags(write=False)
-    return roots if np.isfinite(roots).all() else None
+    rows.setflags(write=False)
+    return rows[0]
 
 
 def _all_roots_real_in_window(p: ExactPoly, q: int) -> None:
@@ -168,5 +167,5 @@ def support_capacity_bound(cs: CircleSet) -> tuple[float, float, bool]:
     big enough to support a diffuse limit of root measures.  Equality cases
     are accepted up to a relative 1e-12."""
     cap = circle_capacity(cs)
-    bound = float(cs.q) ** 0.25
+    bound = float(cs.q) ** 0.25 if cs.q <= sys.float_info.max else math.sqrt(cs.radius)
     return cap, bound, cap >= bound * (1.0 - 1e-12)

@@ -616,6 +616,14 @@ def test_weil_bound(capsys):
     assert rep["satisfied"] is False
 
 
+def test_weil_bound_beyond_the_float_range(capsys):
+    # q = 10^400 has no float, but sqrt(q) and q^(1/4) do; cap [-a, a] = a/2
+    rep = run_json(capsys, ["weil", "bound", "--q", str(10**400), "--bands", "[[-1e200,1e200]]"])
+    assert rep["bound"] == pytest.approx(1e100, rel=1e-15)
+    assert rep["capacity"] == pytest.approx(1e100 * math.sqrt(5e199), rel=1e-9)
+    assert rep["satisfied"] is True
+
+
 # -- plumbing ----------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from capell.core import (
     IntervalUnion,
     NonSquarefreeError,
     _cell,
+    _level_roots,
     _root_bound,
     isolate_real_roots,
     make_interval_union,
 )
 from capell.cli import dump_problem, load_problem
+from capell.robinson import preset_x2m5, preset_x2m6
 
 X = ExactPoly.x()
 
@@ -131,14 +134,6 @@ def test_isolate_roots_on_bisection_grid():
     assert [(a, b) for a, b in iso] == [(k, k) for k in (-2, -1, 0, 1, 2, 3)]
 
 
-def test_isolate_root_on_window_edges():
-    f = X * (X - 1) * (X - 2)
-    iso = isolate_real_roots(f, window=(Fraction(0), Fraction(2)))
-    assert len(iso) == 3
-    assert iso[0] == (0, 0)
-    assert iso[-1][0] <= 2 <= iso[-1][1]
-
-
 def test_isolate_rejects_repeated_roots():
     with pytest.raises(CertificationError):
         isolate_real_roots((X - 1) * (X - 1))
@@ -157,10 +152,13 @@ def test_isolate_float_path():
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=8),
+       st.lists(st.sampled_from([s * 2**k for s in (1, -1) for k in range(7)]), max_size=3),
        st.booleans())
-def test_root_bound_holds_every_root(roots, shift):
-    # with or without the shift the roots lie within |z| <= 2^m, a power of
-    # two at least Fujiwara's bound; exact for the integer roots
+def test_root_bound_holds_every_root(roots, powers, shift):
+    # with or without the shift every root has modulus strictly below 2^m, a
+    # power of two at least Fujiwara's bound, so isolation may start from
+    # (-2^m, 2^m]; roots at +-2^k come closest.  Exact for the real roots
+    roots = roots + powers
     p = P(1)
     for a in roots:
         p = p * (X - a)
@@ -169,7 +167,9 @@ def test_root_bound_holds_every_root(roots, shift):
     bound = _root_bound(p)
     assert bound >= 1 and bound.denominator == 1 and bound.numerator & (bound.numerator - 1) == 0
     if not shift:
-        assert max(abs(a) for a in roots) <= bound
+        assert max(abs(a) for a in roots) < bound
+    assert p.sign_at(bound) and p.sign_at(-bound)
+    assert p.count_roots(None, -bound) == p.count_roots(bound) == 0
     zs = np.roots([float(c) for c in p.coeffs[::-1]])
     assert np.all(np.abs(zs) <= float(bound) * (1 + 1e-9))
 
@@ -209,26 +209,36 @@ def test_sign_at_matches_exact_evaluation(coeffs, x, root_at_x):
     assert p.sign_at(x) == (v > 0) - (v < 0)
 
 
+def _root_at_half_bound(p):
+    """p (x - s) for the first s = +-2^j that is half the product's own root
+    bound B: a split point of isolation's second level.  Some s exists: any
+    |s| >= _root_bound(p) with the sign of c_(d-1) / c_d gives B = 2 |s|."""
+    for j in range(64):
+        for s in (2**j, -2**j):
+            if _root_bound(p * (X - s)) == 2 * abs(s):
+                return p * (X - s)
+    raise AssertionError(f"no root at half the bound for {p}")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_ints, min_size=1, max_size=5),
-       st.integers(min_value=-6, max_value=2), st.integers(min_value=1, max_value=8),
-       st.booleans(), st.booleans())
-def test_isolation_intervals_hold_one_root(coeffs, lo, width, edge_root, mid_root):
-    # roots on the left window edge and at the first bisection midpoint are
-    # the two cases where refinement starts from a zero of p
-    lo, hi = Fraction(lo), Fraction(lo + width)
+       st.sampled_from([None, "first split", "half bound"]))
+def test_isolation_intervals_hold_one_root(coeffs, mid_root):
+    # a root at the first split point, 0, or at +-B/2 starts refinement from
+    # a zero of p
     p = P(*coeffs) if coeffs[-1] else P(*coeffs, 1)
-    if edge_root:
-        p = p * (X - P(lo))
-    if mid_root:
-        p = p * (X - P((lo + hi) / 2))
+    if mid_root == "first split":
+        p = p * X
+    elif mid_root == "half bound":
+        p = _root_at_half_bound(p)
     assume(p.degree >= 1 and p.sturm_chain()[-1].degree == 0)
-    iso = isolate_real_roots(p, window=(lo, hi))
-    assert len(iso) == p.count_roots(lo, hi) + (p(lo) == 0)
+    bound = _root_bound(p)
+    iso = isolate_real_roots(p)
+    assert len(iso) == p.count_roots()
     assert all(b0 <= a1 for (_, b0), (a1, _) in zip(iso, iso[1:]))
     points = {a for a, b in iso if a == b}
     for a, b in iso:
-        assert lo <= a <= b <= hi
+        assert -bound <= a <= b <= bound
         if a == b:
             assert p(a) == 0
             continue
@@ -279,21 +289,67 @@ _TIE = 1 + Fraction(1, 2**53)
 _TIE_UP = 1 + Fraction(3, 2**53)  # rounds up to 1 + 2^-51
 
 
-@pytest.mark.parametrize("t, r, window", [
-    # the edge root t is the tie point between 1 and 1 + 2^-52 that the last
-    # step would test from the left; the next root, right of it, is not it
-    (_TIE, 1 + Fraction(1, 2**52) + Fraction(1, 2**54), (_TIE, Fraction(2))),
+@pytest.mark.parametrize("t, r", [
+    # splitting reaches (1, 1 + 2^-52] and emits t at its midpoint; the last
+    # step's tie point on (t, 1 + 2^-52] is t itself, the tie between 1 and
+    # 1 + 2^-52, and r, right of it, is not it
+    (_TIE, 1 + Fraction(3, 2**54)),
     # splitting reaches (1 + 2^-52, 1 + 2^-51] and emits t at its midpoint;
     # the last step's tie point on (1 + 2^-52, t] is t itself, and r, left
     # of it, must not be lost
-    (_TIE_UP, 1 + Fraction(5, 2**54), None),
-    (_TIE_UP, 1 + Fraction(5, 2**54), (Fraction(-8), Fraction(8))),
-], ids=["window-left-edge", "split-right-end", "split-right-end-window"])
-def test_isolation_next_to_a_root_at_a_tie_point(t, r, window):
-    iso = isolate_real_roots((X - P(t)) * (X - P(r)), window=window)
+    (_TIE_UP, 1 + Fraction(5, 2**54)),
+], ids=["split-left-end", "split-right-end"])
+def test_isolation_next_to_a_root_at_a_tie_point(t, r):
+    iso = isolate_real_roots((X - P(t)) * (X - P(r)))
     assert len(iso) == 2 and (t, t) in iso
     (a, b), = [ab for ab in iso if ab != (t, t)]
     assert a <= r <= b and float((a + b) / 2) == float(r) == 1 + 2.0**-52
+
+
+# -- float level roots ------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _assert_level_roots_are_np_roots(p, levels):
+    # row k against np.roots of p - levels[k], as multisets, bit for bit,
+    # where p(0) - levels[k] is not 0 in floats (np.roots deflates a zero root)
+    rows = _level_roots(p, levels)
+    assert rows.shape == (len(levels), p.degree)
+    c = p.to_real().coef[::-1]
+    for row, level in zip(rows, levels, strict=True):
+        if c[-1] - float(level) != 0:
+            want = np.roots(np.r_[c[:-1], c[-1] - float(level)])
+            assert np.sort(row.astype(complex)).tobytes() == np.sort(want.astype(complex)).tobytes()
+
+
+@pytest.mark.parametrize("source", ["x2m6", "x2m5", "cubic_m5_problem.json",
+                                    "near_touch_m5_problem.json", "quartic_m5_problem.json"])
+def test_level_roots_are_np_roots(source):
+    # the levels of robinson's certificate and seeds (M cos t), of the Pell
+    # seeds (+-M) and of weil's window seeds (0)
+    if source.startswith("x2m"):
+        pa = (preset_x2m6 if source == "x2m6" else preset_x2m5)().pa
+        p, M = pa.P, pa.M
+    else:
+        prob = load_problem(str(GOLDEN / source))
+        p, M = ExactPoly(prob["coeffs"]), Fraction(prob["M"])
+    angles = [math.pi * k / 32 for k in range(33)] + [math.pi * (2 * k + 1) / 64 for k in range(32)]
+    _assert_level_roots_are_np_roots(p, [float(M) * math.cos(t) for t in angles] + [M, -M, 0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=8), st.lists(st.floats(-10, 10), max_size=4))
+def test_level_roots_are_np_roots_for_random_monic_p(coeffs, levels):
+    p = ExactPoly(coeffs + [1])
+    assume(p.coeffs[0] != 0)
+    _assert_level_roots_are_np_roots(p, [0.0, *levels])
+
+
+def test_level_roots_outside_the_float_range():
+    assert _level_roots(X**2 - 3 * 10**400, [0]) is None
+    assert _level_roots(X**2 - 3, [10**400]) is None
+    assert _level_roots(X**2 - 3, [Fraction(10**400), 1.0]) is None
 
 
 # -- integer representation against a Fraction reference ------------------------
@@ -426,36 +482,50 @@ def test_count_roots_matches_fraction_sturm(roots, cofactor, lo, hi):
     assert p.count_roots(None, hi) == ref.sturm_count(-bound, hi)
 
 
-def test_resultant_matches_fraction_elimination():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        f = ExactPoly([Fraction(int(v), int(d)) for v, d in
-                       zip(rng.integers(-9, 10, size=4), rng.integers(1, 7, size=4))])
-        g = ExactPoly([Fraction(int(v), int(d)) for v, d in
-                       zip(rng.integers(-9, 10, size=3), rng.integers(1, 7, size=3))])
-        if f.degree < 1 or g.degree < 1:
-            continue
-        # reference: the Sylvester determinant by Fraction elimination
-        m, n = f.degree, g.degree
-        size = m + n
-        rows = [[Fraction(0)] * i + list(reversed(f.coeffs)) + [Fraction(0)] * (size - m - 1 - i)
-                for i in range(n)]
-        rows += [[Fraction(0)] * i + list(reversed(g.coeffs)) + [Fraction(0)] * (size - n - 1 - i)
-                 for i in range(m)]
-        det = Fraction(1)
-        for col in range(size):
-            piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
-            if piv is None:
-                det = Fraction(0)
-                break
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            det *= rows[col][col]
-            for r in range(col + 1, size):
-                t = rows[r][col] / rows[col][col]
-                rows[r] = [x - t * y for x, y in zip(rows[r], rows[col])]
-        assert f.resultant(g) == det
+def _sylvester_det(f, g):
+    """The Sylvester determinant of f and g by Fraction elimination."""
+    m, n = f.degree, g.degree
+    size = m + n
+    rows = [[Fraction(0)] * i + list(reversed(f.coeffs)) + [Fraction(0)] * (size - m - 1 - i)
+            for i in range(n)]
+    rows += [[Fraction(0)] * i + list(reversed(g.coeffs)) + [Fraction(0)] * (size - n - 1 - i)
+             for i in range(m)]
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, size):
+            t = rows[r][col] / rows[col][col]
+            rows[r] = [x - t * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+nonzero_rationals = rationals.filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rationals, max_size=8).map(tuple), nonzero_rationals,
+       st.lists(rationals, max_size=8).map(tuple), nonzero_rationals,
+       st.one_of(st.none(), rationals))
+def test_resultant_matches_fraction_elimination(a, lead_a, b, lead_b, shared):
+    # degrees 0-8 with rational coefficients, constants among them, against
+    # the Sylvester determinant; a shared root gives 0, and swapping the
+    # operands multiplies by (-1)^(deg a deg b)
+    if shared is not None:  # one degree for the common factor
+        a, b = a[1:], b[1:]
+    f, g = ExactPoly(a + (lead_a,)), ExactPoly(b + (lead_b,))
+    if shared is not None:
+        f, g = f * (X - P(shared)), g * (X - P(shared))
+    res = f.resultant(g)
+    assert isinstance(res, Fraction) and res == _sylvester_det(f, g)
+    assert g.resultant(f) == (-1) ** (f.degree * g.degree) * res
+    if shared is not None:
+        assert res == 0
 
 
 # -- interval unions -----------------------------------------------------------

@@ -316,8 +316,8 @@ def test_root_measure_midpoint_fallback(i5, monkeypatch, placement):
         calls.append(1)
         return evaluate(*args, **kwargs)
 
-    def seeds(pa, angles):
-        rows = np.full((len(angles), pa.r), 1e6)
+    def seeds(p, levels):
+        rows = np.full((len(levels), p.degree), 1e6)
         if placement == "at_left_ends":
             rows[:] = (left + 1e-9).reshape(rows.shape)
         return rows
@@ -440,9 +440,9 @@ def test_certificate_rejects_points_spanning_a_gap(i6, monkeypatch):
     # (-sqrt 2, sqrt 2), which the exact span decision refuses
     level_roots = robinson._level_roots
 
-    def straddle(pa, angles):
-        rts = level_roots(pa, angles)
-        k = len(angles) // 2  # the level P = 0
+    def straddle(p, levels):
+        rts = np.sort(level_roots(p, levels).real, axis=1)
+        k = len(levels) // 2  # the level P = 0
         rts[k, 0] = rts[k, 1]
         return rts
 
