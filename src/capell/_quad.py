@@ -46,7 +46,6 @@ __all__ = [
     "log_abs_sum",
     "ThetaDensity",
     "uniform_density",
-    "density_from_callable",
 ]
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -167,7 +166,6 @@ class ThetaDensity:
     every |a_k| with k >= n/4 is below 1e-13 a_0, or to 4096.  A profile with
     no singularity near [0, pi] stops at 64 or 128, a close band takes more,
     and a kink at an end, as sin(theta) has, runs to 4096 and is O(n^-2) off.
-    ``density`` reads the profiles alone.
     """
 
     def __init__(self, E: IntervalUnion, profiles: Sequence[Callable[[np.ndarray], np.ndarray]]):
@@ -196,25 +194,6 @@ class ThetaDensity:
     def band_masses(self) -> np.ndarray:
         return np.array([a[0] for a in self._series])
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.band_masses.sum())
-
-    def density(self, x) -> np.ndarray:
-        """Pointwise x-space density; 0 off the union, inf at band edges."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xs)
-        for j, (u, v) in enumerate(self.E.bands):
-            m, rho = _unit_map(u, v)
-            inside = (xs >= u) & (xs <= v)
-            if not np.any(inside):
-                continue
-            th = np.arccos(np.clip((xs[inside] - m) / rho, -1.0, 1.0))
-            s = rho * np.sin(th)
-            with np.errstate(divide="ignore"):
-                out[inside] = self.profiles[j](th) / s
-        return out if np.ndim(x) else float(out[0])
-
     def _mass_above(self, j: int, th: np.ndarray) -> np.ndarray:
         """Band j's mass at angles above th, i.e. on [u_j, m_j + rho_j cos th]."""
         a = self._series[j]
@@ -233,35 +212,6 @@ class ThetaDensity:
                 th = np.arccos(np.clip((xs[inside] - m) / rho, -1.0, 1.0))
                 out[inside] += self._mass_above(j, th)
         return out if np.ndim(x) else float(out[0])
-
-    def quantile(self, p) -> np.ndarray:
-        """Inverse CDF, by Newton steps in theta on the band's series, kept
-        inside a bisection bracket; gap plateaus resolve to the gap's left end."""
-        ps = np.atleast_1d(np.asarray(p, dtype=float))
-        left = np.concatenate(([0.0], np.cumsum(self.band_masses)))
-        t = ps * left[-1]
-        band = np.clip(np.searchsorted(left, t, side="left") - 1, 0, self.E.n_bands - 1)
-        out = np.empty_like(t)
-        for j, (u, v) in enumerate(self.E.bands):
-            sel = band == j
-            if not np.any(sel):
-                continue
-            a = self._series[j]
-            g = np.clip(t[sel] - left[j], 0.0, a[0])
-            lo, hi = np.zeros_like(g), np.full_like(g, np.pi)
-            th = np.pi * (1.0 - g / a[0])  # exact for a flat profile
-            for _ in range(100):
-                f = self._mass_above(j, th) - g  # falls as th grows
-                lo, hi = np.where(f > 0, th, lo), np.where(f > 0, hi, th)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    new = th + f / _profile(a, th)
-                new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-                step, th = float(np.abs(new - th).max()), new
-                if step <= 1e-14:
-                    break
-            m, rho = _unit_map(u, v)
-            out[sel] = m + rho * np.cos(th)
-        return out if np.ndim(p) else float(out[0])
 
     # -- integrals -----------------------------------------------------------
 
@@ -317,17 +267,3 @@ def uniform_density(E: IntervalUnion) -> ThetaDensity:
     mu._series = [wj * a for wj in w]
     return mu
 
-
-def density_from_callable(E: IntervalUnion, fn: Callable[[np.ndarray], np.ndarray]) -> ThetaDensity:
-    """Wrap a pointwise x-space density fn(x) as a ThetaDensity."""
-
-    def make(j: int):
-        m, rho = _unit_map(*E.bands[j])
-
-        def q(theta: np.ndarray) -> np.ndarray:
-            w = m + rho * np.cos(theta)
-            return np.asarray(fn(w), dtype=float) * rho * np.sin(theta)
-
-        return q
-
-    return ThetaDensity(E, [make(j) for j in range(E.n_bands)])

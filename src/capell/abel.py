@@ -30,10 +30,12 @@ and is the next solve's, the last once they pass, n = 32 up to 512.  Band
 masses double their nodes from 16 to settle, and are divided by their sum.
 
 On band j, x = m_j + rho_j cos(theta) turns |R|/sqrt|D| into a smooth
-profile pi q_j(theta).  ``_band_profile`` is the one copy of it: the band
-masses and ``BandDensity`` use it.  ``_exp_series`` is the one Laurent
-series at infinity, exp(-sum p_m u^m / m): the tail of v(E) takes it in
-u = 1/x, the Pell synthesis in ``pellabel`` in u = 1/w, x = (w + 1/w)/2.
+profile pi q_j(theta).  ``BandDensity`` samples it through
+``_band_profile``; the band masses (``_band_etas``) take the same
+``_log_weight`` on graded nodes directly.  ``_exp_series`` is the one
+Laurent series at infinity, exp(-sum p_m u^m / m): the tail of v(E) takes
+it in u = 1/x, the Pell synthesis in ``pellabel`` in u = 1/w,
+x = (w + 1/w)/2.
 """
 
 from __future__ import annotations
@@ -45,17 +47,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .core import ExactPoly, IntervalUnion, QuadratureError, _unit_map
+from .core import IntervalUnion, QuadratureError, _unit_map
 from ._quad import ThetaDensity, adaptive_double, gauss_legendre, graded_nodes, log_abs_sum
 
 __all__ = [
     "AbelDatum",
     "BandDensity",
-    "gap_integral",
     "solve_R",
     "abel_capacity",
-    "equilibrium_potential",
-    "resultant_positivity",
 ]
 
 
@@ -124,16 +123,15 @@ def _band_profile(e: np.ndarray, z: np.ndarray, j: int):
     return lambda theta: np.exp(_log_weight((m + rho * np.cos(theta))[None], e, [2 * j], z)[0])
 
 
-def _gap_nodes(e: np.ndarray, n: int, gaps=slice(None)):
-    """``graded_nodes`` X on the gaps (all, or those indexed) and log w, w
-    the node weight over sqrt of D's cofactor |D / ((x-b_i)(a_{i+1}-x))|,
-    both (gaps, n), built for all gaps at once.  A gap end's nearest branch
-    point outside is the far end of the band beside it.  ``solve_R`` solves
-    on n = 32 and re-checks on 64."""
+def _gap_nodes(e: np.ndarray, n: int):
+    """``graded_nodes`` X on the gaps and log w, w the node weight over sqrt
+    of D's cofactor |D / ((x-b_i)(a_{i+1}-x))|, both (g, n), built for all
+    gaps at once.  A gap end's nearest branch point outside is the far end
+    of the band beside it.  ``solve_R`` solves on n = 32 and re-checks on
+    64."""
     width = e[1::2] - e[::2]
-    i = np.arange(len(e) // 2 - 1)[gaps]
-    X, logq = graded_nodes(e[2 * i + 1], e[2 * i + 2], width[i], width[i + 1], n)
-    return X, logq + _log_weight(X, e, 2 * i + 1)
+    X, logq = graded_nodes(e[1:-1:2], e[2::2], width[:-1], width[1:], n)
+    return X, logq + _log_weight(X, e, np.arange(1, len(e) - 2, 2))
 
 
 def _residual(z, X, logw, jac=False):
@@ -278,22 +276,6 @@ def solve_R(E: IntervalUnion) -> AbelDatum:
     )
 
 
-def gap_integral(datum: AbelDatum, gap_index: int) -> float:
-    """int over the gap_index-th gap (1-based) of R/sqrt(D).  The integral
-    has degree 0 in x, so it is taken on E mapped onto [-1, 1]."""
-    e, _, _ = _unit_frame(datum.E)
-    if not 1 <= gap_index <= datum.E.g:
-        raise ValueError(f"gap index must be in 1..{datum.E.g}")
-    z = np.asarray(datum.unit_roots)
-
-    def one(n: int) -> float:
-        x, logw = _gap_nodes(e, n, [gap_index - 1])
-        return float(np.sum(np.prod(x[0, :, None] - z, axis=1) * np.exp(logw[0])))
-
-    val, _, _ = adaptive_double(one, 1e-11, n0=32, context="gap integral")
-    return val
-
-
 def abel_capacity(datum: AbelDatum) -> float:
     """cap(E) = e^{v(E)}, with the same limit recomputed from the left, on
     E' reflected, as a consistency check."""
@@ -309,7 +291,7 @@ def abel_capacity(datum: AbelDatum) -> float:
 
 
 # ---------------------------------------------------------------------------
-# equilibrium density, potential
+# equilibrium density
 # ---------------------------------------------------------------------------
 
 
@@ -350,34 +332,3 @@ class BandDensity(ThetaDensity):
 @lru_cache(maxsize=16)
 def _cached_density(datum: AbelDatum) -> BandDensity:
     return BandDensity(datum)
-
-
-def equilibrium_potential(datum: AbelDatum, z) -> float:
-    """p(z) = int log|w - z| against the equilibrium density."""
-    return _cached_density(datum).potential(z)
-
-
-# ---------------------------------------------------------------------------
-# exact resultant positivity
-# ---------------------------------------------------------------------------
-
-
-def resultant_positivity(P: ExactPoly, Q: ExactPoly):
-    """((1/deg P) log|Res(P, Q)|, Res) for integer P (monic) and Q.
-
-    The value is -inf exactly when the resultant vanishes (shared root) and
-    is >= 0 otherwise, |Res| being a positive integer.
-    """
-    if not (P.is_integer and Q.is_integer):
-        raise ValueError("integer coefficients required")
-    if P.degree < 1 or P.coeffs[-1] != 1:
-        raise ValueError("P must be monic and nonconstant")
-    if Q.degree < 0:
-        raise ValueError("Q must be nonzero")
-    res = P.resultant(Q)
-    if res == 0:
-        return float("-inf"), res
-    a = abs(res)
-    # big-int logs: never round through float
-    val = (math.log(a.numerator) - math.log(a.denominator)) / P.degree
-    return float(val), res

@@ -2,7 +2,7 @@
 
 Four routes are implemented and cross-checkable:
 
-* closed forms for intervals, symmetric pairs, circles, and circular arcs;
+* closed forms for intervals and symmetric pairs;
 * the transfinite-diameter oracle: n points maximizing the Vandermonde
   product (n <= 64), by exact coordinate ascent;
 * the Chebyshev route: a Remez exchange in barycentric form brackets the
@@ -13,9 +13,6 @@ Four routes are implemented and cross-checkable:
 
 Both extremal routes locate the maximum of |p| on a band by one rule: it
 lies at a band end or at a real root of p' inside the band.
-
-Also here: transport of densities under monic polynomial preimages and the
-logarithmic energy of a density.
 """
 
 from __future__ import annotations
@@ -25,15 +22,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
-from .core import (
-    IntervalUnion,
-    QuadratureError,
-    _unit_map,
-    make_interval_union,
-)
-from ._quad import ThetaDensity, density_from_callable
+from .core import IntervalUnion, QuadratureError, _unit_map
 
 __all__ = [
     "CapacityReport",
@@ -41,9 +31,6 @@ __all__ = [
     "fekete_points",
     "fekete_diameter",
     "chebyshev_constant",
-    "capacity_preimage",
-    "pullback_density",
-    "energy",
     "capacity",
 ]
 
@@ -74,8 +61,7 @@ def capacity_closed_form(shape) -> float:
     """Exact capacity for a tagged shape.
 
     Accepted shapes: ("interval", a, b); ("symmetric_pair", a, b) for
-    [-b,-a] u [a,b] with 0 < a < b; ("circle", r); ("arc", r, alpha) for a
-    circular arc of radius r and opening angle alpha.
+    [-b,-a] u [a,b] with 0 < a < b.
     """
     try:
         tag, *params = shape
@@ -92,16 +78,6 @@ def capacity_closed_form(shape) -> float:
             raise ValueError("symmetric pair needs 0 < a < b")
         # 0.5 sqrt(b^2 - a^2), with no square formed
         return math.sqrt(0.5 * b - 0.5 * a) * math.sqrt(0.5 * b + 0.5 * a)
-    if tag == "circle":
-        (r,) = params
-        if not r > 0:
-            raise ValueError("circle needs r > 0")
-        return float(r)
-    if tag == "arc":
-        (r, alpha) = params
-        if not r > 0 or not 0 <= alpha <= 2 * math.pi:
-            raise ValueError("arc needs r > 0 and 0 <= alpha <= 2*pi")
-        return r * math.sin(alpha / 4.0)
     raise ValueError(f"unknown shape tag {tag!r}")
 
 
@@ -425,72 +401,6 @@ def chebyshev_constant(E: IntervalUnion, n: int) -> tuple[float, float]:
         raise QuadratureError(f"minimax norm t_{n} = 10^{log_t / math.log(10):.1f} "
                               f"lies outside the float range")
     return math.exp(log_t), math.exp(log_lo)
-
-
-# ---------------------------------------------------------------------------
-# transforms
-# ---------------------------------------------------------------------------
-
-
-def capacity_preimage(capK: float, d: int) -> float:
-    """cap of the preimage under a monic degree-d polynomial: cap^(1/d)."""
-    if capK < 0 or d < 1:
-        raise ValueError("need capK >= 0 and d >= 1")
-    return capK ** (1.0 / d)
-
-
-def _preimage_bands(f: Polynomial, K: IntervalUnion) -> list[tuple[float, float]]:
-    cuts: list[float] = []
-    scale = max(1.0, max(abs(e) for e in K.endpoints))
-    for (u, v) in K.bands:
-        for level in (u, v):
-            rts = np.roots((f - level).coef[::-1])
-            cuts.extend(r.real for r in rts if abs(r.imag) <= 1e-9 * scale)
-    dcoef = f.deriv().coef
-    if len(dcoef) > 1:
-        rts = np.roots(dcoef[::-1])
-        cuts.extend(r.real for r in rts if abs(r.imag) <= 1e-9 * scale)
-    cuts = sorted(set(float(c) for c in cuts))
-    out: list[tuple[float, float]] = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a <= 1e-13 * scale:
-            continue
-        if K.contains(float(f(0.5 * (a + b))), tol=1e-9 * scale):
-            if out and abs(out[-1][1] - a) <= 1e-12 * scale:
-                out[-1] = (out[-1][0], b)
-            else:
-                out.append((a, b))
-    if not out:
-        raise ValueError("empty preimage")
-    return out
-
-
-def pullback_density(f: Polynomial, nu) -> ThetaDensity:
-    """Canonical lift of a density under a monic polynomial.
-
-    The lift of nu along f has pointwise density nu(f(x)) |f'(x)| / deg f on
-    f^{-1}(supp nu); its pushforward under f is nu again.
-    """
-    d = f.degree()
-    if d < 1:
-        raise ValueError("need a nonconstant polynomial")
-    if abs(f.coef[-1] - 1.0) > 1e-12:
-        raise ValueError("need a monic polynomial")
-    Epre = make_interval_union(_preimage_bands(f, nu.E))
-    fp = f.deriv()
-
-    def dens(x: np.ndarray) -> np.ndarray:
-        return nu.density(f(x)) * np.abs(fp(x)) / d
-
-    return density_from_callable(Epre, dens)
-
-
-def energy(mu) -> float:
-    """I(mu) = double integral of log|x-y| d(mu)d(mu) for a unit-mass density."""
-    mass = mu.total_mass
-    if abs(mass - 1.0) > 1e-6:
-        raise ValueError(f"density must have unit mass (got {mass})")
-    return mu.energy()
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from . import pellabel as _pell
 from . import robinson as _robinson
 from . import weil as _weil
 
-__all__ = ["main", "load_problem", "dump_problem"]
+__all__ = ["main", "load_problem"]
 
 
 _PROBLEM_KEYS = {
@@ -98,10 +98,6 @@ def load_problem(path: str) -> dict:
         except (TypeError, ValueError, ZeroDivisionError):
             raise ValueError(f"problem key {k!r} has the wrong shape: {v!r}") from None
     return out
-
-
-def dump_problem(problem: dict) -> str:
-    return json.dumps(_jsonify(problem), sort_keys=True, indent=2) + "\n"
 
 
 def _default(value, default):

@@ -7,9 +7,9 @@ Everything downstream builds on two small value types:
                        low degree first, held as integer numerators over one
                        denominator.
 
-The exact layer carries every certificate (Sturm isolation, resultants,
-integrality) and runs on Python ints.  Float polynomials, which carry the
-numerics, are ``numpy.polynomial.Polynomial``; ``ExactPoly.to_real`` makes one.
+The exact layer carries every certificate (Sturm isolation, integrality)
+and runs on Python ints.  Float polynomials, which carry the numerics, are
+``numpy.polynomial.Polynomial``; ``ExactPoly.to_real`` makes one.
 """
 
 from __future__ import annotations
@@ -63,53 +63,16 @@ class IntervalUnion:
         return len(self.bands)
 
     @property
-    def g(self) -> int:
-        """Number of gaps between consecutive bands."""
-        return len(self.bands) - 1
-
-    @property
     def hull(self) -> tuple[float, float]:
         return (self.bands[0][0], self.bands[-1][1])
 
     @property
-    def diameter(self) -> float:
-        return self.bands[-1][1] - self.bands[0][0]
-
-    @property
-    def gaps(self) -> tuple[tuple[float, float], ...]:
-        return tuple(
-            (self.bands[j][1], self.bands[j + 1][0]) for j in range(self.g)
-        )
-
-    @property
     def endpoints(self) -> tuple[float, ...]:
-        """All 2(g+1) endpoints in increasing order."""
+        """All 2 n_bands endpoints in increasing order."""
         out: list[float] = []
         for a, b in self.bands:
             out.extend((a, b))
         return tuple(out)
-
-    @property
-    def lengths(self) -> tuple[float, ...]:
-        return tuple(b - a for a, b in self.bands)
-
-    @property
-    def total_length(self) -> float:
-        return sum(self.lengths)
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return any(a - tol <= x <= b + tol for a, b in self.bands)
-
-    def translated(self, c: float) -> "IntervalUnion":
-        return IntervalUnion(tuple((a + c, b + c) for a, b in self.bands))
-
-    def scaled(self, lam: float) -> "IntervalUnion":
-        if lam == 0:
-            raise ValueError("scale factor must be nonzero")
-        scaled = [(a * lam, b * lam) for a, b in self.bands]
-        if lam < 0:
-            scaled = [(b, a) for a, b in reversed(scaled)]
-        return IntervalUnion(tuple(scaled))
 
 
 def _unit_map(lo: float, hi: float) -> tuple[float, float]:
@@ -302,10 +265,6 @@ class ExactPoly:
         return len(self.num) == 1 and self.num[0] == 0
 
     @property
-    def lead(self) -> Fraction:
-        return Fraction(self.num[-1], self.den)
-
-    @property
     def is_monic(self) -> bool:
         return self.num[-1] == self.den
 
@@ -335,10 +294,6 @@ class ExactPoly:
             x = Fraction(x)
         acc = _horner(self.num, x.numerator, x.denominator)
         return (acc > 0) - (acc < 0)
-
-    def deriv(self) -> "ExactPoly":
-        num = self.num
-        return ExactPoly._from_ints([k * num[k] for k in range(1, len(num))], self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -395,18 +350,6 @@ class ExactPoly:
             base = base * base
             k >>= 1
         return out
-
-    def divmod(self, other: "ExactPoly") -> tuple["ExactPoly", "ExactPoly"]:
-        """(q, r) with self = q other + r and deg r < deg other, exactly."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r, e = _pseudo_divmod(self.num, other.num)
-        # lc^e self.num = q other.num + r, and self = self.num / self.den
-        s = other.num[-1] ** e * self.den
-        if s < 0:
-            s, q, r = -s, [-c for c in q], [-c for c in r]
-        return (ExactPoly._from_ints([c * other.den for c in q], s),
-                ExactPoly._from_ints(r, s))
 
     def to_real(self) -> Polynomial:
         """The float polynomial with each coefficient correctly rounded."""
@@ -474,20 +417,6 @@ class ExactPoly:
 
         return variations(lo, -1) - variations(hi, +1)
 
-    def resultant(self, other: "ExactPoly") -> Fraction:
-        """Resultant by the Euclidean remainder sequence, on ``divmod``:
-        Res(a, b) = (-1)^(mn) lc(b)^(m - deg r) Res(b, r) for r = a mod b,
-        m = deg a, n = deg b; 0 once r = 0, and c^m for a constant b = c."""
-        if self.is_zero or other.is_zero:
-            raise ValueError("resultant of the zero polynomial is undefined")
-        a, b, res = self, other, Fraction(1)
-        while b.degree > 0:
-            r = a.divmod(b)[1]
-            if r.is_zero:
-                return Fraction(0)
-            res *= (-1) ** (a.degree * b.degree) * b.lead ** (a.degree - r.degree)
-            a, b = b, r
-        return res * b.lead ** a.degree
 
 
 # ---------------------------------------------------------------------------

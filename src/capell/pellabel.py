@@ -266,10 +266,11 @@ def construct_pa_polynomial(datum: AbelDatum, r: int) -> PellAbelDatum:
         raise CertificationError(
             f"band masses {omega.tolist()} are not integral at denominator {r}"
         )
-    # P^2 - M^2 is formed in floats, so M^2 = (2 cap^r)^2 must be one
-    if 2.0 * (math.log(2.0) + r * datum.vE) >= math.log(sys.float_info.max):
+    # P^2 - M^2 is formed in floats, so M^2 = (2 cap^r)^2 must be one: below
+    # the largest float and not underflowing to 0
+    too_big = 2.0 * (math.log(2.0) + r * datum.vE) >= math.log(sys.float_info.max)
+    if too_big or (M := 2.0 * math.exp(r * datum.vE)) * M == 0.0:
         raise QuadratureError(f"Pell synthesis: M^2 = (2 cap(E)^{r})^2 is outside the float range")
-    M = 2.0 * math.exp(r * datum.vE)
 
     e, _, _ = _unit_frame(E)
     h = len(e) // 2  # g + 1

@@ -41,7 +41,6 @@ __all__ = [
     "preset_x2m5",
     "compose_Pn",
     "certify_integrality",
-    "correction_Cn",
     "generate",
     "generate_at",
     "root_measure_from_certificate",
@@ -183,25 +182,6 @@ def _correct(inst: RobinsonInstance, n: int, Pn: ExactPoly):
     if bad:
         raise CertificationError(f"fractional coefficients remain at degrees {bad}")
     return table, P_prime
-
-
-def correction_Cn(inst: RobinsonInstance, n: int) -> tuple[ExactPoly, ExactPoly]:
-    """The bounded correction C_n and the integer polynomial P_n - C_n.
-
-    Every correction coefficient lies in [-1/2, 1/2), so on E the correction
-    is below A lam^(n-ell) / (lam - 1) <= 2 lam^n; the sup is re-measured
-    numerically, in units of lam^n, and must come out strictly below 2.
-    """
-    Pn = compose_Pn(inst, n)
-    table, P_prime = _correct(inst, n, Pn)
-    C_n = Pn - P_prime
-
-    sup_C = _sup_on_bands(inst, table, n)
-    if table and not sup_C < 2.0:
-        raise CertificationError(
-            f"correction sup {sup_C} lam^n reaches the oscillation amplitude 2 lam^n"
-        )
-    return C_n, P_prime
 
 
 def _band_samples(E: IntervalUnion, per_band: int = 512) -> np.ndarray:

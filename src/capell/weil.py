@@ -46,6 +46,11 @@ class CircleSet:
     def __post_init__(self):
         if int(self.q) != self.q or self.q < 2:
             raise ValueError("q must be an integer >= 2")
+        if self.q > sys.float_info.max:
+            # every float band lies inside [-2 sqrt q, 2 sqrt q]; only q^(1/4)
+            # must be a float
+            _quarter(self.q)
+            return
         w = 2.0 * self.radius
         slack = 1e-12 * w
         for (u, v) in self.x_bands.bands:
@@ -54,7 +59,18 @@ class CircleSet:
 
     @property
     def radius(self) -> float:
-        return math.sqrt(self.q) if self.q <= sys.float_info.max else float(math.isqrt(self.q))
+        """sqrt(q), for q within the float range."""
+        return math.sqrt(self.q)
+
+
+def _quarter(q: int) -> float:
+    """q^(1/4) for q past the float range: isqrt(isqrt(q)) is its floor, at
+    least 10^77 there; ValueError where q^(1/4) leaves the float range."""
+    try:
+        return float(math.isqrt(math.isqrt(q)))
+    except OverflowError:
+        raise ValueError(f"q = 10^{math.log10(q):.1f}: q^(1/4) lies outside the "
+                         f"float range") from None
 
 
 @lru_cache(maxsize=32)
@@ -64,7 +80,8 @@ def _band_capacity(E: IntervalUnion) -> float:
 
 def circle_capacity(cs: CircleSet) -> float:
     """cap of the circle set: sqrt(r) * sqrt(cap of the trace bands)."""
-    return math.sqrt(cs.radius) * math.sqrt(_band_capacity(cs.x_bands))
+    sqrt_r = math.sqrt(cs.radius) if cs.q <= sys.float_info.max else _quarter(cs.q)
+    return sqrt_r * math.sqrt(_band_capacity(cs.x_bands))
 
 
 def _even_odd_parts(p: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
@@ -167,5 +184,5 @@ def support_capacity_bound(cs: CircleSet) -> tuple[float, float, bool]:
     big enough to support a diffuse limit of root measures.  Equality cases
     are accepted up to a relative 1e-12."""
     cap = circle_capacity(cs)
-    bound = float(cs.q) ** 0.25 if cs.q <= sys.float_info.max else math.sqrt(cs.radius)
+    bound = float(cs.q) ** 0.25 if cs.q <= sys.float_info.max else _quarter(cs.q)
     return cap, bound, cap >= bound * (1.0 - 1e-12)

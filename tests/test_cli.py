@@ -12,7 +12,7 @@ from numpy.polynomial import Polynomial
 
 import capell.capacity
 import capell.cli
-from capell.cli import dump_problem, load_problem, main
+from capell.cli import load_problem, main
 from capell.abel import solve_R
 from capell.core import ExactPoly, make_interval_union
 from capell.pellabel import PellAbelDatum, certify_structure, construct_pa_polynomial
@@ -278,6 +278,19 @@ def test_pell_construct_certificate_rejects_an_off_p(capsys):
 def test_pell_construct_out_of_float_reach_exits_3(capsys, bands, r):
     assert main(["pell", "construct", "--bands", bands, "--r", r]) == 3
     assert capsys.readouterr().err.startswith("certification failure")
+
+
+@pytest.mark.parametrize("bands,r,rc", [
+    # M = 2 cap^r: M^2 underflows to 0 at the first two, not at the third
+    pytest.param("[[0,1e-150]]", "2", 4, id="1e-150-r2"),
+    pytest.param("[[0,1e-100]]", "4", 4, id="1e-100-r4"),
+    pytest.param("[[0,1e-160]]", "1", 0, id="1e-160-r1"),
+])
+def test_pell_construct_on_tiny_unions_names_the_stage(capsys, bands, r, rc):
+    assert main(["pell", "construct", "--bands", bands, "--r", r]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert f"Pell synthesis: M^2 = (2 cap(E)^{r})^2 is outside the float range" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -624,6 +637,17 @@ def test_weil_bound_beyond_the_float_range(capsys):
     assert rep["satisfied"] is True
 
 
+def test_weil_bound_past_the_float_range_of_sqrt_q(capsys):
+    # sqrt(10^700) has no float, but q^(1/4) = 10^175 does; past
+    # q^(1/4) ~ 1.8e308 nothing does, and the input is refused
+    rep = run_json(capsys, ["weil", "bound", "--q", str(10**700), "--bands", "[[-1e200,1e200]]"])
+    assert rep["bound"] == 1e175
+    assert rep["capacity"] == pytest.approx(1e175 * math.sqrt(5e199), rel=1e-12)
+    assert rep["satisfied"] is True
+    assert main(["weil", "bound", "--q", str(10**1300), "--bands", "[[-1e200,1e200]]"]) == 2
+    assert "q = 10^1300.0: q^(1/4) lies outside the float range" in capsys.readouterr().err
+
+
 # -- plumbing ----------------------------------------------------------------------
 
 
@@ -695,7 +719,7 @@ def test_problem_round_trip(tmp_path):
         "coeffs": [-6, 0, 1],
     }))
     one = load_problem(str(prob))
-    prob.write_text(dump_problem(one))
+    prob.write_text(json.dumps(one))
     assert load_problem(str(prob)) == one
 
 

@@ -17,7 +17,6 @@ from capell.robinson import (
     certify_integrality,
     compose_Pn,
     convergence_report,
-    correction_Cn,
     generate,
     generate_at,
     make_instance,
@@ -160,13 +159,11 @@ def test_integrality_scan(i5, i6):
 
 
 def test_integer_lam_needs_no_correction(i6):
-    C, Pp = correction_Cn(i6, 3)
-    assert C.degree == -1 and all(c == 0 for c in C.coeffs)
-    assert Pp == compose_Pn(i6, 3)
-    P_prime, cert, table = generate_at(i6, 5)
-    assert table == {}
-    assert P_prime == compose_Pn(i6, 5)
-    assert cert["correction_terms"] == 0
+    for n in (3, 5):
+        P_prime, cert, table = generate_at(i6, n)
+        assert table == {}
+        assert P_prime == compose_Pn(i6, n)
+        assert cert["correction_terms"] == 0
 
 
 def test_x2m6_convergence_ladder(i6):
@@ -348,7 +345,7 @@ def test_eval_structured_derivative():
         for _ in range(j):
             term = term * X
         P_prime = P_prime - term * c
-    dP = P_prime.deriv()
+    dP = ExactPoly([k * c for k, c in enumerate(P_prime.coeffs)][1:])
     xs = np.array([float(Fraction(a) + Fraction(b)) / 2 for a, b in cert["isolating_intervals"]])
     # both come divided by lam^n, so the amplitude 2 lam^n becomes 2
     f, d = _eval_structured(inst, n, table, xs)
@@ -403,9 +400,12 @@ def test_root_measure_certified_property(r, M, a, b, gaps, s, data):
 
 
 def test_correction_x2m5_at_32(i5):
-    C, P_prime = correction_Cn(i5, 32)
-    P32 = compose_Pn(i5, 32)
-    assert C == P32 - P_prime
+    P_prime, _, table = generate_at(i5, 32)
+    # C = P_32 - P'_32 is the table's sum of c x^j P_k, P_0 = 2
+    C = compose_Pn(i5, 32) - P_prime
+    X = ExactPoly.x()
+    assert C == sum((c * X**j * (ExactPoly((2,)) if k == 0 else compose_Pn(i5, k))
+                     for (j, k), c in table.items()), ExactPoly((0,)))
     assert any(c != 0 for c in C.coeffs)
     assert all(c.denominator == 1 for c in P_prime.coeffs)
     assert P_prime.degree == 64 and P_prime.coeffs[-1] == 1
@@ -426,12 +426,10 @@ def test_correction_coefficients_bounded(i5):
 
 
 def test_correction_rejects_inadmissible(i5):
-    with pytest.raises(CertificationError):
-        correction_Cn(i5, 3)    # n <= ell
-    with pytest.raises(CertificationError):
-        correction_Cn(i5, 6)    # top coefficients not integral
-    with pytest.raises(CertificationError):
-        generate_at(i5, 6)
+    with pytest.raises(CertificationError, match="not admissible"):
+        generate_at(i5, 3)    # n <= ell
+    with pytest.raises(CertificationError, match="not admissible"):
+        generate_at(i5, 6)    # top coefficients not integral
 
 
 def test_certificate_rejects_points_spanning_a_gap(i6, monkeypatch):

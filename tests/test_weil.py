@@ -21,6 +21,7 @@ from capell.weil import (
     support_capacity_bound,
     weil_lift,
 )
+from test_quad import quantile_by_bisection
 
 X = ExactPoly.x()
 
@@ -364,7 +365,7 @@ def test_energy_doubles_under_trace():
     K = make_interval_union([(-math.sqrt(3), -1.0), (1.0, math.sqrt(3))])
     mu = BandDensity(solve_R(K))
     N = 1200
-    x = np.array([mu.quantile((i + 0.5) / N) for i in range(N)])
+    x = quantile_by_bisection(mu, (np.arange(N) + 0.5) / N)
     pe_I = pair_energy(x.astype(complex))
     z = x / 2 + 1j * np.sqrt(1.0 - (x / 2) ** 2)
     pe_C = pair_energy(np.concatenate([z, np.conj(z)]))
